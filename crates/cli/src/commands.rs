@@ -468,11 +468,10 @@ struct RecordedRun<T> {
     doc: Option<serde_json::Value>,
 }
 
-/// Shared recorded-run harness for `simulate`, `simulate-queue` and
-/// `simulate-job`: selects the recorder (mem / sharded / streaming),
-/// runs `body` against it, builds the run document when needed, and
-/// writes every `--*-out` artefact — so manifest capture is wired
-/// exactly once.
+/// Shared recorded-run harness for `simulate` and `simulate-job`:
+/// selects the recorder (mem / sharded / streaming), runs `body`
+/// against it, builds the run document when needed, and writes every
+/// `--*-out` artefact — so manifest capture is wired exactly once.
 fn run_recorded_command<T>(
     p: &Parsed,
     threads: usize,
@@ -681,133 +680,6 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
     ))
 }
 
-/// `affinity-vc simulate-queue`
-pub fn simulate_queue(p: &Parsed) -> Result<String, ArgError> {
-    p.ensure_known(&[
-        "requests",
-        "rate",
-        "policy",
-        "racks",
-        "nodes",
-        "capacity",
-        "seed",
-        "json",
-        "trace",
-        "save-trace",
-        "trace-out",
-        "metrics-out",
-        "prom-out",
-        "series-out",
-        "stream-out",
-        "window-us",
-        "placement-threads",
-        "health",
-        "health-audit-events",
-        "health-uplink-util",
-        "health-uplink-windows",
-        "health-frag-windows",
-        "health-queue-windows",
-    ])?;
-    let cloud = build_cloud(p)?;
-    let count = p.num_or("requests", 20usize)?;
-    let rate = p.num_or("rate", 0.5f64)?;
-    if rate <= 0.0 {
-        return Err(ArgError::new("--rate must be positive"));
-    }
-    let seed = p.num_or("seed", 0u64)?;
-    let trace = match p.str_or("trace", "") {
-        "" => {
-            let process = ArrivalProcess {
-                rate_per_s: rate,
-                profile: RequestProfile::standard(),
-                service: ServiceTime::UniformMs(10_000, 60_000),
-            };
-            process.generate(count, cloud.num_types(), &mut StdRng::seed_from_u64(seed))
-        }
-        path => vc_cloudsim::trace::load(path).map_err(|e| ArgError::new(e.to_string()))?,
-    };
-    match p.str_or("save-trace", "") {
-        "" => {}
-        path => {
-            vc_cloudsim::trace::save(&trace, path).map_err(|e| ArgError::new(e.to_string()))?;
-        }
-    }
-
-    let policy_name = p.str_or("policy", "online");
-    let scan = scan_config(p)?;
-    let mode = if policy_name == "global" {
-        PolicyMode::GlobalBatch(Admission::FifoBlocking, scan)
-    } else {
-        PolicyMode::Individual(policy_by_name(policy_name, scan)?)
-    };
-    let total = trace.len();
-    let workload_digest = trace_digest(&trace);
-    let mut config = SimConfig::new(trace, mode, seed);
-    if let Some(w) = ts_window(p)? {
-        config = config.with_timeseries(w);
-    }
-    let health = health_policy(p)?;
-    let audited = health.is_some();
-    if let Some(h) = health {
-        config = config.with_health(h);
-    }
-    // The watchdog only runs against a live recorder, so `--health`
-    // forces the recorded path even without an `--*-out` export.
-    let result = if wants_observability(p) || audited {
-        let mut entries = cloud_config_entries(p)?;
-        entries.extend(config.manifest_entries());
-        let manifest = RunManifest::new(
-            env!("CARGO_PKG_VERSION"),
-            "simulate-queue",
-            seed,
-            &config.policy_name(),
-            config.ts_window_us.unwrap_or(0),
-            topology_digest(cloud.topology()),
-            workload_digest,
-            entries,
-        );
-        let threads = p.num_or("placement-threads", 1usize)?;
-        run_recorded_command(p, threads, &manifest, false, |r| {
-            vc_cloudsim::sim::run_recorded(&cloud, config, r)
-        })?
-        .result
-    } else {
-        vc_cloudsim::sim::run(&cloud, config)
-    };
-
-    if p.switch("json") {
-        let outcomes: Vec<_> = result
-            .outcomes
-            .iter()
-            .map(|o| {
-                serde_json::json!({
-                    "id": o.id,
-                    "distance": o.distance,
-                    "wait_s": o.wait().map(SimTime::as_secs_f64),
-                    "refused": o.refused,
-                })
-            })
-            .collect();
-        return Ok(serde_json::json!({
-            "policy": policy_name,
-            "served": result.served,
-            "refused": result.refused,
-            "total_distance": result.total_distance,
-            "mean_wait_s": result.mean_wait.as_secs_f64(),
-            "outcomes": outcomes,
-        })
-        .to_string());
-    }
-    Ok(format!(
-        "policy {policy_name}: served {}/{} (refused {}), Σdistance {}, mean wait {:.1}s\n",
-        result.served,
-        total,
-        result.refused,
-        result.total_distance,
-        result.mean_wait.as_secs_f64(),
-    ))
-}
-
 /// `affinity-vc simulate` (alias `run`) — the end-to-end pipeline:
 /// request queue → affinity-aware placement → MapReduce jobs on the
 /// placed virtual clusters, with the whole run recorded so
@@ -838,6 +710,8 @@ fn simulate_impl(
         "workload",
         "maps",
         "reducers",
+        "trace",
+        "save-trace",
         "trace-out",
         "metrics-out",
         "prom-out",
@@ -862,12 +736,23 @@ fn simulate_impl(
         Some(s) => s,
         None => p.num_or("seed", 0u64)?,
     };
-    let process = ArrivalProcess {
-        rate_per_s: rate,
-        profile: RequestProfile::standard(),
-        service: ServiceTime::UniformMs(10_000, 60_000),
+    let trace = match p.str_or("trace", "") {
+        "" => {
+            let process = ArrivalProcess {
+                rate_per_s: rate,
+                profile: RequestProfile::standard(),
+                service: ServiceTime::UniformMs(10_000, 60_000),
+            };
+            process.generate(count, cloud.num_types(), &mut StdRng::seed_from_u64(seed))
+        }
+        path => vc_cloudsim::trace::load(path).map_err(|e| ArgError::new(e.to_string()))?,
     };
-    let trace = process.generate(count, cloud.num_types(), &mut StdRng::seed_from_u64(seed));
+    match p.str_or("save-trace", "") {
+        "" => {}
+        path => {
+            vc_cloudsim::trace::save(&trace, path).map_err(|e| ArgError::new(e.to_string()))?;
+        }
+    }
 
     let policy_name = p.str_or("policy", "global");
     let scan = scan_config(p)?;
@@ -938,6 +823,18 @@ fn simulate_impl(
     let (num_spans, num_events) = (run.spans, run.events);
 
     let out = if p.switch("json") {
+        let outcomes: Vec<_> = result
+            .outcomes
+            .iter()
+            .map(|o| {
+                serde_json::json!({
+                    "id": o.id,
+                    "distance": o.distance,
+                    "wait_s": o.wait().map(SimTime::as_secs_f64),
+                    "refused": o.refused,
+                })
+            })
+            .collect();
         serde_json::json!({
             "policy": policy_name,
             "service": service_name,
@@ -945,6 +842,7 @@ fn simulate_impl(
             "refused": result.refused,
             "total_distance": result.total_distance,
             "mean_wait_s": result.mean_wait.as_secs_f64(),
+            "outcomes": outcomes,
             "events": num_events,
             "spans": num_spans,
             "counters": snap.counters.len(),
@@ -2499,244 +2397,6 @@ fn render_timeline(set: &TimeSeriesSet) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Load a perf JSON document for `profile`: either a full
-/// `report --perf --json` output (the `perf` key is extracted) or a bare
-/// perf object as saved from it.
-fn load_perf(path: &str) -> Result<(serde_json::Value, Option<RunManifest>), ArgError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ArgError::new(format!("{path}: I/O error: {e}")))?;
-    let doc: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| ArgError::new(format!("{path}: {e}")))?;
-    // Full `report --json` documents embed the metrics snapshot, which
-    // carries the run manifest; surface it so `profile` can warn when
-    // the two perf snapshots come from different runs.
-    let manifest = doc
-        .get("metrics")
-        .and_then(|m| m.get(MANIFEST_KEY))
-        .or_else(|| doc.get(MANIFEST_KEY))
-        .and_then(|v| RunManifest::from_json(v).ok());
-    let perf = doc.get("perf").cloned().unwrap_or(doc);
-    if perf.get("solver").is_none() {
-        return Err(ArgError::new(format!(
-            "{path}: not a perf document (no `solver` key; write one with \
-             `report --perf --json --metrics <FILE>`)"
-        )));
-    }
-    Ok((perf, manifest))
-}
-
-/// One gated metric: dotted path into a perf document plus how to gate it.
-struct PerfMetric {
-    name: &'static str,
-    /// Deterministic effort counters gate with `--max-regress-pct`;
-    /// wall-clock metrics gate with `--max-wall-regress-pct` (advisory
-    /// when that is unset).
-    wall: bool,
-}
-
-/// Read a gated metric out of a perf document.
-fn perf_metric(doc: &serde_json::Value, name: &str) -> u64 {
-    let mut cur = doc;
-    for seg in name.split('.') {
-        match cur.get(seg) {
-            Some(v) => cur = v,
-            None => return 0,
-        }
-    }
-    cur.as_u64().unwrap_or(0)
-}
-
-/// `affinity-vc profile` — diff two perf snapshots and fail (exit code 1)
-/// on regressions beyond the configured thresholds. Deterministic effort
-/// counters (solver solves/flows/iterations/links, DES events, phase
-/// call counts) gate with `--max-regress-pct` (default 10); wall-clock
-/// metrics are advisory unless `--max-wall-regress-pct` is given.
-pub fn profile(p: &Parsed) -> Result<String, ArgError> {
-    p.ensure_known(&[
-        "current",
-        "baseline",
-        "max-regress-pct",
-        "max-wall-regress-pct",
-        "json",
-    ])?;
-    let (current, current_manifest) = load_perf(p.required("current")?)?;
-    let (baseline, baseline_manifest) = load_perf(p.required("baseline")?)?;
-    let max_regress = p.num_or("max-regress-pct", 10.0f64)?;
-    let max_wall = p.num_or("max-wall-regress-pct", -1.0f64)?;
-    if max_regress < 0.0 {
-        return Err(ArgError::new("--max-regress-pct must be non-negative"));
-    }
-
-    // When both snapshots carry a run manifest, flag apples-to-oranges
-    // comparisons before the effort-counter diff can mislead anyone.
-    let mut warnings: Vec<String> = Vec::new();
-    if let (Some(cur_m), Some(base_m)) = (&current_manifest, &baseline_manifest) {
-        if !cur_m.same_config(base_m) {
-            warnings.push(format!(
-                "runs use different configurations (baseline `{}`, current `{}`); \
-                 effort counters are not directly comparable",
-                base_m.command, cur_m.command
-            ));
-        } else if cur_m.seed != base_m.seed {
-            warnings.push(format!(
-                "runs use different seeds (baseline {}, current {}); \
-                 deterministic counters may differ for seed reasons alone",
-                base_m.seed, cur_m.seed
-            ));
-        }
-    }
-
-    let mut metrics: Vec<PerfMetric> = vec![
-        PerfMetric {
-            name: "solver.solves",
-            wall: false,
-        },
-        PerfMetric {
-            name: "solver.flows",
-            wall: false,
-        },
-        PerfMetric {
-            name: "solver.iterations",
-            wall: false,
-        },
-        PerfMetric {
-            name: "solver.links_touched",
-            wall: false,
-        },
-        PerfMetric {
-            name: "solver.completion_batches",
-            wall: false,
-        },
-        PerfMetric {
-            name: "des.events_processed",
-            wall: false,
-        },
-        PerfMetric {
-            name: "total_wall_us",
-            wall: true,
-        },
-        PerfMetric {
-            name: "solver.wall_us",
-            wall: true,
-        },
-    ];
-    // Phase call counts are deterministic too (one serve per event, one
-    // seed scan per placement solve, ...).
-    for ph in vc_obs::prof::PHASES {
-        metrics.push(PerfMetric {
-            name: Box::leak(format!("phases_calls.{}", ph.name).into_boxed_str()),
-            wall: false,
-        });
-    }
-    // `phases` is an array in the document; index it by name once.
-    let phase_calls = |doc: &serde_json::Value, name: &str| -> u64 {
-        doc.get("phases")
-            .and_then(serde_json::Value::as_array)
-            .and_then(|phases| {
-                phases
-                    .iter()
-                    .find(|ph| ph.get("phase").and_then(serde_json::Value::as_str) == Some(name))
-            })
-            .and_then(|ph| ph.get("calls"))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0)
-    };
-    let read = |doc: &serde_json::Value, name: &str| -> u64 {
-        match name.strip_prefix("phases_calls.") {
-            Some(phase) => phase_calls(doc, phase),
-            None => perf_metric(doc, name),
-        }
-    };
-
-    let mut rows: Vec<serde_json::Value> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut text = String::from("perf comparison (current vs baseline):\n");
-    for w in &warnings {
-        text.push_str(&format!("  warning: {w}\n"));
-    }
-    for m in &metrics {
-        let cur = read(&current, m.name);
-        let base = read(&baseline, m.name);
-        if cur == 0 && base == 0 {
-            continue;
-        }
-        let delta_pct = if base > 0 {
-            100.0 * (cur as f64 - base as f64) / base as f64
-        } else {
-            f64::INFINITY
-        };
-        let threshold = if m.wall { max_wall } else { max_regress };
-        let gated = !m.wall || max_wall >= 0.0;
-        let status = if base == 0 {
-            "new" // no baseline: informational, never gates
-        } else if gated && delta_pct > threshold {
-            failures.push(format!(
-                "{} regressed {:.1}% ({} -> {}, limit {:.1}%)",
-                m.name, delta_pct, base, cur, threshold
-            ));
-            "FAIL"
-        } else if !gated {
-            "info"
-        } else {
-            "ok"
-        };
-        let shown_delta = if base > 0 { delta_pct } else { 0.0 };
-        text.push_str(&format!(
-            "  {:<28} {:>12} -> {:>12}  {:>+8.1}%  {}\n",
-            m.name, base, cur, shown_delta, status
-        ));
-        rows.push(serde_json::json!({
-            "metric": m.name,
-            "baseline": base,
-            "current": cur,
-            "delta_pct": shown_delta,
-            "wall": m.wall,
-            "status": status,
-        }));
-    }
-
-    if failures.is_empty() {
-        let verdict = format!(
-            "perf gate: PASS ({} metric(s) within {max_regress:.1}%)",
-            rows.len()
-        );
-        if p.switch("json") {
-            return Ok(serde_json::Value::Object(vec![
-                (
-                    "verdict".to_string(),
-                    serde_json::Value::Str("PASS".to_string()),
-                ),
-                (
-                    "max_regress_pct".to_string(),
-                    serde_json::Value::F64(max_regress),
-                ),
-                (
-                    "warnings".to_string(),
-                    serde_json::Value::Array(
-                        warnings
-                            .iter()
-                            .cloned()
-                            .map(serde_json::Value::Str)
-                            .collect(),
-                    ),
-                ),
-                ("metrics".to_string(), serde_json::Value::Array(rows)),
-            ])
-            .to_string());
-        }
-        Ok(format!("{text}{verdict}\n"))
-    } else {
-        // Returned as an error so the process exits non-zero — that is
-        // the CI gate. The verdict line stays greppable on stderr.
-        let mut msg = format!("perf gate: FAIL ({} regression(s))\n", failures.len());
-        for f in &failures {
-            msg.push_str(&format!("  {f}\n"));
-        }
-        msg.push_str(&text);
-        Err(ArgError::new(msg))
-    }
 }
 
 /// `affinity-vc derive-distance`

@@ -8,7 +8,6 @@
 //! ```text
 //! affinity-vc place          --request 2,4,1 [--racks 3] [--nodes 10] ...
 //! affinity-vc simulate-job   --spread 2,10,0 [--workload wordcount] ...
-//! affinity-vc simulate-queue --requests 20 [--policy online] ...
 //! affinity-vc simulate       --requests 10 [--service mapreduce] ...
 //! affinity-vc derive-distance [--racks 3] [--nodes 10] [--unit-us 100]
 //! ```
@@ -40,10 +39,8 @@ pub fn run(argv: &[String]) -> Result<String, ArgError> {
     match command.as_str() {
         "place" => commands::place(&parsed),
         "simulate-job" => commands::simulate_job(&parsed),
-        "simulate-queue" => commands::simulate_queue(&parsed),
         "simulate" | "run" => commands::simulate(&parsed),
         "report" => commands::report(&parsed),
-        "profile" => commands::profile(&parsed),
         "derive-distance" => commands::derive_distance(&parsed),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(ArgError::new(format!(
@@ -63,12 +60,10 @@ USAGE:
 COMMANDS:
     place             place one VM request on a simulated cloud
     simulate-job      run a MapReduce job on a virtual cluster
-    simulate-queue    run a request-queue simulation
-    simulate          end-to-end: queue + placement + MapReduce (alias: run)
+    simulate          request queue + placement + MapReduce (alias: run)
     report            analyse a recorded trace: critical path + placement audit
     diff              compare two recorded runs: metric deltas + attribution
     compare           paired multi-seed A/B re-run of two configs
-    profile           compare two perf snapshots; fail on regressions
     derive-distance   derive a distance matrix from network latencies
     help              show this text
 
@@ -94,21 +89,18 @@ SIMULATE-JOB OPTIONS:
     --speculative          enable speculative execution
     --straggler-prob <F>   straggler probability         [default: 0]
 
-SIMULATE-QUEUE OPTIONS:
-    --requests <N>         request count                 [default: 20]
+SIMULATE OPTIONS:
+    --requests <N>         request count                 [default: 10]
     --rate <F>             arrivals per second           [default: 0.5]
-    --policy <P>           online|global|spread|first-fit|best-fit|random
-                           [default: online]
+    --policy <P>           global|online|spread|first-fit|best-fit|random
+                           [default: global]
+    --service <S>          trace|mapreduce               [default: mapreduce]
+    --workload/--maps/--reducers as simulate-job (mapreduce service)
     --trace <FILE>         replay a saved JSON trace instead of generating
     --save-trace <FILE>    save the generated trace for later replay
     --placement-threads <N> seed-scan workers (0 = auto)  [default: 1]
 
-SIMULATE OPTIONS:
-    --requests/--rate/--policy as simulate-queue  [default policy: global]
-    --service <S>          trace|mapreduce               [default: mapreduce]
-    --workload/--maps/--reducers as simulate-job (mapreduce service)
-
-OBSERVABILITY (simulate, simulate-job, simulate-queue):
+OBSERVABILITY (simulate, simulate-job):
     --trace-out <FILE>     write a Chrome/Perfetto trace-event timeline
     --metrics-out <FILE>   write a metrics snapshot (.csv for CSV, else JSON)
     --prom-out <FILE>      write the snapshot in Prometheus text exposition
@@ -118,11 +110,11 @@ OBSERVABILITY (simulate, simulate-job, simulate-queue):
                            `report --stream`); RSS stays flat however long
                            the run is
     --window-us <N>        sample ts.* cloud-health series every N µs of
-                           sim time (simulate, simulate-queue)
+                           sim time (simulate)
     --series-out <FILE>    export the windowed series (.csv wide table,
                            else JSONL); needs --window-us
 
-HEALTH WATCHDOG (simulate, simulate-queue):
+HEALTH WATCHDOG (simulate):
     --health               audit conservation invariants during the run and
                            run the anomaly detectors over the ts.* windows
                            (detectors need --window-us); alerts appear as
@@ -176,15 +168,6 @@ DIFF OPTIONS:
     --config-b <ARGS>      quoted simulate flags for side B
     --seeds <N>            common seeds to re-run per side  [default: 5]
     --seed <N>             first seed                       [default: 0]
-
-PROFILE OPTIONS:
-    --current <FILE>       perf JSON to check (from `report --perf --json`)
-    --baseline <FILE>      perf JSON to compare against
-    --max-regress-pct <F>  fail if a deterministic effort counter grows by
-                           more than this percentage        [default: 10]
-    --max-wall-regress-pct <F>  also gate wall-clock metrics (off when
-                           negative)                        [default: -1]
-    --json                 emit the comparison as JSON
 "
     .to_string()
 }
@@ -289,9 +272,24 @@ mod tests {
     }
 
     #[test]
-    fn simulate_queue_runs() {
-        let out = call(&["simulate-queue", "--requests", "5", "--policy", "global"]).unwrap();
-        assert!(out.contains("served"), "{out}");
+    fn simulate_trace_service_runs() {
+        let out = call(&[
+            "simulate",
+            "--requests",
+            "5",
+            "--service",
+            "trace",
+            "--policy",
+            "online",
+        ])
+        .unwrap();
+        assert!(out.contains("served 5/5"), "{out}");
+    }
+
+    /// The per-request outcomes of a `simulate --json` run.
+    fn outcomes(json: &str) -> serde_json::Value {
+        let v: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+        v["outcomes"].clone()
     }
 
     #[test]
@@ -312,26 +310,31 @@ mod tests {
             assert_eq!(base, multi, "--placement-threads {threads} changed place");
         }
         let base = call(&[
-            "simulate-queue",
+            "simulate",
             "--requests",
             "8",
-            "--policy",
-            "global",
+            "--service",
+            "trace",
             "--json",
         ])
         .unwrap();
         let multi = call(&[
-            "simulate-queue",
+            "simulate",
             "--requests",
             "8",
-            "--policy",
-            "global",
+            "--service",
+            "trace",
             "--json",
             "--placement-threads",
             "3",
         ])
         .unwrap();
-        assert_eq!(base, multi, "--placement-threads changed simulate-queue");
+        assert_eq!(
+            outcomes(&base),
+            outcomes(&multi),
+            "--placement-threads changed simulate"
+        );
+        assert_eq!(outcomes(&base).as_array().map(Vec::len), Some(8));
     }
 
     #[test]
@@ -374,8 +377,10 @@ mod trace_cli_tests {
     fn save_then_replay_trace() {
         let path = std::env::temp_dir().join("affinity_vc_cli_trace.json");
         let path_s = path.to_str().unwrap();
-        let first = call(&["simulate-queue", "--requests", "5", "--save-trace", path_s]).unwrap();
-        let replay = call(&["simulate-queue", "--trace", path_s]).unwrap();
+        let sim = ["simulate", "--service", "trace", "--policy", "online"];
+        let first =
+            call(&[&sim[..], &["--requests", "5", "--save-trace", path_s]].concat()).unwrap();
+        let replay = call(&[&sim[..], &["--trace", path_s]].concat()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(
             first, replay,
@@ -385,7 +390,7 @@ mod trace_cli_tests {
 
     #[test]
     fn missing_trace_file_errors() {
-        let err = call(&["simulate-queue", "--trace", "/no/such/file.json"]).unwrap_err();
+        let err = call(&["simulate", "--trace", "/no/such/file.json"]).unwrap_err();
         assert!(err.to_string().contains("I/O"));
     }
 }
@@ -491,14 +496,14 @@ mod obs_cli_tests {
     }
 
     #[test]
-    fn simulate_queue_metrics_out_csv() {
+    fn simulate_metrics_out_csv() {
         let (mp, mps) = tmp("affinity_vc_queue_metrics.csv");
         call(&[
-            "simulate-queue",
+            "simulate",
             "--requests",
             "5",
-            "--policy",
-            "global",
+            "--service",
+            "trace",
             "--metrics-out",
             &mps,
         ])
@@ -594,22 +599,22 @@ mod obs_cli_tests {
         let (t1, t1s) = tmp("affinity_vc_shard_t1.json");
         let (t2, t2s) = tmp("affinity_vc_shard_t2.json");
         let base = call(&[
-            "simulate-queue",
+            "simulate",
             "--requests",
             "6",
-            "--policy",
-            "global",
+            "--service",
+            "trace",
             "--json",
             "--trace-out",
             &t1s,
         ])
         .unwrap();
         let multi = call(&[
-            "simulate-queue",
+            "simulate",
             "--requests",
             "6",
-            "--policy",
-            "global",
+            "--service",
+            "trace",
             "--json",
             "--placement-threads",
             "0",
@@ -617,7 +622,13 @@ mod obs_cli_tests {
             &t2s,
         ])
         .unwrap();
-        assert_eq!(base, multi, "results must not depend on the recorder");
+        let outcomes =
+            |json: &str| serde_json::from_str::<Value>(json).unwrap()["outcomes"].clone();
+        assert_eq!(
+            outcomes(&base),
+            outcomes(&multi),
+            "results must not depend on the recorder"
+        );
         let (a, b) = (read_json(&t1), read_json(&t2));
         std::fs::remove_file(&t1).ok();
         std::fs::remove_file(&t2).ok();
@@ -832,18 +843,18 @@ mod obs_cli_tests {
     #[test]
     fn observability_flags_do_not_change_results() {
         let (mp, mps) = tmp("affinity_vc_parity_metrics.json");
-        let plain = call(&["simulate-queue", "--requests", "6", "--json"]).unwrap();
-        let recorded = call(&[
-            "simulate-queue",
-            "--requests",
-            "6",
-            "--json",
-            "--metrics-out",
-            &mps,
-        ])
+        let sim = ["simulate", "--service", "trace", "--policy", "online"];
+        let plain = call(&[&sim[..], &["--requests", "6", "--json"]].concat()).unwrap();
+        let recorded = call(
+            &[
+                &sim[..],
+                &["--requests", "6", "--json", "--metrics-out", &mps],
+            ]
+            .concat(),
+        )
         .unwrap();
         std::fs::remove_file(&mp).ok();
-        assert_eq!(plain, recorded, "recording must not perturb the simulation");
+        assert_eq!(plain, recorded, "exporting must not perturb the simulation");
     }
 
     #[test]
@@ -979,7 +990,7 @@ mod obs_cli_tests {
     /// A two-slot cloud trace with a 600 s hog and short jobs piling up
     /// behind it — the queue rises window after window with nothing
     /// served, so the `queue_stagnation` detector must fire. Saved as a
-    /// replayable request trace for `simulate-queue --trace`.
+    /// replayable request trace for `simulate --trace`.
     fn write_stagnation_trace(path: &str) {
         use vc_cloudsim::CloudRequest;
         use vc_des::SimTime;
@@ -1003,7 +1014,11 @@ mod obs_cli_tests {
 
     fn stagnation_run(trace_path: &str, extra: &[&str]) -> Result<String, ArgError> {
         let mut args = vec![
-            "simulate-queue",
+            "simulate",
+            "--service",
+            "trace",
+            "--policy",
+            "online",
             "--racks",
             "1",
             "--nodes",
@@ -1419,53 +1434,30 @@ mod diff_cli_tests {
     }
 
     #[test]
-    fn profile_warns_on_mismatched_run_manifests() {
-        let (mp_a, ms_a) = tmp("affinity_vc_prof_a_metrics.json");
-        let (mp_b, ms_b) = tmp("affinity_vc_prof_b_metrics.json");
+    fn diff_warns_on_mismatched_seeds() {
+        let (ap, a) = record_run("affinity_vc_diff_seed_a.json", &[]);
+        let (bp, b) = tmp("affinity_vc_diff_seed_b.json");
         call(&[
             "simulate",
             "--requests",
+            "5",
+            "--maps",
             "4",
             "--seed",
-            "1",
+            "12",
+            "--window-us",
+            "200000000",
             "--metrics-out",
-            &ms_a,
+            &b,
         ])
         .unwrap();
-        call(&[
-            "simulate",
-            "--requests",
-            "4",
-            "--seed",
-            "2",
-            "--metrics-out",
-            &ms_b,
-        ])
-        .unwrap();
-        let (pp_a, ps_a) = tmp("affinity_vc_prof_a_perf.json");
-        let (pp_b, ps_b) = tmp("affinity_vc_prof_b_perf.json");
-        let perf_a = call(&["report", "--perf", "--json", "--metrics", &ms_a]).unwrap();
-        let perf_b = call(&["report", "--perf", "--json", "--metrics", &ms_b]).unwrap();
-        std::fs::write(&pp_a, perf_a).unwrap();
-        std::fs::write(&pp_b, perf_b).unwrap();
-        // Different seeds: profile still runs but warns.
-        let out = call(&[
-            "profile",
-            "--current",
-            &ps_a,
-            "--baseline",
-            &ps_b,
-            "--max-regress-pct",
-            "100000",
-        ])
-        .unwrap();
-        assert!(out.contains("warning:"), "{out}");
-        assert!(out.contains("different seeds"), "{out}");
+        // Different seeds: the diff still runs but warns.
+        let out = call(&["diff", &a, &b]).unwrap();
+        assert!(out.contains("warning: seeds differ"), "{out}");
         // Same file on both sides: no warning.
-        let out = call(&["profile", "--current", &ps_a, "--baseline", &ps_a]).unwrap();
+        let out = call(&["diff", &a, &a]).unwrap();
         assert!(!out.contains("warning:"), "{out}");
-        for p in [mp_a, mp_b, pp_a, pp_b] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_file(ap).ok();
+        std::fs::remove_file(bp).ok();
     }
 }

@@ -115,84 +115,41 @@ fn missing_stream_file_exits_nonzero() {
 }
 
 #[test]
-fn profile_gate_pass_exits_zero_and_fail_exits_one() {
-    // Produce two perf snapshots of different-sized runs; comparing a
-    // snapshot against itself passes, against the smaller one fails.
+fn diff_gate_trips_on_effort_counter_growth() {
+    // A bigger run does more solver and DES work than a smaller one on
+    // the same cloud: diffing a run against itself passes the gate, and
+    // against the smaller baseline it fails on the effort counters.
     let (mp_a, mps_a) = tmp("affinity_vc_gate_small.json");
     let (mp_b, mps_b) = tmp("affinity_vc_gate_big.json");
-    let (pp_a, pps_a) = tmp("affinity_vc_gate_small_perf.json");
-    let (pp_b, pps_b) = tmp("affinity_vc_gate_big_perf.json");
-
-    let sim = run(&[
-        "simulate",
-        "--requests",
-        "3",
-        "--maps",
-        "4",
-        "--metrics-out",
-        &mps_a,
-    ]);
-    assert!(sim.status.success(), "{}", stderr(&sim));
-    let sim = run(&[
-        "simulate",
-        "--requests",
-        "6",
-        "--maps",
-        "8",
-        "--metrics-out",
-        &mps_b,
-    ]);
-    assert!(sim.status.success(), "{}", stderr(&sim));
-
-    for (metrics, perf) in [(&mps_a, &pps_a), (&mps_b, &pps_b)] {
-        let rep = run(&["report", "--perf", "--metrics", metrics, "--json"]);
-        assert!(rep.status.success(), "{}", stderr(&rep));
-        std::fs::write(perf, stdout(&rep)).unwrap();
+    for (requests, maps, path) in [("3", "4", &mps_a), ("6", "8", &mps_b)] {
+        let sim = run(&[
+            "simulate",
+            "--requests",
+            requests,
+            "--maps",
+            maps,
+            "--metrics-out",
+            path,
+        ]);
+        assert!(sim.status.success(), "{}", stderr(&sim));
     }
 
-    let pass = run(&["profile", "--current", &pps_a, "--baseline", &pps_a]);
+    let pass = run(&["diff", &mps_a, &mps_a, "--fail-on-regress"]);
     assert_eq!(pass.status.code(), Some(0), "{}", stderr(&pass));
     assert!(
-        stdout(&pass).contains("perf gate: PASS"),
+        stdout(&pass).contains("diff gate: PASS"),
         "{}",
         stdout(&pass)
     );
 
-    let fail = run(&["profile", "--current", &pps_b, "--baseline", &pps_a]);
-    assert_eq!(fail.status.code(), Some(1), "self vs smaller must regress");
+    let fail = run(&["diff", &mps_a, &mps_b, "--fail-on-regress"]);
+    std::fs::remove_file(&mp_a).ok();
+    std::fs::remove_file(&mp_b).ok();
+    assert_eq!(fail.status.code(), Some(1), "bigger run must regress");
     let err = stderr(&fail);
-    assert!(err.contains("perf gate: FAIL"), "{err}");
-    assert!(err.contains("solver.solves"), "{err}");
-
-    // A generous threshold turns the same comparison into a pass.
-    let relaxed = run(&[
-        "profile",
-        "--current",
-        &pps_b,
-        "--baseline",
-        &pps_a,
-        "--max-regress-pct",
-        "1000",
-    ]);
-    assert_eq!(relaxed.status.code(), Some(0), "{}", stderr(&relaxed));
-
-    for p in [&mp_a, &mp_b, &pp_a, &pp_b] {
-        std::fs::remove_file(p).ok();
-    }
-}
-
-#[test]
-fn profile_rejects_non_perf_document() {
-    let (path, path_s) = tmp("affinity_vc_not_perf.json");
-    std::fs::write(&path, r#"{"counters": {}}"#).unwrap();
-    let out = run(&["profile", "--current", &path_s, "--baseline", &path_s]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("not a perf document"),
-        "{}",
-        stderr(&out)
-    );
+    assert!(err.contains("diff gate: FAIL"), "{err}");
+    assert!(err.contains("prof.solver.solves"), "{err}");
+    assert!(err.contains("des.events_processed"), "{err}");
 }
 
 #[test]

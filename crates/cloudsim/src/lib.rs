@@ -18,6 +18,7 @@
 
 pub mod arrivals;
 pub mod batch;
+mod probe;
 pub mod sim;
 pub mod trace;
 

@@ -1,21 +1,21 @@
 //! The request-queue event loop.
 
 use crate::arrivals::CloudRequest;
+use crate::probe::{JobTelemetry, Probes, SimView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use vc_des::{Engine, EventKind, SimTime};
 use vc_mapreduce::engine::SimParams;
 use vc_mapreduce::{JobConfig, VirtualCluster};
 use vc_model::{Allocation, ClusterState};
-use vc_obs::health::{self, rules, AlertSink, HealthMonitor, Severity, WindowHealthSample};
-use vc_obs::{AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId, WindowSampler};
+use vc_obs::prof::{self, PhaseTimer};
+use vc_obs::{AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_placement::distance::distance_with_center;
 use vc_placement::global::{self, Admission};
 use vc_placement::online::ScanConfig;
 use vc_placement::{PlacementError, PlacementPolicy};
-use vc_topology::{NodeId, RackId, Topology};
+use vc_topology::{RackId, Topology};
 
 /// Track-id stride between requests on a shared timeline: request `i`
 /// owns tracks `STRIDE·(i+1) ..`, leaving track 0 for queue-level
@@ -186,6 +186,22 @@ impl RequestOutcome {
     pub fn wait(&self) -> Option<SimTime> {
         self.started.map(|s| s.saturating_sub(self.arrival))
     }
+
+    /// A request that has arrived but is neither served nor refused.
+    fn pending(req: &CloudRequest) -> Self {
+        RequestOutcome {
+            id: req.id,
+            distance: None,
+            initial_distance: None,
+            center: None,
+            span: None,
+            arrival: req.arrival,
+            started: None,
+            finished: None,
+            refused: false,
+            job_runtime: None,
+        }
+    }
 }
 
 /// Aggregate results.
@@ -210,6 +226,35 @@ pub struct SimResult {
     pub peak_utilization: f64,
 }
 
+impl SimResult {
+    fn new(outcomes: Vec<RequestOutcome>, avg_utilization: f64, peak_utilization: f64) -> Self {
+        let served = outcomes.iter().filter(|o| o.started.is_some()).count();
+        let refused = outcomes.iter().filter(|o| o.refused).count();
+        let total_distance = outcomes.iter().filter_map(|o| o.distance).sum();
+        let total_initial_distance = outcomes.iter().filter_map(|o| o.initial_distance).sum();
+        let total_wait: u64 = outcomes
+            .iter()
+            .filter_map(|o| o.wait())
+            .map(|w| w.as_micros())
+            .sum();
+        let mean_wait = if served > 0 {
+            SimTime::from_micros(total_wait / served as u64)
+        } else {
+            SimTime::ZERO
+        };
+        SimResult {
+            outcomes,
+            total_distance,
+            total_initial_distance,
+            served,
+            refused,
+            mean_wait,
+            avg_utilization,
+            peak_utilization,
+        }
+    }
+}
+
 #[derive(Debug)]
 enum Event {
     Arrival(usize),
@@ -232,14 +277,6 @@ impl EventKind for Event {
 /// Panics if request ids are not dense `0..n` in arrival order.
 pub fn run(state: &ClusterState, config: SimConfig) -> SimResult {
     run_recorded(state, config, &NoopRecorder)
-}
-
-/// Cumulative counts already attributed to earlier windows, so each
-/// window emission can report the delta.
-#[derive(Default)]
-struct TsCumulative {
-    served: u64,
-    refused: u64,
 }
 
 /// Free-resource fragmentation index: `1 − max_rack_free / total_free`,
@@ -269,180 +306,6 @@ pub fn fragmentation_index(state: &ClusterState, topo: &Topology) -> f64 {
     }
 }
 
-/// Emit one closed (or final partial) `ts.*` window at `edge_us`.
-/// `elapsed_us` is the window's actual width (shorter than the cadence
-/// only for the final partial window); `net` carries the RackUp bytes
-/// apportioned to this window plus the aggregate uplink capacity in
-/// MB/s, present only under the MapReduce service model. The returned
-/// sample carries the same readings for the health watchdog's anomaly
-/// detectors.
-#[allow(clippy::too_many_arguments)]
-fn emit_ts_window(
-    rec: &dyn Recorder,
-    edge_us: u64,
-    elapsed_us: u64,
-    state: &ClusterState,
-    topo: &Topology,
-    queue_depth: usize,
-    live: &BTreeMap<u64, Allocation>,
-    outcomes: &[RequestOutcome],
-    prev: &mut TsCumulative,
-    net: Option<(f64, f64)>,
-) -> WindowHealthSample {
-    let fill = state.utilization();
-    let frag = fragmentation_index(state, topo);
-    rec.counter_sample("ts.cloud.fill", edge_us, fill);
-    rec.counter_sample("ts.cloud.frag", edge_us, frag);
-    rec.counter_sample("ts.cloud.active_vms", edge_us, state.used().total() as f64);
-    rec.counter_sample("ts.cloud.active_jobs", edge_us, live.len() as f64);
-    rec.counter_sample("ts.queue.depth", edge_us, queue_depth as f64);
-
-    let (dc_sum, dc_n) = live
-        .keys()
-        .filter_map(|&id| outcomes[id as usize].distance)
-        .fold((0u64, 0u64), |(s, n), d| (s + d, n + 1));
-    let mean_dc = if dc_n > 0 {
-        dc_sum as f64 / dc_n as f64
-    } else {
-        0.0
-    };
-    rec.counter_sample("ts.cloud.mean_job_dc", edge_us, mean_dc);
-
-    let served = outcomes.iter().filter(|o| o.started.is_some()).count() as u64;
-    let refused = outcomes.iter().filter(|o| o.refused).count() as u64;
-    let served_delta = served.saturating_sub(prev.served) as f64;
-    let refused_delta = refused.saturating_sub(prev.refused) as f64;
-    rec.counter_sample("ts.served.delta", edge_us, served_delta);
-    rec.counter_sample("ts.refused.delta", edge_us, refused_delta);
-    prev.served = served;
-    prev.refused = refused;
-
-    let mut uplink_util = None;
-    if let Some((bytes, uplink_total_mbps)) = net {
-        rec.counter_sample("ts.net.rack_up_bytes.delta", edge_us, bytes);
-        // 1 MB/s delivers exactly 1 byte/µs, so the window's aggregate
-        // uplink byte budget is capacity × elapsed.
-        let budget = uplink_total_mbps * elapsed_us as f64;
-        let util = if budget > 0.0 { bytes / budget } else { 0.0 };
-        rec.counter_sample("ts.net.rack_up_util", edge_us, util);
-        uplink_util = Some(util);
-    }
-
-    WindowHealthSample {
-        edge_us,
-        fill,
-        frag,
-        queue_depth: queue_depth as f64,
-        served_delta,
-        refused_delta,
-        uplink_util,
-    }
-}
-
-/// Feed one closed window to the anomaly detectors and sample the
-/// per-window alert count (`ts.health.alerts.delta`). `job_alerts` folds
-/// in alerts fired by the per-job engine audits since the last window.
-fn observe_window_health(
-    rec: &dyn Recorder,
-    monitor: &mut Option<HealthMonitor>,
-    sink: &mut AlertSink,
-    job_alerts: u64,
-    prev_fired: &mut u64,
-    sample: &WindowHealthSample,
-) {
-    if let Some(mon) = monitor.as_mut() {
-        mon.observe(sink, &rec, sample);
-    }
-    let total = sink.fired() + job_alerts;
-    rec.counter_sample(
-        health::TS_ALERTS_DELTA,
-        sample.edge_us,
-        (total - *prev_fired) as f64,
-    );
-    *prev_fired = total;
-}
-
-/// Cadenced invariant audits over the live cloud state: per-node
-/// `allocated + free == total`, PlacementIndex aggregates vs the
-/// remaining matrix, and queue-depth vs admitted-minus-settled
-/// accounting. All checks are exact integer identities the simulator
-/// maintains by construction, so any alert is a bug, never workload
-/// noise. Read-only: inspects state and talks to the recorder.
-fn audit_invariants(
-    rec: &dyn Recorder,
-    sink: &mut AlertSink,
-    now_us: u64,
-    state: &ClusterState,
-    queue_len: usize,
-    arrivals_seen: u64,
-    outcomes: &[RequestOutcome],
-) {
-    let track = Some(TrackId(0));
-    let (cap, used, rem) = (state.capacity(), state.used(), state.remaining());
-    'capacity: for i in 0..state.num_nodes() {
-        let node = NodeId(i as u32);
-        let (c, u, r) = (cap.row(node), used.row(node), rem.row(node));
-        for j in 0..c.len() {
-            if u[j] + r[j] != c[j] {
-                sink.emit(
-                    &rec,
-                    now_us,
-                    track,
-                    Severity::Critical,
-                    "cloudsim",
-                    rules::CAPACITY_ACCOUNTING,
-                    &[
-                        ("node", AttrValue::U64(i as u64)),
-                        ("vm_type", AttrValue::U64(j as u64)),
-                        ("used", AttrValue::U64(u64::from(u[j]))),
-                        ("free", AttrValue::U64(u64::from(r[j]))),
-                        ("total", AttrValue::U64(u64::from(c[j]))),
-                    ],
-                );
-                break 'capacity; // one alert per audit, not per node
-            }
-        }
-    }
-
-    let drift = state.index().check_consistent(rem);
-    if !drift.is_empty() {
-        sink.emit(
-            &rec,
-            now_us,
-            track,
-            Severity::Critical,
-            "placement",
-            rules::INDEX_DRIFT,
-            &[
-                ("violations", AttrValue::U64(drift.len() as u64)),
-                ("first", AttrValue::Owned(drift[0].clone())),
-            ],
-        );
-    }
-
-    let settled = outcomes
-        .iter()
-        .filter(|o| o.started.is_some() || o.refused)
-        .count() as u64;
-    let expected = arrivals_seen.saturating_sub(settled);
-    if expected != queue_len as u64 {
-        sink.emit(
-            &rec,
-            now_us,
-            track,
-            Severity::Critical,
-            "cloudsim",
-            rules::QUEUE_ACCOUNTING,
-            &[
-                ("queue_depth", AttrValue::U64(queue_len as u64)),
-                ("expected", AttrValue::U64(expected)),
-                ("arrivals", AttrValue::U64(arrivals_seen)),
-                ("settled", AttrValue::U64(settled)),
-            ],
-        );
-    }
-}
-
 /// [`run`] with observability: queue-depth samples and histograms,
 /// admission/refusal events, provisioning-latency (`cloudsim.wait_us`)
 /// and holding-time histograms, per-request timeline spans, and — when
@@ -454,7 +317,7 @@ fn audit_invariants(
 pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder) -> SimResult {
     // Total simulator wall-clock: every other prof phase tiles inside
     // this one (drops when the function returns).
-    let _run_timer = vc_obs::PhaseTimer::start(rec, vc_obs::prof::CLOUDSIM_RUN);
+    let _run_timer = PhaseTimer::start(rec, prof::CLOUDSIM_RUN);
     let SimConfig {
         requests,
         mode,
@@ -466,197 +329,184 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
     for (i, r) in requests.iter().enumerate() {
         assert_eq!(r.id, i as u64, "request ids must be dense and ordered");
     }
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = Engine::new();
     for (i, r) in requests.iter().enumerate() {
         engine.schedule(r.arrival, Event::Arrival(i));
     }
-
-    let mut state = state.clone();
-    let topo = state.topology_arc();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut live: BTreeMap<u64, Allocation> = BTreeMap::new();
-    let mut outcomes: Vec<RequestOutcome> = requests
-        .iter()
-        .map(|r| RequestOutcome {
-            id: r.id,
-            distance: None,
-            initial_distance: None,
-            center: None,
-            span: None,
-            arrival: r.arrival,
-            started: None,
-            finished: None,
-            refused: false,
-            job_runtime: None,
-        })
-        .collect();
-
-    let mut req_spans: BTreeMap<u64, SpanId> = BTreeMap::new();
+    let mut probes = Probes::new(
+        rec,
+        ts_window_us,
+        health.as_ref(),
+        &service,
+        state.topology(),
+    );
+    // Jobs sample windows and audit themselves only for a live recorder.
+    let observed = rec.enabled();
+    let mut sim = Sim {
+        requests: &requests,
+        mode: &mode,
+        service: &service,
+        rec,
+        job_window: ts_window_us.filter(|_| observed),
+        job_health: health.as_ref().filter(|_| observed),
+        state: state.clone(),
+        queue: VecDeque::new(),
+        live: BTreeMap::new(),
+        outcomes: requests.iter().map(RequestOutcome::pending).collect(),
+        engine,
+        rng: StdRng::seed_from_u64(seed),
+        req_spans: BTreeMap::new(),
+        arrivals_seen: 0,
+        jobs: JobTelemetry::default(),
+    };
     if rec.enabled() {
         rec.track_name(TrackId(0), "cloud queue");
     }
 
-    // Windowed time-series: sampling costs nothing unless both a cadence
-    // and a live recorder are present.
-    let ts_w = if rec.enabled() { ts_window_us } else { None };
-    let mut sampler = ts_w.map(WindowSampler::new);
-    // Per-window RackUp bytes merged from every job's network rollup.
-    // RefCell because `hold_time` (shared by both serve arms) appends
-    // while the event loop later drains per closed window.
-    let net_win: RefCell<BTreeMap<u64, f64>> = RefCell::new(BTreeMap::new());
-    let mut ts_prev = TsCumulative::default();
-
-    // Health watchdog. Like sampling, it is inert without a recorder;
-    // every check is read-only, so results never depend on it.
-    let health_cfg: Option<HealthPolicy> = if rec.enabled() { health } else { None };
-    let audit_every = health_cfg
-        .as_ref()
-        .filter(|h| h.invariants)
-        .map_or(0, |h| h.audit_every_events);
-    let mut monitor: Option<HealthMonitor> = health_cfg.clone().map(HealthMonitor::new);
-    let mut sink = AlertSink::new();
-    // Alerts fired inside per-job engine audits (shuffle conservation,
-    // flow starvation), folded into the per-window alert counts.
-    let job_alerts = Cell::new(0u64);
-    let mut events_since_audit = 0u64;
-    let mut arrivals_seen = 0u64;
-    let mut alerts_prev = 0u64;
-
-    // Resolve the holding time for a freshly placed allocation.
-    let hold_time = |req: &CloudRequest,
-                     alloc: &Allocation,
-                     state: &ClusterState,
-                     now: SimTime|
-     -> (SimTime, Option<SimTime>) {
-        match &service {
-            ServiceModel::Trace => (req.service_time, None),
-            ServiceModel::MapReduce { job, params } => {
-                let cluster =
-                    VirtualCluster::from_allocation(alloc, state.catalog(), state.topology_arc());
-                // Each job traces onto its request's private track range,
-                // offset to its real start time on the queue timeline.
-                let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::MR_SERVICE);
-                let (metrics, rollup, fired) = vc_mapreduce::simulate_job_audited(
-                    &cluster,
-                    job,
-                    params,
-                    rec,
-                    TRACK_STRIDE * (req.id + 1),
-                    now.as_micros(),
-                    ts_w,
-                    health_cfg.as_ref(),
-                );
-                job_alerts.set(job_alerts.get() + fired);
-                if !rollup.is_empty() {
-                    let mut win = net_win.borrow_mut();
-                    for (k, b) in rollup {
-                        *win.entry(k).or_insert(0.0) += b;
-                    }
-                }
-                (metrics.runtime, Some(metrics.runtime))
-            }
-        }
-    };
-
-    // Record one admitted request: events, histograms, timeline span.
-    let record_served =
-        |req: &CloudRequest, d: u64, alloc: &Allocation, now: SimTime, hold: SimTime| -> SpanId {
-            rec.counter_add("cloudsim.served", 1);
-            rec.histogram_record("cloudsim.wait_us", (now - req.arrival).as_micros());
-            rec.histogram_record("cloudsim.hold_us", hold.as_micros());
-            let attrs = [
-                ("id", AttrValue::from(req.id)),
-                ("center", AttrValue::from(u64::from(alloc.center().0))),
-                ("dc", AttrValue::from(d)),
-                ("span_nodes", AttrValue::from(alloc.span())),
-            ];
-            rec.event(
-                "cloudsim.request_admitted",
-                now.as_micros(),
-                Some(TrackId(0)),
-                &attrs,
-            );
-            rec.span_begin(
-                TrackId(TRACK_STRIDE * (req.id + 1)),
-                "request",
-                now.as_micros(),
-                &attrs,
-            )
+    let capacity_total = sim.state.capacity().total();
+    let mut last_time = SimTime::ZERO;
+    let mut used_integral = 0f64; // slot-microseconds
+    let mut peak_used = 0u64;
+    loop {
+        let popped = {
+            let _t = PhaseTimer::start(rec, prof::DES_POP);
+            sim.engine.pop_traced(&rec)
         };
-    let record_refused = |id: u64, now: SimTime| {
-        rec.counter_add("cloudsim.refused", 1);
-        rec.event(
-            "cloudsim.request_refused",
-            now.as_micros(),
-            Some(TrackId(0)),
-            &[("id", AttrValue::from(id))],
-        );
-    };
-
-    let serve = |now: SimTime,
-                 queue: &mut VecDeque<usize>,
-                 state: &mut ClusterState,
-                 live: &mut BTreeMap<u64, Allocation>,
-                 outcomes: &mut Vec<RequestOutcome>,
-                 engine: &mut Engine<Event>,
-                 req_spans: &mut BTreeMap<u64, SpanId>,
-                 rng: &mut StdRng| {
-        let _serve_timer = vc_obs::PhaseTimer::start(rec, vc_obs::prof::SERVE);
-        // Drop refused requests from the head pre-emptively.
-        queue.retain(|&idx| {
-            if state.fits_capacity(&requests[idx].request) {
-                true
-            } else {
-                outcomes[idx].refused = true;
-                record_refused(requests[idx].id, now);
-                false
+        let Some((now, event)) = popped else { break };
+        // Close every window edge the clock just crossed *before*
+        // processing the event: the sampled state is exactly the state
+        // as of the edge, because no event in [edge, now) exists.
+        probes.close_due(&sim.view(now), rec);
+        used_integral += sim.state.used().total() as f64 * (now - last_time).as_micros() as f64;
+        last_time = now;
+        match event {
+            Event::Arrival(idx) => {
+                sim.queue.push_back(idx);
+                sim.arrivals_seen += 1;
             }
+            Event::Departure(id) => sim.depart(now, id),
+        }
+        sim.serve(now);
+        let (queue_len, used) = (sim.queue.len(), sim.state.used().total());
+        rec.counter_sample("cloudsim.queue_depth", now.as_micros(), queue_len as f64);
+        rec.histogram_record("cloudsim.queue_depth", queue_len as u64);
+        rec.counter_sample("cloudsim.used_slots", now.as_micros(), used as f64);
+        peak_used = peak_used.max(used);
+        let jobs = std::mem::take(&mut sim.jobs);
+        probes.on_event(&sim.view(now), rec, &jobs);
+    }
+    probes.finish(&sim.view(last_time), rec);
+    prof::record_peak_rss(rec);
+    let horizon = last_time.as_micros() as f64;
+    let avg_utilization = if horizon > 0.0 && capacity_total > 0 {
+        used_integral / (horizon * capacity_total as f64)
+    } else {
+        0.0
+    };
+    let peak_utilization = if capacity_total > 0 {
+        peak_used as f64 / capacity_total as f64
+    } else {
+        0.0
+    };
+    SimResult::new(sim.outcomes, avg_utilization, peak_utilization)
+}
+
+/// The dispatch core's state. Probes see it only through [`SimView`].
+struct Sim<'a> {
+    requests: &'a [CloudRequest],
+    mode: &'a PolicyMode,
+    service: &'a ServiceModel,
+    rec: &'a dyn Recorder,
+    /// The `ts.*` window and health policy each MapReduce job samples
+    /// and audits under; `None` without a live recorder.
+    job_window: Option<u64>,
+    job_health: Option<&'a HealthPolicy>,
+    state: ClusterState,
+    queue: VecDeque<usize>,
+    live: BTreeMap<u64, Allocation>,
+    outcomes: Vec<RequestOutcome>,
+    engine: Engine<Event>,
+    rng: StdRng,
+    req_spans: BTreeMap<u64, SpanId>,
+    arrivals_seen: u64,
+    /// Telemetry of the jobs the current event started.
+    jobs: JobTelemetry,
+}
+
+impl Sim<'_> {
+    fn view(&self, now: SimTime) -> SimView<'_> {
+        SimView {
+            now,
+            state: &self.state,
+            topo: self.state.topology(),
+            queue_len: self.queue.len(),
+            live: &self.live,
+            outcomes: &self.outcomes,
+            arrivals_seen: self.arrivals_seen,
+        }
+    }
+
+    /// Release a departing request's VMs and close its timeline span.
+    fn depart(&mut self, now: SimTime, id: u64) {
+        let alloc = self
+            .live
+            .remove(&id)
+            .expect("departure for unknown allocation");
+        {
+            let _t = PhaseTimer::start(self.rec, prof::INDEX_COMMIT);
+            self.state.release(&alloc).expect("release failed");
+        }
+        if let Some(span) = self.req_spans.remove(&id) {
+            self.rec.span_end(span, now.as_micros());
+        }
+    }
+
+    /// Place whatever the queue and the free capacity allow.
+    fn serve(&mut self, now: SimTime) {
+        let _serve_timer = PhaseTimer::start(self.rec, prof::SERVE);
+        let (rec, requests, state, outcomes) =
+            (self.rec, self.requests, &self.state, &mut self.outcomes);
+        // Drop requests that can never fit before they block the queue.
+        self.queue.retain(|&idx| {
+            let fits = state.fits_capacity(&requests[idx].request);
+            if !fits {
+                refuse(rec, &mut outcomes[idx], now);
+            }
+            fits
         });
-        match &mode {
+        match self.mode {
             PolicyMode::Individual(policy) => {
-                while let Some(&idx) = queue.front() {
-                    let req = &requests[idx];
-                    match policy.place_recorded(&req.request, state, rng, rec, now.as_micros()) {
+                while let Some(&idx) = self.queue.front() {
+                    let request = &requests[idx].request;
+                    let placed = policy.place_recorded(
+                        request,
+                        &self.state,
+                        &mut self.rng,
+                        rec,
+                        now.as_micros(),
+                    );
+                    match placed {
                         Ok(alloc) => {
-                            queue.pop_front();
-                            {
-                                let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::INDEX_COMMIT);
-                                state
-                                    .allocate(&alloc)
-                                    .expect("policy produced invalid allocation");
-                            }
-                            let d = distance_with_center(alloc.matrix(), &topo, alloc.center());
-                            // Batched mode records DC inside the placement
-                            // layer; mirror it here for per-request policies.
-                            rec.histogram_record("placement.dc", d);
-                            let (hold, job_runtime) = hold_time(req, &alloc, state, now);
-                            req_spans.insert(req.id, record_served(req, d, &alloc, now, hold));
-                            let o = &mut outcomes[idx];
-                            o.distance = Some(d);
-                            o.initial_distance = Some(d);
-                            o.center = Some(alloc.center().0);
-                            o.span = Some(alloc.span() as u32);
-                            o.started = Some(now);
-                            o.finished = Some(now + hold);
-                            o.job_runtime = job_runtime;
-                            engine.schedule(now + hold, Event::Departure(req.id));
-                            live.insert(req.id, alloc);
+                            self.queue.pop_front();
+                            self.admit(now, idx, alloc, None);
                         }
                         Err(PlacementError::Unsatisfiable { .. }) => break, // FIFO blocks
                         Err(PlacementError::Refused { .. } | PlacementError::Malformed { .. }) => {
-                            queue.pop_front();
-                            outcomes[idx].refused = true;
-                            record_refused(req.id, now);
+                            self.queue.pop_front();
+                            refuse(rec, &mut self.outcomes[idx], now);
                         }
                     }
                 }
             }
             PolicyMode::GlobalBatch(admission, scan) => {
-                let batch: Vec<_> = queue.iter().map(|&i| requests[i].request.clone()).collect();
+                let batch: Vec<_> = self
+                    .queue
+                    .iter()
+                    .map(|&i| requests[i].request.clone())
+                    .collect();
                 let placed = match global::place_queue_recorded(
                     &batch,
-                    state,
+                    &self.state,
                     *admission,
                     *scan,
                     rec,
@@ -676,240 +526,133 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
                         return;
                     }
                 };
-                let mut served_queue_positions: Vec<usize> = Vec::new();
-                for ((pos, alloc), &online_d) in
-                    placed.served.iter().zip(&placed.served_online_distances)
+                let mut settled: Vec<usize> = Vec::new();
+                for ((pos, alloc), online_d) in placed
+                    .served
+                    .into_iter()
+                    .zip(placed.served_online_distances)
                 {
-                    let idx = queue[*pos];
-                    let req = &requests[idx];
-                    {
-                        let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::INDEX_COMMIT);
-                        state
-                            .allocate(alloc)
-                            .expect("batch produced invalid allocation");
-                    }
-                    let d = distance_with_center(alloc.matrix(), &topo, alloc.center());
-                    let (hold, job_runtime) = hold_time(req, alloc, state, now);
-                    req_spans.insert(req.id, record_served(req, d, alloc, now, hold));
-                    let o = &mut outcomes[idx];
-                    o.distance = Some(d);
-                    o.initial_distance = Some(online_d);
-                    o.center = Some(alloc.center().0);
-                    o.span = Some(alloc.span() as u32);
-                    o.started = Some(now);
-                    o.finished = Some(now + hold);
-                    o.job_runtime = job_runtime;
-                    engine.schedule(now + hold, Event::Departure(req.id));
-                    live.insert(req.id, alloc.clone());
-                    served_queue_positions.push(*pos);
+                    let idx = self.queue[pos];
+                    self.admit(now, idx, alloc, Some(online_d));
+                    settled.push(pos);
                 }
                 // The admission layer rejects malformed / over-capacity
                 // requests instead of letting them block the queue; the
                 // retain() pre-drop usually catches them first, but any
                 // that slip through leave the same way.
-                for &pos in &placed.rejected {
-                    let idx = queue[pos];
-                    outcomes[idx].refused = true;
-                    record_refused(requests[idx].id, now);
-                    served_queue_positions.push(pos);
+                for pos in placed.rejected {
+                    let idx = self.queue[pos];
+                    refuse(rec, &mut self.outcomes[idx], now);
+                    settled.push(pos);
                 }
                 // Remove settled entries from the queue (descending positions).
-                served_queue_positions.sort_unstable_by(|a, b| b.cmp(a));
-                for pos in served_queue_positions {
-                    queue.remove(pos);
+                settled.sort_unstable_by(|a, b| b.cmp(a));
+                for pos in settled {
+                    self.queue.remove(pos);
                 }
             }
         }
-    };
+    }
 
-    let capacity_total = state.capacity().total();
-    // Aggregate RackUp capacity for the `ts.net.rack_up_util` gauge,
-    // present only when jobs actually generate network traffic.
-    let rack_uplink_total_mbps = match &service {
-        ServiceModel::Trace => None,
-        ServiceModel::MapReduce { params, .. } => {
-            Some(topo.num_racks() as f64 * params.net.rack_uplink_mbps)
+    /// Commit `alloc` for queued request `idx`, record it served, fill
+    /// its outcome, and schedule its departure. `online_d` is a batch's
+    /// pre-exchange distance; per-request policies pass `None`, and
+    /// their DC is recorded here because only the batch placement layer
+    /// records it itself.
+    fn admit(&mut self, now: SimTime, idx: usize, alloc: Allocation, online_d: Option<u64>) {
+        let (rec, req) = (self.rec, &self.requests[idx]);
+        {
+            let _t = PhaseTimer::start(rec, prof::INDEX_COMMIT);
+            self.state
+                .allocate(&alloc)
+                .expect("placement produced an invalid allocation");
         }
-    };
-    let mut last_time = SimTime::ZERO;
-    let mut used_integral = 0f64; // slot-microseconds
-    let mut peak_used = 0u64;
-    loop {
-        let popped = {
-            let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::DES_POP);
-            engine.pop_traced(&rec)
-        };
-        let Some((now, event)) = popped else { break };
-        // Close every window edge the clock just crossed *before*
-        // processing the event: the sampled state is exactly the state
-        // as of the edge, because no event in [edge, now) exists.
-        if let Some(s) = sampler.as_mut() {
-            let w = s.window_us();
-            while let Some(edge) = s.pop_due(now.as_micros()) {
-                let k = WindowSampler::window_index(w, edge);
-                let net = rack_uplink_total_mbps
-                    .map(|cap| (net_win.borrow_mut().remove(&k).unwrap_or(0.0), cap));
-                let sample = emit_ts_window(
-                    rec,
-                    edge,
-                    w,
-                    &state,
-                    &topo,
-                    queue.len(),
-                    &live,
-                    &outcomes,
-                    &mut ts_prev,
-                    net,
-                );
-                if health_cfg.is_some() {
-                    observe_window_health(
-                        rec,
-                        &mut monitor,
-                        &mut sink,
-                        job_alerts.get(),
-                        &mut alerts_prev,
-                        &sample,
-                    );
-                }
-            }
+        let d = distance_with_center(alloc.matrix(), self.state.topology(), alloc.center());
+        if online_d.is_none() {
+            rec.histogram_record("placement.dc", d);
         }
-        used_integral += state.used().total() as f64 * (now - last_time).as_micros() as f64;
-        last_time = now;
-        match event {
-            Event::Arrival(idx) => {
-                queue.push_back(idx);
-                arrivals_seen += 1;
-            }
-            Event::Departure(id) => {
-                let alloc = live.remove(&id).expect("departure for unknown allocation");
-                {
-                    let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::INDEX_COMMIT);
-                    state.release(&alloc).expect("release failed");
-                }
-                if let Some(span) = req_spans.remove(&id) {
-                    rec.span_end(span, now.as_micros());
-                }
-            }
-        }
-        serve(
-            now,
-            &mut queue,
-            &mut state,
-            &mut live,
-            &mut outcomes,
-            &mut engine,
-            &mut req_spans,
-            &mut rng,
-        );
-        rec.counter_sample("cloudsim.queue_depth", now.as_micros(), queue.len() as f64);
-        rec.histogram_record("cloudsim.queue_depth", queue.len() as u64);
-        rec.counter_sample(
-            "cloudsim.used_slots",
+        let (hold, job_runtime) = self.hold_time(req, &alloc, now);
+        rec.counter_add("cloudsim.served", 1);
+        rec.histogram_record("cloudsim.wait_us", (now - req.arrival).as_micros());
+        rec.histogram_record("cloudsim.hold_us", hold.as_micros());
+        let attrs = [
+            ("id", AttrValue::from(req.id)),
+            ("center", AttrValue::from(u64::from(alloc.center().0))),
+            ("dc", AttrValue::from(d)),
+            ("span_nodes", AttrValue::from(alloc.span())),
+        ];
+        rec.event(
+            "cloudsim.request_admitted",
             now.as_micros(),
-            state.used().total() as f64,
+            Some(TrackId(0)),
+            &attrs,
         );
-        peak_used = peak_used.max(state.used().total());
-        // Cadenced invariant audits: conservation laws re-checked every
-        // N processed events, post-serve so the state is settled.
-        if audit_every > 0 {
-            events_since_audit += 1;
-            if events_since_audit >= audit_every {
-                events_since_audit = 0;
-                audit_invariants(
-                    rec,
-                    &mut sink,
-                    now.as_micros(),
-                    &state,
-                    queue.len(),
-                    arrivals_seen,
-                    &outcomes,
-                );
-            }
-        }
-    }
-    // Final partial window at the last event time, so the tail of the
-    // run (everything past the last full edge) is still reported.
-    if let Some(s) = &sampler {
-        if let Some(edge) = s.partial_edge(last_time.as_micros()) {
-            let w = s.window_us();
-            let k = WindowSampler::window_index(w, edge);
-            let elapsed = edge - k * w;
-            let net = rack_uplink_total_mbps
-                .map(|cap| (net_win.borrow_mut().remove(&k).unwrap_or(0.0), cap));
-            let sample = emit_ts_window(
-                rec,
-                edge,
-                elapsed,
-                &state,
-                &topo,
-                queue.len(),
-                &live,
-                &outcomes,
-                &mut ts_prev,
-                net,
-            );
-            if health_cfg.is_some() {
-                observe_window_health(
-                    rec,
-                    &mut monitor,
-                    &mut sink,
-                    job_alerts.get(),
-                    &mut alerts_prev,
-                    &sample,
-                );
-            }
-        }
-    }
-    // End-of-run audit: the drained cloud must balance exactly (runs
-    // even when the cadence is 0, as long as invariants are enabled).
-    if health_cfg.as_ref().is_some_and(|h| h.invariants) {
-        audit_invariants(
-            rec,
-            &mut sink,
-            last_time.as_micros(),
-            &state,
-            queue.len(),
-            arrivals_seen,
-            &outcomes,
+        let span = rec.span_begin(
+            TrackId(TRACK_STRIDE * (req.id + 1)),
+            "request",
+            now.as_micros(),
+            &attrs,
         );
+        self.req_spans.insert(req.id, span);
+        let o = &mut self.outcomes[idx];
+        o.distance = Some(d);
+        o.initial_distance = Some(online_d.unwrap_or(d));
+        o.center = Some(alloc.center().0);
+        o.span = Some(alloc.span() as u32);
+        o.started = Some(now);
+        o.finished = Some(now + hold);
+        o.job_runtime = job_runtime;
+        self.engine.schedule(now + hold, Event::Departure(req.id));
+        self.live.insert(req.id, alloc);
     }
-    vc_obs::prof::record_peak_rss(rec);
-    let horizon = last_time.as_micros() as f64;
-    let avg_utilization = if horizon > 0.0 && capacity_total > 0 {
-        used_integral / (horizon * capacity_total as f64)
-    } else {
-        0.0
-    };
-    let peak_utilization = if capacity_total > 0 {
-        peak_used as f64 / capacity_total as f64
-    } else {
-        0.0
-    };
 
-    let served = outcomes.iter().filter(|o| o.started.is_some()).count();
-    let refused = outcomes.iter().filter(|o| o.refused).count();
-    let total_distance = outcomes.iter().filter_map(|o| o.distance).sum();
-    let total_initial_distance = outcomes.iter().filter_map(|o| o.initial_distance).sum();
-    let total_wait: u64 = outcomes
-        .iter()
-        .filter_map(|o| o.wait())
-        .map(|w| w.as_micros())
-        .sum();
-    let mean_wait = if served > 0 {
-        SimTime::from_micros(total_wait / served as u64)
-    } else {
-        SimTime::ZERO
-    };
-    SimResult {
-        outcomes,
-        total_distance,
-        total_initial_distance,
-        served,
-        refused,
-        mean_wait,
-        avg_utilization,
-        peak_utilization,
+    /// How long a freshly placed allocation holds its VMs, plus the
+    /// measured job runtime under the MapReduce service.
+    fn hold_time(
+        &mut self,
+        req: &CloudRequest,
+        alloc: &Allocation,
+        now: SimTime,
+    ) -> (SimTime, Option<SimTime>) {
+        match self.service {
+            ServiceModel::Trace => (req.service_time, None),
+            ServiceModel::MapReduce { job, params } => {
+                let cluster = VirtualCluster::from_allocation(
+                    alloc,
+                    self.state.catalog(),
+                    self.state.topology_arc(),
+                );
+                // Each job traces onto its request's private track range,
+                // offset to its real start time on the queue timeline.
+                let _t = PhaseTimer::start(self.rec, prof::MR_SERVICE);
+                let (metrics, rollup, alerts) = vc_mapreduce::simulate_job_audited(
+                    &cluster,
+                    job,
+                    params,
+                    self.rec,
+                    TRACK_STRIDE * (req.id + 1),
+                    now.as_micros(),
+                    self.job_window,
+                    self.job_health,
+                );
+                self.jobs.rollup.extend(rollup);
+                self.jobs.alerts += alerts;
+                (metrics.runtime, Some(metrics.runtime))
+            }
+        }
     }
+}
+
+/// Mark a request refused and record it.
+fn refuse(rec: &dyn Recorder, outcome: &mut RequestOutcome, now: SimTime) {
+    outcome.refused = true;
+    rec.counter_add("cloudsim.refused", 1);
+    rec.event(
+        "cloudsim.request_refused",
+        now.as_micros(),
+        Some(TrackId(0)),
+        &[("id", AttrValue::from(outcome.id))],
+    );
 }
 
 #[cfg(test)]

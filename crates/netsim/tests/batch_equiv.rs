@@ -266,7 +266,8 @@ proptest! {
 
     /// The incremental solver's effort counters are deterministic: the
     /// same script yields identical `SolverStats` (wall time aside) on
-    /// every rerun — the contract the `vc profile` CI gate relies on.
+    /// every rerun — the contract the `vc diff --fail-on-regress` CI gate
+    /// relies on.
     #[test]
     fn incremental_effort_deterministic(script in ops()) {
         let run = || {

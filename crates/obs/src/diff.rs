@@ -85,7 +85,10 @@ fn direction(name: &str) -> Direction {
     if name == "prof.rss_peak_kb" || (name.starts_with("prof.") && name.ends_with(".wall_us")) {
         return Direction::Advisory;
     }
-    if name.starts_with("alert.total.") {
+    // Phase call counts are deterministic effort, like the solver's.
+    if name.starts_with("alert.total.")
+        || (name.starts_with("prof.phase.") && name.ends_with(".calls"))
+    {
         return Direction::LowerBetter;
     }
     match name {
@@ -96,7 +99,13 @@ fn direction(name: &str) -> Direction {
         | "cloudsim.wait_us.sum"
         | "mr.job_runtime_us.sum"
         | "mr.job_runtime_us.max"
-        | "attribution.makespan_us" => Direction::LowerBetter,
+        | "attribution.makespan_us"
+        | "prof.solver.solves"
+        | "prof.solver.flows"
+        | "prof.solver.iterations"
+        | "prof.solver.links_touched"
+        | "prof.solver.completion_batches"
+        | "des.events_processed" => Direction::LowerBetter,
         "cloudsim.served" | "mr.shuffle.node_local_bytes" => Direction::HigherBetter,
         _ => Direction::Undirected,
     }
@@ -1205,6 +1214,26 @@ mod tests {
         assert_eq!(served.verdict, Verdict::Improved);
         assert_eq!(r.regressed(), 1);
         assert_eq!(r.improved(), 1);
+    }
+
+    #[test]
+    fn effort_counter_growth_regresses() {
+        for name in [
+            "prof.solver.iterations",
+            "prof.solver.solves",
+            "des.events_processed",
+            "prof.phase.serve.calls",
+        ] {
+            let a = doc("affinity", &[(name, 10)]);
+            let b = doc("affinity", &[(name, 11)]);
+            let r = diff(&a, &b, &DiffOptions::default()).unwrap();
+            assert_eq!(r.regressed_names(), vec![name.to_string()], "{name}");
+        }
+        // Seed-scan counts vary with parallel scan timing: never gated.
+        let a = doc("affinity", &[("placement.seeds_scanned", 223)]);
+        let b = doc("affinity", &[("placement.seeds_scanned", 204)]);
+        let r = diff(&a, &b, &DiffOptions::default()).unwrap();
+        assert_eq!((r.changed(), r.regressed(), r.improved()), (1, 0, 0));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct RunManifest {
     pub schema_version: u64,
     /// Workspace crate version that produced the run.
     pub crate_version: String,
-    /// Producing subcommand: `simulate`, `simulate-queue`, `simulate-job`.
+    /// Producing subcommand: `simulate` or `simulate-job`.
     pub command: String,
     /// RNG seed of the run.
     pub seed: u64,
@@ -161,16 +161,6 @@ impl RunManifest {
             h.write_str(k).write_str(v);
         }
         h.finish()
-    }
-
-    /// Whether two manifests describe the *same* run configuration
-    /// (everything but the seed).
-    pub fn same_config(&self, other: &Self) -> bool {
-        self.command == other.command
-            && self.policy == other.policy
-            && self.window_us == other.window_us
-            && self.topology_digest == other.topology_digest
-            && self.config == other.config
     }
 
     /// JSON form (includes the computed `digest` field).
@@ -389,16 +379,6 @@ mod tests {
     fn missing_field_is_named() {
         let err = RunManifest::from_json(&serde_json::json!({"schema_version": 1})).unwrap_err();
         assert!(err.contains("crate_version"), "{err}");
-    }
-
-    #[test]
-    fn same_config_ignores_seed() {
-        let a = sample();
-        let mut b = a.clone();
-        b.seed = 99;
-        assert!(a.same_config(&b));
-        b.policy = "spread".to_string();
-        assert!(!a.same_config(&b));
     }
 
     #[test]

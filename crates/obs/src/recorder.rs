@@ -173,87 +173,9 @@ pub trait Recorder {
     }
 }
 
-/// Forwarding impls so instrumented code generic over `R: Recorder` also
-/// accepts `&R`, `&dyn Recorder`, and boxed recorders.
+/// Forwarding impl so instrumented code generic over `R: Recorder` also
+/// accepts `&R` and `&dyn Recorder`.
 impl<R: Recorder + ?Sized> Recorder for &R {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        (**self).counter_add(name, delta)
-    }
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        (**self).gauge_set(name, value)
-    }
-    fn gauge_max(&self, name: &'static str, value: f64) {
-        (**self).gauge_max(name, value)
-    }
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        (**self).histogram_record(name, value)
-    }
-    fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        (**self).counter_sample(name, t_us, value)
-    }
-    fn track_name(&self, track: TrackId, name: &str) {
-        (**self).track_name(track, name)
-    }
-    fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        (**self).event(name, t_us, track, attrs)
-    }
-    fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        (**self).span_begin(track, name, t_us, attrs)
-    }
-    fn span_end(&self, span: SpanId, t_us: u64) {
-        (**self).span_end(span, t_us)
-    }
-    fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        (**self).span_attr(span, key, value)
-    }
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        (**self).as_sync()
-    }
-}
-
-impl<R: Recorder + ?Sized> Recorder for std::rc::Rc<R> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        (**self).counter_add(name, delta)
-    }
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        (**self).gauge_set(name, value)
-    }
-    fn gauge_max(&self, name: &'static str, value: f64) {
-        (**self).gauge_max(name, value)
-    }
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        (**self).histogram_record(name, value)
-    }
-    fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        (**self).counter_sample(name, t_us, value)
-    }
-    fn track_name(&self, track: TrackId, name: &str) {
-        (**self).track_name(track, name)
-    }
-    fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        (**self).event(name, t_us, track, attrs)
-    }
-    fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        (**self).span_begin(track, name, t_us, attrs)
-    }
-    fn span_end(&self, span: SpanId, t_us: u64) {
-        (**self).span_end(span, t_us)
-    }
-    fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
-        (**self).span_attr(span, key, value)
-    }
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        (**self).as_sync()
-    }
-}
-
-impl<R: Recorder + ?Sized> Recorder for std::sync::Arc<R> {
     fn enabled(&self) -> bool {
         (**self).enabled()
     }
@@ -566,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn works_through_dyn_and_rc() {
+    fn works_through_dyn() {
         let mem = MemRecorder::new();
         let r: &dyn Recorder = &mem;
         let s = r.span_begin(TrackId(0), "x", 0, &[]);
@@ -574,9 +496,6 @@ mod tests {
         r.counter_add("n", 2);
         assert_eq!(mem.spans().len(), 1);
         assert_eq!(mem.metrics().counters["n"], 2);
-
-        let rc: std::rc::Rc<dyn Recorder> = std::rc::Rc::new(MemRecorder::new());
-        rc.counter_add("k", 1);
     }
 
     #[test]
