@@ -16,8 +16,8 @@ use vc_model::{ClusterState, Request, VmCatalog};
 use vc_netsim::NetworkParams;
 use vc_obs::{
     DiffOptions, DiffReport, Fnv64, HealthPolicy, MemRecorder, MergedTrace, MetricsSnapshot,
-    Recorder, RunManifest, Severity, ShardedRecorder, StreamingRecorder, TimeSeriesSet, TraceDump,
-    ALERT_PREFIX, MANIFEST_KEY, TS_PREFIX,
+    Recorder, RunManifest, Severity, StreamingRecorder, TimeSeriesSet, TraceDump, ALERT_PREFIX,
+    MANIFEST_KEY, TS_PREFIX,
 };
 use vc_placement::distance::distance_with_center;
 use vc_placement::global::Admission;
@@ -193,18 +193,14 @@ fn cloud_config_entries(p: &Parsed) -> Result<Vec<(String, String)>, ArgError> {
     ])
 }
 
-/// The recorder a command records into: the single-threaded
-/// [`MemRecorder`] normally, the thread-safe [`ShardedRecorder`] when
-/// `--placement-threads` enables a parallel seed scan — scan workers then
-/// record per-thread chunk telemetry instead of tripping the
-/// `placement.recorder_unsync` fallback — and the bounded-memory
-/// [`StreamingRecorder`] when `--stream-out` spills the event stream to
-/// a JSONL file as it happens. Stream artefacts (trace/metrics/series)
-/// are produced by replaying the flushed file, so what you export is
-/// exactly what a later `report --stream` will see.
+/// The recorder a command records into: the buffering [`MemRecorder`]
+/// normally, and the bounded-memory [`StreamingRecorder`] when
+/// `--stream-out` spills the event stream to a JSONL file as it
+/// happens. Stream artefacts (trace/metrics/series) are produced by
+/// replaying the flushed file, so what you export is exactly what a
+/// later `report --stream` will see.
 enum CliRecorder {
     Mem(MemRecorder),
-    Sharded(ShardedRecorder),
     Stream {
         rec: Option<StreamingRecorder<BufWriter<File>>>,
         path: String,
@@ -213,23 +209,14 @@ enum CliRecorder {
 }
 
 impl CliRecorder {
-    fn for_threads(threads: usize) -> Self {
-        if threads == 1 {
-            Self::Mem(MemRecorder::new())
-        } else {
-            Self::Sharded(ShardedRecorder::new())
-        }
-    }
-
-    /// Select the recorder for a run: `--stream-out` wins (it is
-    /// thread-safe, so it also serves parallel seed scans), otherwise
-    /// thread count decides. A stream opens with the run manifest as a
+    /// Select the recorder for a run: a stream for `--stream-out`,
+    /// memory otherwise. A stream opens with the run manifest as a
     /// JSONL header line, so a flushed file identifies its run even
     /// when no other artefact was exported (`replay_jsonl` skips the
     /// header; `manifest_from_jsonl` extracts it).
-    fn build(p: &Parsed, threads: usize, manifest: &RunManifest) -> Result<Self, ArgError> {
+    fn build(p: &Parsed, manifest: &RunManifest) -> Result<Self, ArgError> {
         match p.str_or("stream-out", "") {
-            "" => Ok(Self::for_threads(threads)),
+            "" => Ok(Self::Mem(MemRecorder::new())),
             path => {
                 let mut file = File::create(path)
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
@@ -249,7 +236,6 @@ impl CliRecorder {
     fn as_recorder(&self) -> &dyn Recorder {
         match self {
             Self::Mem(r) => r,
-            Self::Sharded(r) => r,
             Self::Stream { rec, .. } => rec.as_ref().expect("stream recorder already finished"),
         }
     }
@@ -281,7 +267,6 @@ impl CliRecorder {
     fn trace_doc(&mut self) -> Result<serde_json::Value, ArgError> {
         match self {
             Self::Mem(r) => Ok(vc_obs::chrome_trace(r)),
-            Self::Sharded(r) => Ok(vc_obs::chrome_trace_sharded(r)),
             Self::Stream { .. } => {
                 let m = self.stream_merged()?;
                 Ok(vc_obs::trace::chrome_trace_parts(
@@ -297,7 +282,6 @@ impl CliRecorder {
     fn metrics(&mut self) -> Result<MetricsSnapshot, ArgError> {
         match self {
             Self::Mem(r) => Ok(r.metrics()),
-            Self::Sharded(r) => Ok(r.merged().metrics),
             Self::Stream { .. } => Ok(self.stream_merged()?.metrics.clone()),
         }
     }
@@ -306,9 +290,6 @@ impl CliRecorder {
     fn timeseries(&mut self) -> Result<TimeSeriesSet, ArgError> {
         match self {
             Self::Mem(r) => Ok(TimeSeriesSet::from_counter_series(&r.counter_series())),
-            Self::Sharded(r) => Ok(TimeSeriesSet::from_counter_series(
-                &r.merged().counter_series,
-            )),
             Self::Stream { .. } => Ok(TimeSeriesSet::from_counter_series(
                 &self.stream_merged()?.counter_series,
             )),
@@ -318,10 +299,6 @@ impl CliRecorder {
     fn span_event_counts(&mut self) -> Result<(usize, usize), ArgError> {
         match self {
             Self::Mem(r) => Ok((r.spans().len(), r.events().len())),
-            Self::Sharded(r) => {
-                let m = r.merged();
-                Ok((m.spans.len(), m.events.len()))
-            }
             Self::Stream { .. } => {
                 let m = self.stream_merged()?;
                 Ok((m.spans.len(), m.events.len()))
@@ -469,17 +446,16 @@ struct RecordedRun<T> {
 }
 
 /// Shared recorded-run harness for `simulate` and `simulate-job`:
-/// selects the recorder (mem / sharded / streaming), runs `body`
+/// selects the recorder (mem / streaming), runs `body`
 /// against it, builds the run document when needed, and writes every
 /// `--*-out` artefact — so manifest capture is wired exactly once.
 fn run_recorded_command<T>(
     p: &Parsed,
-    threads: usize,
     manifest: &RunManifest,
     capture: bool,
     body: impl FnOnce(&dyn Recorder) -> T,
 ) -> Result<RecordedRun<T>, ArgError> {
-    let mut rec = CliRecorder::build(p, threads, manifest)?;
+    let mut rec = CliRecorder::build(p, manifest)?;
     let result = body(rec.as_recorder());
     let metrics_path = p.str_or("metrics-out", "");
     let want_doc = capture || (!metrics_path.is_empty() && !metrics_path.ends_with(".csv"));
@@ -654,7 +630,7 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
                 ),
             ],
         );
-        run_recorded_command(p, 1, &manifest, false, |r| {
+        run_recorded_command(p, &manifest, false, |r| {
             vc_mapreduce::simulate_job_traced(&cluster, &job, &params, r, 0, 0)
         })?
         .result
@@ -814,8 +790,7 @@ fn simulate_impl(
         workload_digest,
         entries,
     );
-    let threads = p.num_or("placement-threads", 1usize)?;
-    let run = run_recorded_command(p, threads, &manifest, capture, |r| {
+    let run = run_recorded_command(p, &manifest, capture, |r| {
         vc_cloudsim::sim::run_recorded(&cloud, config, r)
     })?;
     let result = &run.result;

@@ -592,12 +592,12 @@ mod obs_cli_tests {
     }
 
     #[test]
-    fn sharded_threads_match_sequential_artifacts() {
-        // --placement-threads selects the ShardedRecorder; the merged
-        // trace must carry the same deterministic placement telemetry as
-        // the single-threaded MemRecorder run.
-        let (t1, t1s) = tmp("affinity_vc_shard_t1.json");
-        let (t2, t2s) = tmp("affinity_vc_shard_t2.json");
+    fn placement_threads_match_sequential_artifacts() {
+        // A parallel seed scan (--placement-threads 0: one worker per
+        // core) records into the same MemRecorder; its trace must carry
+        // the same deterministic placement telemetry as a sequential run.
+        let (t1, t1s) = tmp("affinity_vc_threads_t1.json");
+        let (t2, t2s) = tmp("affinity_vc_threads_t2.json");
         let base = call(&[
             "simulate",
             "--requests",
@@ -627,12 +627,12 @@ mod obs_cli_tests {
         assert_eq!(
             outcomes(&base),
             outcomes(&multi),
-            "results must not depend on the recorder"
+            "results must not depend on the thread count"
         );
         let (a, b) = (read_json(&t1), read_json(&t2));
         std::fs::remove_file(&t1).ok();
         std::fs::remove_file(&t2).ok();
-        // Deterministic placement events agree between recorders.
+        // Deterministic placement events agree between thread counts.
         let placed = |doc: &Value| -> Vec<String> {
             let mut v: Vec<String> = doc["traceEvents"]
                 .as_array()

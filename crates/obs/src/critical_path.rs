@@ -80,11 +80,9 @@ impl DumpEvent {
 }
 
 /// A recorder dump decoupled from the recorder: buildable from a live
-/// [`MemRecorder`]/[`ShardedRecorder`] or parsed back from a
-/// `--trace-out` Chrome trace file.
+/// [`MemRecorder`] or parsed back from a `--trace-out` Chrome trace file.
 ///
 /// [`MemRecorder`]: crate::recorder::MemRecorder
-/// [`ShardedRecorder`]: crate::sharded::ShardedRecorder
 #[derive(Clone, Debug, Default)]
 pub struct TraceDump {
     pub spans: Vec<DumpSpan>,
@@ -138,11 +136,6 @@ impl TraceDump {
 
     pub fn from_mem(rec: &crate::recorder::MemRecorder) -> Self {
         Self::from_records(&rec.spans(), &rec.events())
-    }
-
-    pub fn from_sharded(rec: &crate::sharded::ShardedRecorder) -> Self {
-        let merged = rec.merged();
-        Self::from_records(&merged.spans, &merged.events)
     }
 
     /// Parse a Chrome trace-event document (the `--trace-out` format)

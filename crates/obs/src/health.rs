@@ -20,7 +20,7 @@
 //! (window edge, observed value), and as monotonic counters named
 //! `alert.total.<severity>.<rule>` which the Prometheus exporter rewrites
 //! into `alert_total{severity,rule}`. Both ride the existing machinery —
-//! Mem/Sharded/Streaming recorders, Chrome traces, JSONL replay — so
+//! Mem/Streaming recorders, Chrome traces, JSONL replay — so
 //! `vc report --stream` replays alerts with no format change.
 
 use crate::recorder::{Attr, AttrValue, Recorder, TrackId};

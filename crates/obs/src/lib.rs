@@ -34,7 +34,6 @@ pub mod metrics;
 pub mod prof;
 pub mod prom;
 pub mod recorder;
-pub mod sharded;
 pub mod stream;
 pub mod timeseries;
 pub mod trace;
@@ -51,7 +50,6 @@ pub use prom::{to_prometheus, to_prometheus_windowed};
 pub use recorder::{
     AttrValue, EventRecord, MemRecorder, NoopRecorder, Recorder, SpanId, SpanRecord, TrackId,
 };
-pub use sharded::{MergedTrace, ShardedRecorder};
-pub use stream::{manifest_from_jsonl, replay_jsonl, StreamingRecorder};
+pub use stream::{manifest_from_jsonl, replay_jsonl, MergedTrace, StreamingRecorder};
 pub use timeseries::{TimeSeriesSet, WindowSampler, TS_PREFIX};
-pub use trace::{chrome_trace, chrome_trace_sharded};
+pub use trace::chrome_trace;

@@ -111,6 +111,10 @@ pub type Attr = (&'static str, AttrValue);
 /// interior mutability) so a recorder can be shared by every layer of a
 /// simulation without threading `&mut` through the call graph.
 ///
+/// Recorders are single-threaded: `Recorder` has no `Sync` bound, so
+/// `&dyn Recorder` is not `Send` and cannot reach a worker thread.
+/// Parallel code returns plain data to its caller, which records it.
+///
 /// Every method has a no-op default, which is the entire implementation
 /// of [`NoopRecorder`]: generic instrumentation monomorphized against it
 /// inlines to nothing.
@@ -162,15 +166,6 @@ pub trait Recorder {
     /// Attach an attribute to an open span (outcomes discovered after
     /// the span began, e.g. which attempt won a speculative race).
     fn span_attr(&self, _span: SpanId, _key: &'static str, _value: AttrValue) {}
-
-    /// A `Sync` view of this recorder, if it may be called from multiple
-    /// threads concurrently. The default (`None`) marks single-threaded
-    /// recorders such as [`MemRecorder`]; parallel code paths use this to
-    /// decide whether worker threads may record directly or must fall
-    /// back to aggregate recording on the calling thread.
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        None
-    }
 }
 
 /// Forwarding impl so instrumented code generic over `R: Recorder` also
@@ -209,9 +204,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     fn span_attr(&self, span: SpanId, key: &'static str, value: AttrValue) {
         (**self).span_attr(span, key, value)
     }
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        (**self).as_sync()
-    }
 }
 
 /// Recorder that records nothing. The canonical "observability off"
@@ -219,11 +211,7 @@ impl<R: Recorder + ?Sized> Recorder for &R {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopRecorder;
 
-impl Recorder for NoopRecorder {
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        Some(self)
-    }
-}
+impl Recorder for NoopRecorder {}
 
 /// A recorded instantaneous event.
 #[derive(Clone, Debug)]
@@ -258,41 +246,13 @@ struct MemInner {
     /// Per-series high-water sample timestamp: the gauge mirror of
     /// [`Recorder::counter_sample`] only applies in-sim-time-order
     /// samples, so the final gauge value matches a `(t_us, seq)`-sorted
-    /// replay of the same stream (`ShardedRecorder::merged`,
-    /// `stream::replay_jsonl`) even when overlapping jobs emit the same
-    /// series at out-of-order timestamps.
+    /// replay of the same stream (`stream::replay_jsonl`) even when
+    /// overlapping jobs emit the same series at out-of-order timestamps.
     sample_last_t: BTreeMap<&'static str, u64>,
-    /// Soft cap on buffered trace items (events + spans + series
-    /// points). `None` = unbounded.
-    trace_cap: Option<usize>,
-    trace_items: usize,
-    overflowed: bool,
 }
 
-impl MemInner {
-    /// Whether one more trace item may be buffered. On the first refusal
-    /// records the one-time `obs.recorder.overflow` counter. Metrics are
-    /// never dropped — only spans, events, and series points are.
-    fn admit_trace_item(&mut self) -> bool {
-        match self.trace_cap {
-            Some(cap) if self.trace_items >= cap => {
-                if !self.overflowed {
-                    self.overflowed = true;
-                    self.metrics.counter_add("obs.recorder.overflow", 1);
-                }
-                false
-            }
-            _ => {
-                self.trace_items += 1;
-                true
-            }
-        }
-    }
-}
-
-/// Buffering recorder for single-threaded simulations. Interior
-/// mutability via `RefCell`; not `Sync` by design — each parallel batch
-/// run owns its own recorder.
+/// Buffering recorder. Interior mutability via `RefCell`, so it is not
+/// `Sync` — each parallel batch run owns its own recorder.
 #[derive(Debug, Default)]
 pub struct MemRecorder {
     inner: RefCell<MemInner>,
@@ -301,22 +261,6 @@ pub struct MemRecorder {
 impl MemRecorder {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A recorder that buffers at most `cap` trace items (events, spans,
-    /// and counter-series points combined). Past the cap, trace items
-    /// are dropped — `span_begin` returns [`SpanId::NULL`] — and the
-    /// one-time `obs.recorder.overflow` counter is set; metrics
-    /// (counters/gauges/histograms) are always recorded in full.
-    pub fn with_trace_cap(cap: usize) -> Self {
-        let r = Self::default();
-        r.inner.borrow_mut().trace_cap = Some(cap);
-        r
-    }
-
-    /// True once the trace cap has dropped at least one item.
-    pub fn overflowed(&self) -> bool {
-        self.inner.borrow().overflowed
     }
 
     pub fn events(&self) -> Vec<EventRecord> {
@@ -383,13 +327,11 @@ impl Recorder for MemRecorder {
         if apply {
             inner.metrics.gauge_set(name, value);
         }
-        if inner.admit_trace_item() {
-            inner
-                .counter_series
-                .entry(name)
-                .or_default()
-                .push((t_us, value));
-        }
+        inner
+            .counter_series
+            .entry(name)
+            .or_default()
+            .push((t_us, value));
     }
 
     fn track_name(&self, track: TrackId, name: &str) {
@@ -400,11 +342,7 @@ impl Recorder for MemRecorder {
     }
 
     fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.admit_trace_item() {
-            return;
-        }
-        inner.events.push(EventRecord {
+        self.inner.borrow_mut().events.push(EventRecord {
             name,
             t_us,
             track,
@@ -414,9 +352,6 @@ impl Recorder for MemRecorder {
 
     fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
         let mut inner = self.inner.borrow_mut();
-        if !inner.admit_trace_item() {
-            return SpanId::NULL;
-        }
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
         let index = inner.spans.len();
@@ -523,35 +458,5 @@ mod tests {
         assert_eq!(r.metrics().gauges["util"], 0.2);
         // The series itself keeps every point in arrival order.
         assert_eq!(r.counter_series()["util"].len(), 4);
-    }
-
-    #[test]
-    fn trace_cap_drops_trace_items_never_metrics() {
-        let r = MemRecorder::with_trace_cap(2);
-        r.event("a", 0, None, &[]);
-        let s = r.span_begin(TrackId(0), "kept", 1, &[]);
-        assert!(!s.is_null());
-        r.span_end(s, 2);
-        assert!(!r.overflowed());
-
-        // Cap reached: trace items are dropped from here on.
-        r.event("b", 3, None, &[]);
-        let dropped = r.span_begin(TrackId(0), "dropped", 4, &[]);
-        assert!(dropped.is_null());
-        r.counter_sample("q", 5, 1.0);
-        assert!(r.overflowed());
-        assert_eq!(r.events().len(), 1);
-        assert_eq!(r.spans().len(), 1);
-        assert!(r.counter_series().is_empty());
-
-        // Metrics still record in full, plus the one-time overflow mark.
-        r.counter_add("c", 7);
-        r.histogram_record("h", 9);
-        let m = r.metrics();
-        assert_eq!(m.counters["c"], 7);
-        assert_eq!(m.counters["obs.recorder.overflow"], 1);
-        assert_eq!(m.histograms["h"].count, 1);
-        // counter_sample past the cap still updates the gauge.
-        assert_eq!(m.gauges["q"], 1.0);
     }
 }

@@ -2,16 +2,16 @@
 //! log to a JSONL sink instead of buffering it.
 //!
 //! Million-event runs cannot hold a [`MemRecorder`] — its buffers grow
-//! with the trace. The streaming recorder keeps only small per-thread
-//! text buffers (flushed to the shared sink past a threshold), so RSS
-//! stays flat no matter how long the run is. The op log it writes has
-//! exactly the [`ShardedRecorder`] merge semantics: every line carries
-//! the op's resolved timestamp (untimestamped ops inherit the writing
-//! thread's high-water mark, as in a shard) and a globally unique
-//! sequence number, so [`replay_jsonl`] can sort by `(t_us, seq)` and
-//! replay through the same code path as [`ShardedRecorder::merged`] —
-//! the replayed [`MergedTrace`] equals the `MemRecorder` view of the
-//! same run bit for bit (see `crates/obs/tests/props.rs`).
+//! with the trace. The streaming recorder keeps only a small text buffer
+//! (flushed to the sink past a threshold), so RSS stays flat no matter
+//! how long the run is. Like every recorder it is single-threaded:
+//! parallel code hands its results back to the recording thread.
+//!
+//! Every line carries the op's resolved timestamp (untimestamped ops
+//! inherit the recorder's high-water mark) and a sequence number, so
+//! [`replay_jsonl`] can sort by `(t_us, seq)` and replay the log into a
+//! [`MergedTrace`] that equals the `MemRecorder` view of the same run
+//! bit for bit (see `crates/obs/tests/props.rs`).
 //!
 //! Format: one JSON object per line. `t`/`q` are the stamp; `o` tags
 //! the op (`c` counter_add, `g` gauge_set, `m` gauge_max, `h`
@@ -21,34 +21,24 @@
 //! a `<key>b` bit-pattern field so replay is exact for every `f64`.
 //!
 //! [`MemRecorder`]: crate::recorder::MemRecorder
-//! [`ShardedRecorder`]: crate::sharded::ShardedRecorder
-//! [`ShardedRecorder::merged`]: crate::sharded::ShardedRecorder::merged
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::ThreadId;
+use std::sync::{Mutex, OnceLock};
 
-use crate::recorder::{Attr, AttrValue, Recorder, SpanId, TrackId};
-use crate::sharded::{replay_ops, MergedTrace, Op, StampedOp};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::recorder::{Attr, AttrValue, EventRecord, Recorder, SpanId, SpanRecord, TrackId};
 
-/// Default per-thread buffer size before a flush to the sink.
+/// Default buffer size before a flush to the sink.
 pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
 
 #[derive(Debug, Default)]
 struct StreamBuf {
     text: String,
-    /// High-water timestamp of this thread, inherited by untimestamped
-    /// ops — identical to `ShardBuf::last_t` in the sharded recorder.
+    /// High-water timestamp, inherited by untimestamped ops.
     last_t: u64,
-}
-
-#[derive(Debug, Default)]
-struct StreamShard {
-    buf: Mutex<StreamBuf>,
 }
 
 #[derive(Debug)]
@@ -59,69 +49,42 @@ struct Sink<W> {
     error: Option<io::Error>,
 }
 
-/// Identity counter for the thread-local shard cache (a thread may
-/// touch several streaming recorders over its lifetime).
-static NEXT_STREAM_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static STREAM_CACHE: RefCell<Option<(u64, Arc<StreamShard>)>> = const { RefCell::new(None) };
-}
-
 /// Bounded-memory streaming recorder; see the module docs.
 #[derive(Debug)]
 pub struct StreamingRecorder<W> {
-    id: u64,
     flush_bytes: usize,
-    next_span: AtomicU64,
-    next_seq: AtomicU64,
-    shards: Mutex<HashMap<ThreadId, Arc<StreamShard>>>,
-    sink: Mutex<Sink<W>>,
+    next_span: Cell<u64>,
+    next_seq: Cell<u64>,
+    buf: RefCell<StreamBuf>,
+    sink: RefCell<Sink<W>>,
 }
 
-impl<W: Write + Send> StreamingRecorder<W> {
+impl<W: Write> StreamingRecorder<W> {
     pub fn new(writer: W) -> Self {
         Self::with_flush_bytes(writer, DEFAULT_FLUSH_BYTES)
     }
 
-    /// A recorder flushing each per-thread buffer once it exceeds
-    /// `flush_bytes` (small values force frequent flushes in tests).
+    /// A recorder flushing its buffer once it exceeds `flush_bytes`
+    /// (small values force frequent flushes in tests).
     pub fn with_flush_bytes(writer: W, flush_bytes: usize) -> Self {
         Self {
-            id: NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed),
             flush_bytes: flush_bytes.max(1),
-            next_span: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
-            shards: Mutex::new(HashMap::new()),
-            sink: Mutex::new(Sink {
+            next_span: Cell::new(0),
+            next_seq: Cell::new(0),
+            buf: RefCell::new(StreamBuf::default()),
+            sink: RefCell::new(Sink {
                 writer,
                 error: None,
             }),
         }
     }
 
-    fn shard(&self) -> Arc<StreamShard> {
-        STREAM_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((id, shard)) = cache.as_ref() {
-                if *id == self.id {
-                    return Arc::clone(shard);
-                }
-            }
-            let shard = {
-                let mut shards = self.shards.lock().expect("stream registry poisoned");
-                Arc::clone(shards.entry(std::thread::current().id()).or_default())
-            };
-            *cache = Some((self.id, Arc::clone(&shard)));
-            shard
-        })
-    }
-
     /// Append one op line. `t` is the op's own timestamp, if it has
     /// one; `body` writes the op fields after the `t`/`q` stamp.
     fn push(&self, t: Option<u64>, body: impl FnOnce(&mut String)) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard();
-        let mut buf = shard.buf.lock().expect("stream shard poisoned");
+        let seq = self.next_seq.get();
+        self.next_seq.set(seq + 1);
+        let mut buf = self.buf.borrow_mut();
         let t_us = match t {
             Some(t) => {
                 buf.last_t = buf.last_t.max(t);
@@ -133,14 +96,13 @@ impl<W: Write + Send> StreamingRecorder<W> {
         body(&mut buf.text);
         buf.text.push_str("}\n");
         if buf.text.len() >= self.flush_bytes {
-            let text = std::mem::take(&mut buf.text);
-            drop(buf);
-            self.write_out(&text);
+            self.write_out(&buf.text);
+            buf.text.clear();
         }
     }
 
     fn write_out(&self, text: &str) {
-        let mut sink = self.sink.lock().expect("stream sink poisoned");
+        let mut sink = self.sink.borrow_mut();
         if sink.error.is_some() {
             return;
         }
@@ -149,21 +111,15 @@ impl<W: Write + Send> StreamingRecorder<W> {
         }
     }
 
-    /// Flush every remaining buffer and return the sink writer, or the
+    /// Flush the remaining buffer and return the sink writer, or the
     /// first I/O error hit at any point during recording.
     pub fn finish(self) -> io::Result<W> {
-        let shards = self.shards.into_inner().expect("stream registry poisoned");
-        let mut sink = self.sink.into_inner().expect("stream sink poisoned");
+        let mut sink = self.sink.into_inner();
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
-        for shard in shards.values() {
-            let mut buf = shard.buf.lock().expect("stream shard poisoned");
-            if !buf.text.is_empty() {
-                sink.writer.write_all(buf.text.as_bytes())?;
-                buf.text.clear();
-            }
-        }
+        sink.writer
+            .write_all(self.buf.into_inner().text.as_bytes())?;
         sink.writer.flush()?;
         Ok(sink.writer)
     }
@@ -240,7 +196,7 @@ fn push_attrs(out: &mut String, attrs: &[Attr]) {
     out.push(']');
 }
 
-impl<W: Write + Send> Recorder for StreamingRecorder<W> {
+impl<W: Write> Recorder for StreamingRecorder<W> {
     fn enabled(&self) -> bool {
         true
     }
@@ -305,7 +261,8 @@ impl<W: Write + Send> Recorder for StreamingRecorder<W> {
     }
 
     fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
-        let id = self.next_span.fetch_add(1, Ordering::Relaxed) + 1;
+        let id = self.next_span.get() + 1;
+        self.next_span.set(id);
         self.push(Some(t_us), |out| {
             let _ = write!(out, ",\"o\":\"sb\",\"i\":{id},\"k\":{}", track.0);
             out.push_str(",\"n\":");
@@ -335,15 +292,156 @@ impl<W: Write + Send> Recorder for StreamingRecorder<W> {
             push_attrs(out, &[("v", value)]);
         });
     }
-
-    fn as_sync(&self) -> Option<&(dyn Recorder + Sync)> {
-        Some(self)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // replay
 // ---------------------------------------------------------------------------
+
+/// One logged recorder call. Ops that carry no timestamp of their own
+/// (counters, span attributes) inherit the recorder's most recent
+/// timestamp so the `(t_us, seq)` sort keeps them adjacent to the
+/// surrounding timeline activity.
+#[derive(Debug)]
+enum Op {
+    CounterAdd {
+        name: &'static str,
+        delta: u64,
+    },
+    GaugeSet {
+        name: &'static str,
+        value: f64,
+    },
+    GaugeMax {
+        name: &'static str,
+        value: f64,
+    },
+    HistRecord {
+        name: &'static str,
+        value: u64,
+    },
+    CounterSample {
+        name: &'static str,
+        value: f64,
+    },
+    TrackName {
+        track: u64,
+        name: String,
+    },
+    Event {
+        name: &'static str,
+        track: Option<TrackId>,
+        attrs: Vec<Attr>,
+    },
+    SpanBegin {
+        id: u64,
+        track: TrackId,
+        name: &'static str,
+        attrs: Vec<Attr>,
+    },
+    SpanEnd {
+        id: u64,
+    },
+    SpanAttr {
+        id: u64,
+        key: &'static str,
+        value: AttrValue,
+    },
+}
+
+#[derive(Debug)]
+struct StampedOp {
+    t_us: u64,
+    seq: u64,
+    op: Op,
+}
+
+/// Sort an op log by `(t_us, seq)` and replay it into a [`MergedTrace`].
+///
+/// A span attribute inherits the high-water timestamp, which can lie past
+/// its span's end when an earlier op ended later in sim time, so it may
+/// sort after that end. Whether it applies is therefore decided by
+/// `seq` — recorded before the end, as [`MemRecorder`] sees it.
+///
+/// [`MemRecorder`]: crate::recorder::MemRecorder
+fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
+    // seq is unique, so this order is total and respects program order.
+    ops.sort_by_key(|op| (op.t_us, op.seq));
+
+    let mut out = MergedTrace::default();
+    let mut metrics = MetricsRegistry::default();
+    // Span id → (index into `out.spans`, seq of its end once seen).
+    let mut span_at: HashMap<u64, (usize, Option<u64>)> = HashMap::new();
+    for StampedOp { t_us, seq, op } in ops {
+        match op {
+            Op::CounterAdd { name, delta } => metrics.counter_add(name, delta),
+            Op::GaugeSet { name, value } => metrics.gauge_set(name, value),
+            Op::GaugeMax { name, value } => metrics.gauge_max(name, value),
+            Op::HistRecord { name, value } => metrics.histogram_record(name, value),
+            Op::CounterSample { name, value } => {
+                metrics.gauge_set(name, value);
+                out.counter_series
+                    .entry(name)
+                    .or_default()
+                    .push((t_us, value));
+            }
+            Op::TrackName { track, name } => {
+                out.track_names.insert(track, name);
+            }
+            Op::Event { name, track, attrs } => out.events.push(EventRecord {
+                name,
+                t_us,
+                track,
+                attrs,
+            }),
+            Op::SpanBegin {
+                id,
+                track,
+                name,
+                attrs,
+            } => {
+                span_at.insert(id, (out.spans.len(), None));
+                out.spans.push(SpanRecord {
+                    id: SpanId(id),
+                    track,
+                    name,
+                    start_us: t_us,
+                    end_us: None,
+                    attrs,
+                });
+            }
+            Op::SpanEnd { id } => {
+                if let Some((index, end @ None)) = span_at.get_mut(&id) {
+                    *end = Some(seq);
+                    out.spans[*index].end_us = Some(t_us);
+                }
+            }
+            Op::SpanAttr { id, key, value } => {
+                if let Some(&(index, end)) = span_at.get(&id) {
+                    if end.is_none_or(|end| seq < end) {
+                        out.spans[index].attrs.push((key, value));
+                    }
+                }
+            }
+        }
+    }
+    out.open_spans = span_at.values().filter(|(_, end)| end.is_none()).count();
+    out.metrics = metrics.snapshot();
+    out
+}
+
+/// A replayed op stream, shaped like the buffers of a
+/// [`MemRecorder`](crate::recorder::MemRecorder).
+#[derive(Debug, Default)]
+pub struct MergedTrace {
+    pub spans: Vec<SpanRecord>,
+    pub events: Vec<EventRecord>,
+    pub track_names: BTreeMap<u64, String>,
+    pub counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
+    pub metrics: MetricsSnapshot,
+    /// Spans begun but never ended at merge time.
+    pub open_spans: usize,
+}
 
 /// Intern a replayed name so it can live in the `&'static str` slots of
 /// the op log. Leaks once per distinct string — bounded by the metric /
@@ -424,13 +522,10 @@ fn parse_attrs(obj: &Value, line: usize) -> Result<Vec<Attr>, String> {
     Ok(attrs)
 }
 
-/// Replay a JSONL op stream written by [`StreamingRecorder`] into the
-/// same deterministic [`MergedTrace`] that [`ShardedRecorder::merged`]
-/// produces: ops sorted by `(t_us, seq)` and applied through the shared
-/// replay path. Any malformed, truncated, or unrecognized line is an
-/// error carrying its 1-based line number.
-///
-/// [`ShardedRecorder::merged`]: crate::sharded::ShardedRecorder::merged
+/// Replay a JSONL op stream written by [`StreamingRecorder`] into a
+/// deterministic [`MergedTrace`]: ops sorted by `(t_us, seq)` and
+/// applied in that order. Any malformed, truncated, or unrecognized
+/// line is an error carrying its 1-based line number.
 pub fn replay_jsonl(text: &str) -> Result<MergedTrace, String> {
     let mut ops: Vec<StampedOp> = Vec::new();
     for (index, raw) in text.lines().enumerate() {
@@ -569,6 +664,24 @@ mod tests {
     }
 
     #[test]
+    fn span_attr_survives_an_earlier_later_ending_span() {
+        // Span `a` ends at 500, raising the high-water mark; span `b`
+        // then opens and closes at 200, so its attr (stamped 500) sorts
+        // after its own end. Replay must still attach it, as memory does.
+        let rec = StreamingRecorder::new(Vec::new());
+        let a = rec.span_begin(TrackId(0), "a", 100, &[]);
+        rec.span_end(a, 500);
+        let b = rec.span_begin(TrackId(1), "b", 200, &[]);
+        rec.span_attr(b, "won", AttrValue::Bool(true));
+        rec.span_end(b, 200);
+        rec.span_attr(b, "late", AttrValue::Bool(true)); // after its end: dropped
+        let text = String::from_utf8(rec.finish().unwrap()).unwrap();
+        let merged = replay_jsonl(&text).unwrap();
+        assert_eq!(merged.open_spans, 0);
+        assert_eq!(merged.spans[1].attrs, vec![("won", AttrValue::Bool(true))]);
+    }
+
+    #[test]
     fn tiny_flush_threshold_same_replay() {
         // Force a flush on nearly every op: the file contents must be
         // identical to the buffered-to-the-end recording.
@@ -629,10 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_is_sync_and_reports_io_errors() {
-        fn assert_sync<T: Sync + Send>() {}
-        assert_sync::<StreamingRecorder<Vec<u8>>>();
-
+    fn streaming_reports_io_errors() {
         #[derive(Debug)]
         struct FailingWriter;
         impl Write for FailingWriter {

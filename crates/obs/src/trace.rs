@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use serde_json::{json, Value};
 
 use crate::recorder::{AttrValue, EventRecord, MemRecorder, SpanRecord};
-use crate::sharded::ShardedRecorder;
 
 fn attr_value_json(v: &AttrValue) -> Value {
     match v {
@@ -50,18 +49,6 @@ pub fn chrome_trace(rec: &MemRecorder) -> Value {
         &rec.events(),
         &rec.track_names(),
         &rec.counter_series(),
-    )
-}
-
-/// Same as [`chrome_trace`] for a thread-safe [`ShardedRecorder`]: the
-/// shards are merged deterministically first.
-pub fn chrome_trace_sharded(rec: &ShardedRecorder) -> Value {
-    let merged = rec.merged();
-    chrome_trace_parts(
-        &merged.spans,
-        &merged.events,
-        &merged.track_names,
-        &merged.counter_series,
     )
 }
 

@@ -4,28 +4,25 @@
 use proptest::prelude::*;
 use vc_obs::metrics::{bucket_index, bucket_lower_bound, Histogram, NUM_BUCKETS};
 use vc_obs::{
-    replay_jsonl, AttrValue, EventRecord, MemRecorder, MetricsSnapshot, Recorder, ShardedRecorder,
-    SpanRecord, StreamingRecorder, TrackId,
+    replay_jsonl, AttrValue, EventRecord, MemRecorder, MetricsSnapshot, Recorder, SpanRecord,
+    StreamingRecorder, TrackId,
 };
 
 const CTR_NAMES: [&str; 4] = ["m.a", "m.b", "m.c", "m.d"];
 const EVT_NAMES: [&str; 3] = ["ev.x", "ev.y", "ev.z"];
 
-/// One recorder operation: `(worker, kind, a, b)`. The worker index picks
-/// which thread replays the op on the sharded side; `kind` selects among
-/// counter / histogram / event / span / track-name; `a` and `b` feed
-/// names, timestamps and attribute payloads.
-type RecOp = (usize, usize, u64, u64);
+/// One recorder operation: `(kind, a, b)`. `kind` selects among
+/// counter / histogram / event / span / track-name / gauge / series
+/// sample; `a` and `b` feed names, timestamps and attribute payloads.
+type RecOp = (usize, u64, u64);
 
-/// Sequential op applier covering the full recorder surface, including
-/// the gauge and windowed-sample paths the thread-partitioned
-/// [`apply_ops`] must avoid (their merge result is order-sensitive).
-/// Timestamps advance monotonically, as the DES clock guarantees for a
-/// real single-threaded run — replay merges by (time, sequence), so a
-/// well-formed stream replays in emission order.
-fn apply_ops_seq(rec: &dyn Recorder, ops: &[RecOp]) {
+/// Op applier covering the full recorder surface. Timestamps advance
+/// monotonically, as the DES clock guarantees for a real run — replay
+/// sorts by (time, sequence), so a well-formed stream replays in
+/// emission order.
+fn apply_ops(rec: &dyn Recorder, ops: &[RecOp]) {
     let mut now = 0u64;
-    for &(_, kind, a, b) in ops {
+    for &(kind, a, b) in ops {
         now += b % 1000;
         let track = TrackId(a % 3);
         match kind {
@@ -46,27 +43,6 @@ fn apply_ops_seq(rec: &dyn Recorder, ops: &[RecOp]) {
             5 => rec.gauge_set(CTR_NAMES[(a % 4) as usize], b as f64 / 7.0),
             6 => rec.gauge_max(CTR_NAMES[(a % 4) as usize], b as f64 / 3.0),
             _ => rec.counter_sample("ts.prop.series", now, a as f64 / 11.0),
-        }
-    }
-}
-
-fn apply_ops(rec: &dyn Recorder, ops: &[RecOp]) {
-    for &(_, kind, a, b) in ops {
-        let track = TrackId(a % 3);
-        match kind {
-            0 => rec.counter_add(CTR_NAMES[(a % 4) as usize], b % 1000 + 1),
-            1 => rec.histogram_record(CTR_NAMES[(a % 4) as usize], b),
-            2 => rec.event(
-                EVT_NAMES[(a % 3) as usize],
-                b,
-                Some(track),
-                &[("v", AttrValue::from(a))],
-            ),
-            3 => {
-                let id = rec.span_begin(track, "work", b, &[("v", AttrValue::from(a))]);
-                rec.span_end(id, b + a % 100);
-            }
-            _ => rec.track_name(track, &format!("track-{}", a % 3)),
         }
     }
 }
@@ -176,50 +152,6 @@ proptest! {
         }
     }
 
-    /// A [`ShardedRecorder`] flushed from four worker threads records the
-    /// same trace as a single-threaded [`MemRecorder`] replaying the same
-    /// operations, modulo ordering: identical metrics snapshot, track
-    /// names, and span/event multisets (span ids excluded — they are
-    /// allocation order, not content).
-    #[test]
-    fn sharded_matches_mem_modulo_order(
-        ops in proptest::collection::vec(
-            (0usize..4, 0usize..5, any::<u64>(), 0u64..10_000),
-            0..80,
-        )
-    ) {
-        let mem = MemRecorder::new();
-        apply_ops(&mem, &ops);
-
-        let sharded = ShardedRecorder::new();
-        std::thread::scope(|scope| {
-            for worker in 0..4 {
-                let chunk: Vec<RecOp> =
-                    ops.iter().filter(|op| op.0 == worker).copied().collect();
-                let rec = &sharded;
-                scope.spawn(move || apply_ops(rec, &chunk));
-            }
-        });
-        let merged = sharded.merged();
-
-        prop_assert_eq!(merged.open_spans, 0);
-        prop_assert_eq!(mem.open_span_count(), 0);
-        prop_assert_eq!(mem.metrics(), merged.metrics);
-        prop_assert_eq!(mem.track_names(), merged.track_names);
-
-        let mut mem_spans: Vec<_> = mem.spans().iter().map(span_key).collect();
-        let mut sh_spans: Vec<_> = merged.spans.iter().map(span_key).collect();
-        mem_spans.sort();
-        sh_spans.sort();
-        prop_assert_eq!(mem_spans, sh_spans);
-
-        let mut mem_events: Vec<_> = mem.events().iter().map(event_key).collect();
-        let mut sh_events: Vec<_> = merged.events.iter().map(event_key).collect();
-        mem_events.sort();
-        sh_events.sort();
-        prop_assert_eq!(mem_events, sh_events);
-    }
-
     /// A [`StreamingRecorder`]'s flushed JSONL, replayed, reproduces the
     /// [`MemRecorder`] view of the same op sequence bit-for-bit: same
     /// metrics snapshot (gauges included — last-write and running-max
@@ -229,15 +161,15 @@ proptest! {
     #[test]
     fn streaming_replay_matches_mem_bitwise(
         ops in proptest::collection::vec(
-            (0usize..1, 0usize..8, any::<u64>(), 0u64..10_000),
+            (0usize..8, any::<u64>(), 0u64..10_000),
             0..100,
         )
     ) {
         let mem = MemRecorder::new();
-        apply_ops_seq(&mem, &ops);
+        apply_ops(&mem, &ops);
 
         let stream = StreamingRecorder::new(Vec::new());
-        apply_ops_seq(&stream, &ops);
+        apply_ops(&stream, &ops);
         let bytes = stream.finish().expect("Vec sink cannot fail");
         let text = String::from_utf8(bytes).expect("stream is UTF-8 JSONL");
         let merged = replay_jsonl(&text).expect("own stream replays");

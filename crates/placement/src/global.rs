@@ -683,52 +683,38 @@ mod tests {
                 && e.attrs.iter().any(|(k, _)| *k == "dc")));
     }
 
-    /// Acceptance check for the sharded recorder: a parallel-scan queue
-    /// run recorded through a `ShardedRecorder` produces the same set of
-    /// placement events and counters as a single-threaded run on a
-    /// `MemRecorder` — order-insensitive. Pruning is disabled so the
-    /// scanned/pruned/aborted split is deterministic regardless of
-    /// cross-thread timing; per-worker `placement.scan_chunk` events and
+    /// A parallel-scan queue run records into a plain `MemRecorder`: the
+    /// workers hand their scan stats back and the calling thread records
+    /// one `placement.scan_chunk` event per worker, in worker order. The
+    /// run matches a sequential one on metrics and on every other event.
+    /// Pruning is disabled so the scanned/pruned/aborted split is
+    /// deterministic regardless of cross-thread timing; chunk events and
     /// the `workers` attribute of scan audits are the only intentional
     /// differences, so they are excluded from the comparison.
     #[test]
-    fn sharded_parallel_queue_matches_sequential_mem() {
-        use vc_obs::{MemRecorder, ShardedRecorder};
-        // Capacity-1 nodes so every request spans nodes (no distance-0
-        // fast path) and the seed scan actually runs.
+    fn parallel_queue_matches_sequential_mem() {
+        use vc_obs::MemRecorder;
+        // Capacity-1 nodes: a request for two VMs of one type spans
+        // nodes, so the seed scan runs; `[1, 1, 1]` fits one node and
+        // takes the distance-0 fast path.
         let s = state(&vec![vec![1, 1, 1]; 6], &[3, 3]);
         let queue = vec![
             Request::from_counts(vec![2, 1, 0]),
             Request::from_counts(vec![1, 1, 1]),
             Request::from_counts(vec![0, 2, 1]),
         ];
-        let unpruned = |parallelism| ScanConfig {
-            prune: false,
-            parallelism,
+        let run = |parallelism| {
+            let rec = MemRecorder::new();
+            let config = ScanConfig {
+                prune: false,
+                parallelism,
+            };
+            let out =
+                place_queue_recorded(&queue, &s, Admission::FifoBlocking, config, &rec, 7).unwrap();
+            (out, rec)
         };
-
-        let mem = MemRecorder::new();
-        let seq = place_queue_recorded(
-            &queue,
-            &s,
-            Admission::FifoBlocking,
-            unpruned(crate::online::Parallelism::Sequential),
-            &mem,
-            7,
-        )
-        .unwrap();
-
-        let sharded = ShardedRecorder::new();
-        let par = place_queue_recorded(
-            &queue,
-            &s,
-            Admission::FifoBlocking,
-            unpruned(crate::online::Parallelism::Threads(3)),
-            &sharded,
-            7,
-        )
-        .unwrap();
-        let merged = sharded.merged();
+        let (seq, seq_rec) = run(crate::online::Parallelism::Sequential);
+        let (par, par_rec) = run(crate::online::Parallelism::Threads(3));
 
         assert_eq!(seq.optimized_distance, par.optimized_distance);
         // Phase wall-clock counters are host time, not simulation state —
@@ -739,10 +725,11 @@ mod tests {
                 .retain(|k, _| !(k.starts_with("prof.phase.") && k.ends_with(".wall_us")));
             m
         };
-        assert_eq!(strip_wall(mem.metrics()), strip_wall(merged.metrics));
+        let par_metrics = par_rec.metrics();
+        // No fallback counter: nothing degrades when the scan is parallel.
+        assert!(!par_metrics.counters.keys().any(|k| k.contains("unsync")));
+        assert_eq!(strip_wall(seq_rec.metrics()), strip_wall(par_metrics));
 
-        // Event sets match once worker-granularity artifacts are removed:
-        // chunk events entirely, and the `workers` attr of scan audits.
         let canonical = |events: &[vc_obs::EventRecord]| -> Vec<String> {
             let mut keys: Vec<String> = events
                 .iter()
@@ -755,11 +742,30 @@ mod tests {
             keys.sort();
             keys
         };
-        assert_eq!(canonical(&mem.events()), canonical(&merged.events));
-        assert!(merged
-            .events
-            .iter()
-            .any(|e| e.name == "placement.scan_chunk"));
+        let par_events = par_rec.events();
+        assert_eq!(canonical(&seq_rec.events()), canonical(&par_events));
+
+        // Each scan records its chunks in worker order, just before its
+        // audit event; a single-node fast path scans nothing.
+        let mut workers: Vec<u64> = Vec::new();
+        let mut scans = 0;
+        for e in &par_events {
+            let attr = |key| e.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            match e.name {
+                "placement.scan_chunk" => workers.push(attr("worker").unwrap().as_u64().unwrap()),
+                "placement.scan_audit" if attr("fast_path") == Some(&AttrValue::Bool(true)) => {
+                    assert!(workers.is_empty());
+                }
+                "placement.scan_audit" => {
+                    assert_eq!(workers, vec![0, 1, 2]);
+                    workers.clear();
+                    scans += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(scans > 0);
+        assert!(workers.is_empty());
     }
 
     #[test]

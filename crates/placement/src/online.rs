@@ -285,15 +285,10 @@ pub fn place_with(
 ///
 /// * `placement.seeds_scanned` / `.seeds_pruned` / `.seeds_aborted`
 ///   counters (request totals, deterministic sums);
-/// * one `placement.scan_chunk` event per scan worker, recorded *by that
-///   worker's thread* when the recorder is thread-safe
-///   ([`Recorder::as_sync`]), so pruning/bound telemetry lands per thread;
+/// * one `placement.scan_chunk` event per scan chunk, in worker order,
+///   recorded by the calling thread from the [`ScanStats`] each worker
+///   returns (a sequential scan is one chunk, worker 0);
 /// * one `placement.scan_audit` event per request (see [`ScanAudit`]).
-///
-/// When the scan is parallel but `rec` is not thread-safe, telemetry is
-/// aggregated on the calling thread instead and a one-time
-/// `placement.recorder_unsync` counter + stderr warning flags the lost
-/// granularity — nothing is silently dropped.
 ///
 /// `t_us` stamps the emitted events (simulation time of the decision).
 pub fn place_recorded(
@@ -359,51 +354,45 @@ pub fn place_recorded(
     };
 
     let workers = config.parallelism.workers(n);
+    let chunk = n.div_ceil(workers);
+    let bounds = |w: usize| ((w * chunk).min(n), ((w + 1) * chunk).min(n));
     let shared_best = AtomicU64::new(u64::MAX);
     let scan_timer = vc_obs::PhaseTimer::start(rec, vc_obs::prof::SEED_SCAN);
-    let (best, stats) = if workers <= 1 {
-        scan_range(&ctx, 0, n, &shared_best, Some(rec), t_us, 0)
+    // Workers return plain data and never touch `rec` (`&dyn Recorder`
+    // is not `Send`); the calling thread records what they hand back.
+    let results: Vec<(Option<SeedResult>, ScanStats)> = if workers <= 1 {
+        vec![scan_range(&ctx, 0, n, &shared_best)]
     } else {
-        // Scan threads need a `Sync` view of the recorder to record from
-        // their own threads; without one, telemetry degrades gracefully to
-        // calling-thread aggregation (flagged once, never dropped).
-        let sync_rec = rec.as_sync();
-        if sync_rec.is_none() && rec.enabled() {
-            warn_recorder_unsync(rec);
-        }
-        let chunk = n.div_ceil(workers);
-        let results: Vec<(Option<SeedResult>, ScanStats)> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let ctx = &ctx;
-                    let shared = &shared_best;
-                    let lo = (w * chunk).min(n);
-                    let hi = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || scan_range(ctx, lo, hi, shared, sync_rec, t_us, w))
+                    let (ctx, shared) = (&ctx, &shared_best);
+                    let (lo, hi) = bounds(w);
+                    scope.spawn(move || scan_range(ctx, lo, hi, shared))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("seed-scan worker panicked"))
                 .collect()
-        });
-        let mut best: Option<SeedResult> = None;
-        let mut stats = ScanStats::default();
-        for (candidate, chunk_stats) in results {
-            stats.absorb(&chunk_stats);
-            if let Some(c) = candidate {
-                // Lexicographic (distance, seed id) — identical to the
-                // sequential incumbent rule.
-                match best.as_ref() {
-                    Some(b) if c.distance == b.distance => stats.seeds_tied += 1,
-                    Some(b) if (c.distance, c.seed) < (b.distance, b.seed) => best = Some(c),
-                    Some(_) => {}
-                    None => best = Some(c),
-                }
+        })
+    };
+    let mut best: Option<SeedResult> = None;
+    let mut stats = ScanStats::default();
+    for (w, (candidate, chunk_stats)) in results.into_iter().enumerate() {
+        emit_scan_chunk(rec, t_us, w, bounds(w), &chunk_stats);
+        stats.absorb(&chunk_stats);
+        if let Some(c) = candidate {
+            // Lexicographic (distance, seed id) — identical to the
+            // sequential incumbent rule.
+            match best.as_ref() {
+                Some(b) if c.distance == b.distance => stats.seeds_tied += 1,
+                Some(b) if (c.distance, c.seed) < (b.distance, b.seed) => best = Some(c),
+                Some(_) => {}
+                None => best = Some(c),
             }
         }
-        (best, stats)
-    };
+    }
     drop(scan_timer);
 
     let Some(win) = best else {
@@ -426,19 +415,32 @@ pub fn place_recorded(
     Ok((Allocation::new(matrix, win.seed), audit))
 }
 
-/// One-time notice (satellite of the audit work): a parallel scan was
-/// asked to record through a recorder without a `Sync` view, so per-thread
-/// chunk events are unavailable and totals are aggregated after the join.
-fn warn_recorder_unsync(rec: &dyn Recorder) {
-    rec.counter_add("placement.recorder_unsync", 1);
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "vc-placement: parallel seed scan with a recorder that has no thread-safe view; \
-             per-worker scan_chunk events are skipped and totals are aggregated on the \
-             calling thread (use vc_obs::ShardedRecorder to keep per-thread telemetry)"
-        );
-    });
+/// Record one `placement.scan_chunk` event: the pruning/bound telemetry
+/// of worker `worker`'s seed range `lo..hi`.
+fn emit_scan_chunk(
+    rec: &dyn Recorder,
+    t_us: u64,
+    worker: usize,
+    (lo, hi): (usize, usize),
+    stats: &ScanStats,
+) {
+    if !rec.enabled() {
+        return;
+    }
+    rec.event(
+        "placement.scan_chunk",
+        t_us,
+        None,
+        &[
+            ("worker", AttrValue::from(worker as u64)),
+            ("lo", AttrValue::from(lo as u64)),
+            ("hi", AttrValue::from(hi as u64)),
+            ("seeds_scanned", AttrValue::from(stats.seeds_scanned)),
+            ("seeds_pruned", AttrValue::from(stats.seeds_pruned)),
+            ("seeds_aborted", AttrValue::from(stats.seeds_aborted)),
+            ("seeds_tied", AttrValue::from(stats.seeds_tied)),
+        ],
+    );
 }
 
 /// Shared read-only inputs for one scan.
@@ -523,19 +525,11 @@ fn seed_lower_bound(
 /// distance found by *any* chunk; pruning against it uses strictly-greater
 /// comparisons so ties (which break by seed id in the final reduce) are
 /// never discarded.
-///
-/// When `rec` is present a `placement.scan_chunk` event is recorded *from
-/// this thread* as the chunk finishes — generic over `R` so the enabled
-/// check and the event construction monomorphize away for
-/// [`NoopRecorder`].
-fn scan_range<R: Recorder + ?Sized>(
+fn scan_range(
     ctx: &ScanCtx<'_>,
     lo: usize,
     hi: usize,
     shared_best: &AtomicU64,
-    rec: Option<&R>,
-    t_us: u64,
-    worker: usize,
 ) -> (Option<SeedResult>, ScanStats) {
     let m = ctx.request.len();
     let mut stats = ScanStats {
@@ -591,24 +585,6 @@ fn scan_range<R: Recorder + ?Sized>(
                 }
             }
             None => stats.seeds_aborted += 1,
-        }
-    }
-    if let Some(rec) = rec {
-        if rec.enabled() {
-            rec.event(
-                "placement.scan_chunk",
-                t_us,
-                None,
-                &[
-                    ("worker", AttrValue::from(worker as u64)),
-                    ("lo", AttrValue::from(lo as u64)),
-                    ("hi", AttrValue::from(hi as u64)),
-                    ("seeds_scanned", AttrValue::from(stats.seeds_scanned)),
-                    ("seeds_pruned", AttrValue::from(stats.seeds_pruned)),
-                    ("seeds_aborted", AttrValue::from(stats.seeds_aborted)),
-                    ("seeds_tied", AttrValue::from(stats.seeds_tied)),
-                ],
-            );
         }
     }
     (best, stats)
