@@ -3,7 +3,7 @@
 //! and render compact per-category columns for the result tables.
 
 use vc_mapreduce::engine::SimParams;
-use vc_mapreduce::{simulate_job_traced, JobConfig, VirtualCluster};
+use vc_mapreduce::{simulate_job_observed, JobConfig, JobObservation, VirtualCluster};
 use vc_obs::{analyze, Category, JobAttribution, MemRecorder, TraceDump};
 
 /// Run `job` on `cluster` with recording enabled and return its
@@ -15,7 +15,7 @@ pub fn job_attribution(
     params: &SimParams,
 ) -> JobAttribution {
     let rec = MemRecorder::new();
-    let _ = simulate_job_traced(cluster, job, params, &rec, 0, 0);
+    let _ = simulate_job_observed(cluster, job, params, &JobObservation::new(&rec));
     analyze(&TraceDump::from_mem(&rec))
         .into_iter()
         .next()

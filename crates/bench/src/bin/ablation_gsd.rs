@@ -74,11 +74,11 @@ fn main() {
         &["instance", "online Σ", "Algorithm 2 Σ", "GSD optimum Σ"],
         &rows,
     );
-    println!(
+    vc_bench::print_line(&format!(
         "\naggregate: online {sum_online}, Algorithm 2 {sum_a2}, optimum {sum_opt} \
          ({exact_hits}/{} instances solved to optimality)",
         rows.len()
-    );
+    ));
     vc_bench::emit_json(
         "ablation_gsd",
         &serde_json::json!({

@@ -84,8 +84,8 @@ fn main() {
     let heur = online::place(&request, &state).expect("request satisfiable");
     let (bd, _) = cluster_distance(best.matrix(), state.topology());
     let (hd, _) = cluster_distance(heur.matrix(), state.topology());
-    println!("\nexact SD(R) = {bd} (centre {})", best.center());
-    println!("Algorithm 1  = {hd} (centre {})", heur.center());
+    vc_bench::print_line(&format!("\nexact SD(R) = {bd} (centre {})", best.center()));
+    vc_bench::print_line(&format!("Algorithm 1  = {hd} (centre {})", heur.center()));
     vc_bench::emit_json(
         "fig1",
         &serde_json::json!({

@@ -70,10 +70,10 @@ fn main() {
         ],
         &rows,
     );
-    println!(
+    vc_bench::print_line(&format!(
         "\ntotals: heuristic = {total_h}, random-centre = {total_r} ({:.1}% larger)",
         100.0 * (total_r as f64 - total_h as f64) / total_h.max(1) as f64
-    );
+    ));
     vc_bench::emit_json(
         "fig2",
         &serde_json::json!({

@@ -40,10 +40,10 @@ fn main() {
         &["centre", "distance", "VMs hosted", ""],
         &rows,
     );
-    println!(
+    vc_bench::print_line(&format!(
         "\noptimal centre {best_k} gives distance {best_d}; worst centre gives {}",
         profile.iter().max().unwrap()
-    );
+    ));
     vc_bench::emit_json(
         "fig4",
         &serde_json::json!({ "profile": profile, "optimal_center": best_k.0, "optimal_distance": best_d }),

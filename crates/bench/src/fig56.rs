@@ -42,10 +42,10 @@ pub fn run(label: &str, profile: RequestProfile, seed: u64) -> (u64, u64) {
         .online_distance
         .saturating_sub(placed.optimized_distance);
     let pct = 100.0 * decrease as f64 / placed.online_distance.max(1) as f64;
-    println!(
+    crate::print_line(&format!(
         "\ntotals: online = {}, global = {} (decrease {:.1}%)",
         placed.online_distance, placed.optimized_distance, pct
-    );
+    ));
     crate::emit_json(
         label,
         &serde_json::json!({

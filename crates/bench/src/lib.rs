@@ -1,6 +1,6 @@
 //! Experiment harness: shared scenario builders and output formatting for
 //! the per-table/per-figure binaries (`table1`, `table2`, `fig1` … `fig8`,
-//! `ablation_*`) and the Criterion benches.
+//! `ablation_*`).
 //!
 //! Every binary prints a human-readable table followed by a single
 //! `RESULT-JSON:` line with the same data machine-readably, so
@@ -19,7 +19,7 @@ use serde::Serialize;
 
 /// Print a line to stdout, tolerating a closed pipe (`fig7 | head` must
 /// not panic).
-pub(crate) fn print_line(line: &str) {
+pub fn print_line(line: &str) {
     use std::io::Write;
     let _ = writeln!(std::io::stdout(), "{line}");
 }

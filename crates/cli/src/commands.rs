@@ -10,7 +10,7 @@ use vc_cloudsim::sim::{PolicyMode, ServiceModel, SimConfig};
 use vc_cloudsim::{ArrivalProcess, ServiceTime};
 use vc_des::SimTime;
 use vc_mapreduce::engine::SimParams;
-use vc_mapreduce::{JobConfig, VirtualCluster, Workload};
+use vc_mapreduce::{JobConfig, JobObservation, VirtualCluster, Workload};
 use vc_model::workload::RequestProfile;
 use vc_model::{ClusterState, Request, VmCatalog};
 use vc_netsim::NetworkParams;
@@ -631,7 +631,8 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
             ],
         );
         run_recorded_command(p, &manifest, false, |r| {
-            vc_mapreduce::simulate_job_traced(&cluster, &job, &params, r, 0, 0)
+            vc_mapreduce::simulate_job_observed(&cluster, &job, &params, &JobObservation::new(r))
+                .metrics
         })?
         .result
     } else {

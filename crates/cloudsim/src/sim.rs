@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
 use vc_des::{Engine, EventKind, SimTime};
 use vc_mapreduce::engine::SimParams;
-use vc_mapreduce::{JobConfig, VirtualCluster};
+use vc_mapreduce::{JobConfig, JobObservation, VirtualCluster};
 use vc_model::{Allocation, ClusterState};
 use vc_obs::prof::{self, PhaseTimer};
 use vc_obs::{AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
@@ -625,19 +625,21 @@ impl Sim<'_> {
                 // Each job traces onto its request's private track range,
                 // offset to its real start time on the queue timeline.
                 let _t = PhaseTimer::start(self.rec, prof::MR_SERVICE);
-                let (metrics, rollup, alerts) = vc_mapreduce::simulate_job_audited(
+                let observed = vc_mapreduce::simulate_job_observed(
                     &cluster,
                     job,
                     params,
-                    self.rec,
-                    TRACK_STRIDE * (req.id + 1),
-                    now.as_micros(),
-                    self.job_window,
-                    self.job_health,
+                    &JobObservation {
+                        rec: self.rec,
+                        track_base: TRACK_STRIDE * (req.id + 1),
+                        t0_us: now.as_micros(),
+                        window_us: self.job_window,
+                        health: self.job_health,
+                    },
                 );
-                self.jobs.rollup.extend(rollup);
-                self.jobs.alerts += alerts;
-                (metrics.runtime, Some(metrics.runtime))
+                self.jobs.rollup.extend(observed.rollup);
+                self.jobs.alerts += observed.alerts;
+                (observed.metrics.runtime, Some(observed.metrics.runtime))
             }
         }
     }

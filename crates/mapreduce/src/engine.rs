@@ -26,29 +26,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
 use vc_des::{Engine, EventKind, SimTime};
 use vc_netsim::{Bottleneck, FlowClass, FlowNet, LinkClass, NetworkParams};
 use vc_obs::health::{rules, AlertSink, Severity};
-use vc_obs::{AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
+use vc_obs::{intern, AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_topology::NodeId;
-
-/// Intern a dynamically built metric name (per-link names depend on the
-/// topology) into the `&'static str` the [`Recorder`] API requires. Each
-/// unique name leaks once; the set is bounded by topology size.
-fn intern_metric_name(name: String) -> &'static str {
-    static NAMES: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut map = NAMES
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("metric-name interner poisoned");
-    if let Some(&s) = map.get(&name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-    map.insert(name, leaked);
-    leaked
-}
 
 /// Simulation inputs beyond the job itself.
 #[derive(Debug, Clone)]
@@ -250,73 +232,86 @@ pub fn simulate_job(cluster: &VirtualCluster, job: &JobConfig, params: &SimParam
     simulate_job_with(cluster, job, params, &NoopRecorder, 0, 0, None, None).0
 }
 
-/// [`simulate_job`] with observability: spans, events and metrics land on
-/// `rec`. VM `i` draws on track `track_base + 1 + i` and every timestamp
-/// is offset by `t0_us`, so multiple jobs can share one recorder (the
-/// cloud simulator passes each request's start time and a disjoint track
-/// range).
+/// What to observe while [`simulate_job_observed`] runs a job.
 ///
-/// # Panics
-/// Panics on invalid configuration (zero reducers, empty cluster, …).
-pub fn simulate_job_traced(
-    cluster: &VirtualCluster,
-    job: &JobConfig,
-    params: &SimParams,
-    rec: &dyn Recorder,
-    track_base: u64,
-    t0_us: u64,
-) -> JobMetrics {
-    simulate_job_with(cluster, job, params, &rec, track_base, t0_us, None, None).0
+/// Spans, events and metrics land on `rec`. VM `i` draws on track
+/// `track_base + 1 + i` and every timestamp is offset by `t0_us`, so
+/// multiple jobs can share one recorder (the cloud simulator passes each
+/// request's start time and a disjoint track range).
+pub struct JobObservation<'a> {
+    /// Where spans, events and metrics land.
+    pub rec: &'a dyn Recorder,
+    /// Track of the job lane; VM `i` draws on `track_base + 1 + i`.
+    pub track_base: u64,
+    /// Shared-timeline timestamp of the job's start.
+    pub t0_us: u64,
+    /// When set, the job's `FlowNet` apportions every RackUp byte it
+    /// drains over absolute sim-time windows of this width (`t0_us` maps
+    /// the job-local clock onto the shared timeline), returned as
+    /// [`ObservedJob::rollup`] for the `ts.net.*` time-series.
+    pub window_us: Option<u64>,
+    /// When set, its `invariants` flag is on and `rec` is enabled, run
+    /// the health watchdog's job-end audits: the per-link shuffle-byte integrals
+    /// must equal the engine's own shuffle accounting exactly, and the
+    /// flow network must hold no starved flows. Violations emit
+    /// `alert.*` events instead of panicking.
+    pub health: Option<&'a HealthPolicy>,
 }
 
-/// [`simulate_job_traced`] plus a windowed cross-rack traffic rollup:
-/// when `window_us` is set, the job's `FlowNet` apportions every RackUp
-/// byte it drains over absolute sim-time windows (`t0_us` maps the
-/// job-local clock onto the shared timeline), returned as sorted
-/// `(window_index, bytes)` pairs for the `ts.net.*` time-series. The
-/// rollup is pure observation — metrics are identical with it on or off.
+impl<'a> JobObservation<'a> {
+    /// Record onto `rec` at track 0 and time 0, with no rollup and no
+    /// audits.
+    pub fn new(rec: &'a dyn Recorder) -> Self {
+        Self {
+            rec,
+            track_base: 0,
+            t0_us: 0,
+            window_us: None,
+            health: None,
+        }
+    }
+}
+
+/// What [`simulate_job_observed`] returns beside the recorder's contents.
+#[derive(Debug)]
+pub struct ObservedJob {
+    /// The same metrics [`simulate_job`] returns.
+    pub metrics: JobMetrics,
+    /// Sorted `(window_index, bytes)` cross-rack traffic pairs; empty
+    /// unless [`JobObservation::window_us`] is set.
+    pub rollup: Vec<(u64, f64)>,
+    /// Number of `alert.*` events the job-end audits fired.
+    pub alerts: u64,
+}
+
+/// [`simulate_job`] with observability, as configured by `obs`.
+///
+/// Observation is read-only: `metrics` are identical to
+/// [`simulate_job`]'s whatever `obs` asks for.
 ///
 /// # Panics
 /// Panics on invalid configuration (zero reducers, empty cluster, …).
-pub fn simulate_job_traced_windowed(
+pub fn simulate_job_observed(
     cluster: &VirtualCluster,
     job: &JobConfig,
     params: &SimParams,
-    rec: &dyn Recorder,
-    track_base: u64,
-    t0_us: u64,
-    window_us: Option<u64>,
-) -> (JobMetrics, Vec<(u64, f64)>) {
-    let (metrics, rollup, _) = simulate_job_with(
-        cluster, job, params, &rec, track_base, t0_us, window_us, None,
+    obs: &JobObservation,
+) -> ObservedJob {
+    let (metrics, rollup, alerts) = simulate_job_with(
+        cluster,
+        job,
+        params,
+        &obs.rec,
+        obs.track_base,
+        obs.t0_us,
+        obs.window_us,
+        obs.health,
     );
-    (metrics, rollup)
-}
-
-/// [`simulate_job_traced_windowed`] plus the health watchdog's per-job
-/// invariant audits: at job end, the per-link shuffle-byte integrals are
-/// checked against the engine's own shuffle accounting (exact integer
-/// equality — the PR-5 spot check made continuous) and the flow network
-/// must hold no starved flows. Violations emit `alert.*` events instead
-/// of panicking; the third return is the number of alerts fired. Audits
-/// are read-only, so metrics are bit-identical with auditing on or off.
-///
-/// # Panics
-/// Panics on invalid configuration (zero reducers, empty cluster, …).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_job_audited(
-    cluster: &VirtualCluster,
-    job: &JobConfig,
-    params: &SimParams,
-    rec: &dyn Recorder,
-    track_base: u64,
-    t0_us: u64,
-    window_us: Option<u64>,
-    health: Option<&HealthPolicy>,
-) -> (JobMetrics, Vec<(u64, f64)>, u64) {
-    simulate_job_with(
-        cluster, job, params, &rec, track_base, t0_us, window_us, health,
-    )
+    ObservedJob {
+        metrics,
+        rollup,
+        alerts,
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -531,33 +526,31 @@ impl<R: Recorder> Sim<'_, R> {
             }
             let base = format!("net.link.{}", info.name);
             self.rec.counter_add(
-                intern_metric_name(format!("{base}.bytes")),
+                intern(&format!("{base}.bytes")),
                 stats.bytes_total.round() as u64,
             );
             self.rec.counter_add(
-                intern_metric_name(format!("{base}.shuffle_bytes")),
+                intern(&format!("{base}.shuffle_bytes")),
                 stats.shuffle_bytes,
             );
             self.rec.counter_add(
-                intern_metric_name(format!("{base}.busy_us")),
+                intern(&format!("{base}.busy_us")),
                 stats.busy_us.round() as u64,
             );
             self.rec.counter_add(
-                intern_metric_name(format!("{base}.binding_events")),
+                intern(&format!("{base}.binding_events")),
                 stats.binding_events,
             );
-            self.rec.gauge_max(
-                intern_metric_name(format!("{base}.peak_util")),
-                stats.peak_utilization,
-            );
+            self.rec
+                .gauge_max(intern(&format!("{base}.peak_util")), stats.peak_utilization);
             self.rec.histogram_record(
-                intern_metric_name(format!("net.link.peak_util_pct.{}", info.class.label())),
+                intern(&format!("net.link.peak_util_pct.{}", info.class.label())),
                 (stats.peak_utilization * 100.0).round() as u64,
             );
         }
         for (label, bytes) in &self.shuffle_bottleneck_bytes {
             self.rec.counter_add(
-                intern_metric_name(format!("net.shuffle.bottleneck_bytes.{label}")),
+                intern(&format!("net.shuffle.bottleneck_bytes.{label}")),
                 *bytes,
             );
         }
@@ -660,8 +653,7 @@ impl<R: Recorder> Sim<'_, R> {
         if self.rec.enabled() {
             let samples = self.net.drain_link_samples();
             for s in samples {
-                let name =
-                    intern_metric_name(format!("net.link.{}.util", self.net.links()[s.link].name));
+                let name = intern(&format!("net.link.{}.util", self.net.links()[s.link].name));
                 self.rec
                     .counter_sample(name, self.t0_us + s.t_us, s.utilization);
             }
@@ -1292,14 +1284,13 @@ mod tests {
     fn traced_run_records_spans_and_metrics() {
         use vc_obs::MemRecorder;
         let rec = MemRecorder::new();
-        let m = simulate_job_traced(
+        let m = simulate_job_observed(
             &compact_cluster(),
             &small_job(),
             &SimParams::default(),
-            &rec,
-            0,
-            0,
-        );
+            &JobObservation::new(&rec),
+        )
+        .metrics;
         // Tracing must not perturb the simulation.
         assert_eq!(
             m,
@@ -1333,13 +1324,15 @@ mod tests {
         assert_eq!(job.end_us, Some(m.runtime.as_micros()));
         // Track offsets shift lanes and timestamps for embedded jobs.
         let rec2 = MemRecorder::new();
-        let _ = simulate_job_traced(
+        let _ = simulate_job_observed(
             &compact_cluster(),
             &small_job(),
             &SimParams::default(),
-            &rec2,
-            100,
-            5_000,
+            &JobObservation {
+                track_base: 100,
+                t0_us: 5_000,
+                ..JobObservation::new(&rec2)
+            },
         );
         let job2 = rec2.spans().into_iter().find(|s| s.name == "job").unwrap();
         assert_eq!(job2.track.0, 100);

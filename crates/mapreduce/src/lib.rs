@@ -30,9 +30,7 @@ pub mod scheduler;
 pub mod workloads;
 
 pub use cluster::{VirtualCluster, Vm, VmId};
-pub use engine::{
-    simulate_job, simulate_job_audited, simulate_job_traced, simulate_job_traced_windowed,
-};
+pub use engine::{simulate_job, simulate_job_observed, JobObservation, ObservedJob};
 pub use hdfs::{Block, BlockId, HdfsLayout};
 pub use job::JobConfig;
 pub use metrics::{JobMetrics, Locality};

@@ -94,7 +94,13 @@ proptest! {
         };
         let plain = simulate_job(&cluster, &job, &params);
         let rec = vc_obs::MemRecorder::new();
-        let traced = vc_mapreduce::simulate_job_traced(&cluster, &job, &params, &rec, 0, 0);
+        let traced = vc_mapreduce::simulate_job_observed(
+            &cluster,
+            &job,
+            &params,
+            &vc_mapreduce::JobObservation::new(&rec),
+        )
+        .metrics;
         prop_assert_eq!(&plain, &traced);
 
         let m = rec.metrics();

@@ -270,7 +270,7 @@ impl FlowNet {
 
     /// [`new`](Self::new) with an explicit [`SolverMode`] — use
     /// [`SolverMode::Batch`] to run the reference full-set solver (for
-    /// equivalence tests and before/after benchmarking).
+    /// equivalence tests).
     ///
     /// # Panics
     /// Panics if `params` fails [`NetworkParams::validate`].

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vc_des::SimTime;
-use vc_netsim::{FlowClass, FlowNet, NetworkParams, SolverMode, SolverStats};
+use vc_netsim::{FlowClass, FlowId, FlowNet, NetworkParams, SolverMode, SolverStats};
 use vc_topology::{generate, DistanceTiers, NodeId};
 
 /// One scripted step: advance time by `dt_us`, then either start a flow
@@ -278,4 +278,43 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// Start `n` staggered ~1 MiB flows across a 4x8 paper topology at time
+/// zero and drain the net. Returns the `(id, completion time)` order
+/// and the number of drain steps taken.
+fn drain(n: u64, mode: SolverMode) -> (Vec<(FlowId, SimTime)>, usize) {
+    let topo = Arc::new(generate::uniform(4, 8, DistanceTiers::paper_experiment()));
+    let mut net = FlowNet::with_solver(topo, NetworkParams::default(), mode);
+    let nodes = 4 * 8;
+    for i in 0..n {
+        let src = NodeId((i * 7 % nodes) as u32);
+        let dst = NodeId(((i * 13 + 5) % nodes) as u32);
+        // The stagger makes completions interleave instead of batching.
+        net.start_flow(SimTime::ZERO, src, dst, (1 << 20) + i * 4096, i);
+    }
+    let mut done = Vec::new();
+    let mut steps = 0;
+    while let Some(next) = net.next_event_time() {
+        net.advance(next);
+        done.extend(net.take_completed(next).into_iter().map(|c| (c.id, next)));
+        steps += 1;
+    }
+    (done, steps)
+}
+
+/// At a concurrency the random interleavings never reach, both solvers
+/// complete the same flows in the same order at the same times, and the
+/// incremental solver drains 1024 concurrent flows in at most one step
+/// per flow.
+#[test]
+fn many_concurrent_flows_drain_identically() {
+    let (batch, _) = drain(256, SolverMode::Batch);
+    let (inc, _) = drain(256, SolverMode::Incremental);
+    assert_eq!(batch.len(), 256);
+    assert_eq!(batch, inc);
+
+    let (done, steps) = drain(1024, SolverMode::Incremental);
+    assert_eq!(done.len(), 1024, "every flow must complete");
+    assert!(steps <= 1024, "{steps} drain steps for 1024 flows");
 }

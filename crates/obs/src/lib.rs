@@ -50,6 +50,6 @@ pub use prom::{to_prometheus, to_prometheus_windowed};
 pub use recorder::{
     AttrValue, EventRecord, MemRecorder, NoopRecorder, Recorder, SpanId, SpanRecord, TrackId,
 };
-pub use stream::{manifest_from_jsonl, replay_jsonl, MergedTrace, StreamingRecorder};
+pub use stream::{intern, manifest_from_jsonl, replay_jsonl, MergedTrace, StreamingRecorder};
 pub use timeseries::{TimeSeriesSet, WindowSampler, TS_PREFIX};
 pub use trace::chrome_trace;

@@ -8,15 +8,11 @@
 //! that profiled and unprofiled runs are bit-identical — the timers only
 //! read the host monotonic clock and never touch simulation state.
 //!
-//! Per phase the guard maintains two always-on counters and one opt-in
-//! histogram, all in the `prof.phase.*` namespace:
+//! Per phase the guard maintains two counters in the `prof.phase.*`
+//! namespace:
 //!
 //! * `prof.phase.<name>.calls` — number of times the phase ran;
-//! * `prof.phase.<name>.wall_us` — total host wall-clock microseconds;
-//! * `prof.phase.<name>.hist_us` — per-call latency histogram, recorded
-//!   only when detailed mode is on (`VC_PROF_DETAIL=1` or
-//!   [`set_detailed`]), because histogram inserts are ~3× the cost of a
-//!   counter bump and the totals already tile the run.
+//! * `prof.phase.<name>.wall_us` — total host wall-clock microseconds.
 //!
 //! The phase taxonomy is chosen so `vc report --perf` can tile total
 //! simulator wall-clock exactly: `cloudsim_run` is the whole run,
@@ -25,12 +21,11 @@
 //! phases (`seed_scan`, `bound_precompute`, `exchange`, `index_commit`,
 //! `mr_job`) are informational sub-slices.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
 use crate::recorder::Recorder;
 
-/// Static identity of a profiled phase: the three metric names derived
+/// Static identity of a profiled phase: the two metric names derived
 /// from its base name. Built with [`phase!`]-style `concat!` so the
 /// names are `&'static str` and flow through [`Recorder`] for free.
 #[derive(Clone, Copy, Debug)]
@@ -41,8 +36,6 @@ pub struct Phase {
     pub calls: &'static str,
     /// Counter: total wall-clock µs.
     pub wall_us: &'static str,
-    /// Histogram: per-call µs (detailed mode only).
-    pub hist_us: &'static str,
 }
 
 macro_rules! phase {
@@ -51,7 +44,6 @@ macro_rules! phase {
             name: $base,
             calls: concat!("prof.phase.", $base, ".calls"),
             wall_us: concat!("prof.phase.", $base, ".wall_us"),
-            hist_us: concat!("prof.phase.", $base, ".hist_us"),
         }
     };
 }
@@ -72,7 +64,7 @@ pub const BOUND_PRECOMPUTE: Phase = phase!("bound_precompute");
 pub const EXCHANGE: Phase = phase!("exchange");
 /// Cluster-state index maintenance: allocation commit + release.
 pub const INDEX_COMMIT: Phase = phase!("index_commit");
-/// One standalone MapReduce job simulation (`simulate_job_traced`).
+/// One MapReduce job simulation, recorded by the engine itself.
 pub const MR_JOB: Phase = phase!("mr_job");
 
 /// All phases, for docs/tests and the report surface.
@@ -90,31 +82,6 @@ pub const PHASES: &[Phase] = &[
 
 /// Gauge name for peak resident set size (kB), exported once per run.
 pub const RSS_PEAK_KB: &str = "prof.rss_peak_kb";
-
-// Detailed-mode flag: 0 = unset (read env on first use), 1 = off, 2 = on.
-static DETAILED: AtomicU8 = AtomicU8::new(0);
-
-/// Force detailed (per-call histogram) mode on or off, overriding the
-/// `VC_PROF_DETAIL` environment variable. Mainly for tests.
-pub fn set_detailed(on: bool) {
-    DETAILED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether per-call latency histograms are recorded. Defaults to the
-/// `VC_PROF_DETAIL` environment variable (`1`/`true` enables), read once.
-pub fn detailed() -> bool {
-    match DETAILED.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("VC_PROF_DETAIL")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            DETAILED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        2 => true,
-        _ => false,
-    }
-}
 
 /// RAII wall-clock guard for one phase invocation.
 ///
@@ -147,9 +114,6 @@ impl<R: Recorder + ?Sized> Drop for PhaseTimer<'_, R> {
             let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             self.rec.counter_add(self.phase.calls, 1);
             self.rec.counter_add(self.phase.wall_us, us);
-            if detailed() {
-                self.rec.histogram_record(self.phase.hist_us, us);
-            }
         }
     }
 }
@@ -199,13 +163,11 @@ mod tests {
         for p in PHASES {
             assert_eq!(p.calls, format!("prof.phase.{}.calls", p.name));
             assert_eq!(p.wall_us, format!("prof.phase.{}.wall_us", p.name));
-            assert_eq!(p.hist_us, format!("prof.phase.{}.hist_us", p.name));
         }
     }
 
     #[test]
     fn timer_records_calls_and_wall() {
-        set_detailed(false);
         let rec = MemRecorder::new();
         {
             let _t = PhaseTimer::start(&rec, SEED_SCAN);
@@ -216,20 +178,6 @@ mod tests {
         let snap = rec.metrics();
         assert_eq!(snap.counters.get(SEED_SCAN.calls), Some(&2));
         assert!(snap.counters.contains_key(SEED_SCAN.wall_us));
-        assert!(!snap.histograms.contains_key(SEED_SCAN.hist_us));
-    }
-
-    #[test]
-    fn detailed_mode_adds_histogram() {
-        set_detailed(true);
-        let rec = MemRecorder::new();
-        {
-            let _t = PhaseTimer::start(&rec, EXCHANGE);
-        }
-        set_detailed(false);
-        let snap = rec.metrics();
-        let h = snap.histograms.get(EXCHANGE.hist_us).expect("histogram");
-        assert_eq!(h.count, 1);
     }
 
     #[test]

@@ -443,10 +443,12 @@ pub struct MergedTrace {
     pub open_spans: usize,
 }
 
-/// Intern a replayed name so it can live in the `&'static str` slots of
-/// the op log. Leaks once per distinct string — bounded by the metric /
-/// span-name vocabulary, not the stream length.
-fn intern(s: &str) -> &'static str {
+/// Intern a dynamically built name (a replayed op-log name, a per-link
+/// metric name) so it can live in the `&'static str` slots the
+/// [`Recorder`](crate::Recorder) API requires. Leaks once per distinct
+/// string — bounded by the metric / span-name vocabulary, not the stream
+/// length.
+pub fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut pool = pool.lock().expect("intern pool poisoned");

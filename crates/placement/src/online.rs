@@ -125,7 +125,7 @@ impl ScanConfig {
 }
 
 /// What one scan did — fuels the `placement.seeds_*` observability
-/// counters and the bench suite's pruning-efficacy numbers.
+/// counters and the pruning-efficacy test.
 ///
 /// In parallel runs the split between `seeds_pruned` and `seeds_aborted`
 /// depends on cross-thread timing; only the allocation itself and the
@@ -900,6 +900,35 @@ mod tests {
             stats.seeds_pruned > 0,
             "expected pruning on a uniform cloud, got {stats:?}"
         );
+
+        // At 480 and 1920 nodes of random capacity the pruned scan
+        // evaluates at most 5% of the seeds, and every scan mode still
+        // returns the exhaustive scan's allocation.
+        use rand::SeedableRng;
+        let req = Request::from_counts(vec![8, 8, 4]);
+        for racks in [12, 48] {
+            let topo = Arc::new(generate::uniform(
+                racks,
+                40,
+                DistanceTiers::paper_experiment(),
+            ));
+            let catalog = Arc::new(VmCatalog::ec2_table1());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            let capacity = vc_model::workload::random_capacity(&topo, &catalog, 3, &mut rng);
+            let s = ClusterState::new(topo, catalog, capacity);
+            let (base, _) = place_with(&req, &s, ScanConfig::sequential_baseline()).unwrap();
+            for config in [ScanConfig::pruned(), ScanConfig::pruned_parallel(2)] {
+                let (a, stats) = place_with(&req, &s, config).unwrap();
+                assert_eq!(a.matrix(), base.matrix(), "{config:?}");
+                assert_eq!(a.center(), base.center(), "{config:?}");
+                assert!(!stats.fast_path);
+                assert!(
+                    (stats.seeds_scanned + stats.seeds_aborted) * 20 <= stats.seeds_total,
+                    "{config:?} at {} nodes evaluated too many seeds: {stats:?}",
+                    racks * 40
+                );
+            }
+        }
     }
 
     #[test]
