@@ -1,10 +1,10 @@
 //! Critical-path attribution helpers for the experiment binaries: re-run
-//! a job (or read back a recorded cloud run) through `vc_obs::analyze`
-//! and render compact per-category columns for the result tables.
+//! a job through `vc_obs::analyze` and render compact per-category
+//! columns for the result tables.
 
 use vc_mapreduce::engine::SimParams;
 use vc_mapreduce::{simulate_job_observed, JobConfig, JobObservation, VirtualCluster};
-use vc_obs::{analyze, Category, JobAttribution, MemRecorder, TraceDump};
+use vc_obs::{analyze, Category, JobAttribution, MemRecorder};
 
 /// Run `job` on `cluster` with recording enabled and return its
 /// critical-path attribution. Deterministic, so re-running alongside an
@@ -16,15 +16,10 @@ pub fn job_attribution(
 ) -> JobAttribution {
     let rec = MemRecorder::new();
     let _ = simulate_job_observed(cluster, job, params, &JobObservation::new(&rec));
-    analyze(&TraceDump::from_mem(&rec))
+    analyze(&rec.into_dump())
         .into_iter()
         .next()
         .expect("job run records exactly one job span")
-}
-
-/// Attribution of every job in a recorded cloud-simulation run.
-pub fn trace_attributions(rec: &MemRecorder) -> Vec<JobAttribution> {
-    analyze(&TraceDump::from_mem(rec))
 }
 
 /// Percentage of the job's makespan attributed to `cat`.

@@ -59,12 +59,13 @@ fn main() {
             SimConfig::new(trace.clone(), mode, 17).with_service(service()),
             &rec,
         );
+        let dump = rec.into_dump();
         // Makespan-weighted critical-path split across every tenant job.
-        let attr = attribution::aggregate_cell(&attribution::trace_attributions(&rec));
+        let attr = attribution::aggregate_cell(&vc_obs::analyze(&dump));
         // Link telemetry across all tenants: exact bytes through rack
         // uplinks (counters sum over jobs) and the worst instantaneous
         // uplink utilization any tenant saw (gauge_max over jobs).
-        let snap = rec.metrics();
+        let snap = &dump.metrics;
         let uplink_bytes: u64 = snap
             .counters
             .iter()

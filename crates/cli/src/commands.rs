@@ -15,9 +15,8 @@ use vc_model::workload::RequestProfile;
 use vc_model::{ClusterState, Request, VmCatalog};
 use vc_netsim::NetworkParams;
 use vc_obs::{
-    DiffOptions, DiffReport, Fnv64, HealthPolicy, MemRecorder, MergedTrace, MetricsSnapshot,
-    Recorder, RunManifest, Severity, StreamingRecorder, TimeSeriesSet, TraceDump, ALERT_PREFIX,
-    MANIFEST_KEY, TS_PREFIX,
+    report, DiffOptions, DiffReport, Fnv64, HealthPolicy, MemRecorder, MetricsSnapshot, Recorder,
+    RunManifest, Severity, StreamingRecorder, TimeSeriesSet, TraceDump, MANIFEST_KEY,
 };
 use vc_placement::distance::distance_with_center;
 use vc_placement::global::Admission;
@@ -196,15 +195,14 @@ fn cloud_config_entries(p: &Parsed) -> Result<Vec<(String, String)>, ArgError> {
 /// The recorder a command records into: the buffering [`MemRecorder`]
 /// normally, and the bounded-memory [`StreamingRecorder`] when
 /// `--stream-out` spills the event stream to a JSONL file as it
-/// happens. Stream artefacts (trace/metrics/series) are produced by
+/// happens. A stream's artefacts (trace/metrics/series) come from
 /// replaying the flushed file, so what you export is exactly what a
 /// later `report --stream` will see.
 enum CliRecorder {
     Mem(MemRecorder),
     Stream {
-        rec: Option<StreamingRecorder<BufWriter<File>>>,
+        rec: StreamingRecorder<BufWriter<File>>,
         path: String,
-        merged: Option<MergedTrace>,
     },
 }
 
@@ -225,9 +223,8 @@ impl CliRecorder {
                 writeln!(file, "{header}")
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
                 Ok(Self::Stream {
-                    rec: Some(StreamingRecorder::new(BufWriter::new(file))),
+                    rec: StreamingRecorder::new(BufWriter::new(file)),
                     path: path.to_string(),
-                    merged: None,
                 })
             }
         }
@@ -236,72 +233,22 @@ impl CliRecorder {
     fn as_recorder(&self) -> &dyn Recorder {
         match self {
             Self::Mem(r) => r,
-            Self::Stream { rec, .. } => rec.as_ref().expect("stream recorder already finished"),
+            Self::Stream { rec, .. } => rec,
         }
     }
 
-    /// Finish the stream (flush every buffer to disk) and replay the
-    /// file into a [`MergedTrace`], memoized. Only valid on `Stream`.
-    fn stream_merged(&mut self) -> Result<&MergedTrace, ArgError> {
-        let Self::Stream { rec, path, merged } = self else {
-            unreachable!("stream_merged on a non-stream recorder")
-        };
-        if merged.is_none() {
-            let r = rec.take().expect("stream recorder already finished");
-            let mut writer = r
-                .finish()
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            writer
-                .flush()
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            drop(writer);
-            let text = std::fs::read_to_string(&*path)
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: I/O error: {e}")))?;
-            let m = vc_obs::replay_jsonl(&text)
-                .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
-            *merged = Some(m);
-        }
-        Ok(merged.as_ref().expect("just memoized"))
-    }
-
-    fn trace_doc(&mut self) -> Result<serde_json::Value, ArgError> {
+    /// Finish recording. A stream is flushed to disk and replayed, which
+    /// also validates the file end to end.
+    fn finish(self) -> Result<TraceDump, ArgError> {
         match self {
-            Self::Mem(r) => Ok(vc_obs::chrome_trace(r)),
-            Self::Stream { .. } => {
-                let m = self.stream_merged()?;
-                Ok(vc_obs::trace::chrome_trace_parts(
-                    &m.spans,
-                    &m.events,
-                    &m.track_names,
-                    &m.counter_series,
-                ))
-            }
-        }
-    }
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot, ArgError> {
-        match self {
-            Self::Mem(r) => Ok(r.metrics()),
-            Self::Stream { .. } => Ok(self.stream_merged()?.metrics.clone()),
-        }
-    }
-
-    /// The `ts.*` windowed series this run recorded.
-    fn timeseries(&mut self) -> Result<TimeSeriesSet, ArgError> {
-        match self {
-            Self::Mem(r) => Ok(TimeSeriesSet::from_counter_series(&r.counter_series())),
-            Self::Stream { .. } => Ok(TimeSeriesSet::from_counter_series(
-                &self.stream_merged()?.counter_series,
-            )),
-        }
-    }
-
-    fn span_event_counts(&mut self) -> Result<(usize, usize), ArgError> {
-        match self {
-            Self::Mem(r) => Ok((r.spans().len(), r.events().len())),
-            Self::Stream { .. } => {
-                let m = self.stream_merged()?;
-                Ok((m.spans.len(), m.events.len()))
+            Self::Mem(r) => Ok(r.into_dump()),
+            Self::Stream { rec, path } => {
+                let io = |e: std::io::Error| ArgError::new(format!("--stream-out {path}: {e}"));
+                rec.finish().and_then(|mut w| w.flush()).map_err(io)?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| ArgError::new(format!("--stream-out {path}: I/O error: {e}")))?;
+                vc_obs::replay_jsonl(&text)
+                    .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))
             }
         }
     }
@@ -316,15 +263,14 @@ impl CliRecorder {
 /// `.csv`, else JSONL).
 fn write_observability(
     p: &Parsed,
-    rec: &mut CliRecorder,
+    dump: &TraceDump,
     manifest: &RunManifest,
     doc: Option<&serde_json::Value>,
 ) -> Result<(), ArgError> {
     match p.str_or("trace-out", "") {
         "" => {}
         path => {
-            let doc = rec.trace_doc()?;
-            vc_obs::trace::save_trace_value(&doc, path)
+            vc_obs::trace::save_trace_value(&dump.to_chrome_value(), path)
                 .map_err(|e| ArgError::new(format!("--trace-out {path}: {e}")))?;
         }
     }
@@ -332,12 +278,12 @@ fn write_observability(
         "" => {}
         path => {
             let text = if path.ends_with(".csv") {
-                rec.metrics()?.to_csv()
+                dump.metrics.to_csv()
             } else {
                 match doc {
                     Some(doc) => serde_json::to_string_pretty(doc)
                         .map_err(|e| ArgError::new(e.to_string()))?,
-                    None => rec.metrics()?.to_json_string(),
+                    None => dump.metrics.to_json_string(),
                 }
             };
             std::fs::write(path, text)
@@ -345,15 +291,16 @@ fn write_observability(
         }
     }
     let window_us = p.num_or("window-us", 0u64)?;
+    let series = || TimeSeriesSet::from_counter_series(&dump.counter_series);
     match p.str_or("prom-out", "") {
         "" => {}
         path => {
             let series = if window_us > 0 {
-                rec.timeseries()?
+                series()
             } else {
                 TimeSeriesSet::default()
             };
-            let mut text = vc_obs::to_prometheus_windowed(&rec.metrics()?, window_us, &series);
+            let mut text = vc_obs::to_prometheus_windowed(&dump.metrics, window_us, &series);
             text.push_str(&manifest.to_prom_info());
             std::fs::write(path, text)
                 .map_err(|e| ArgError::new(format!("--prom-out {path}: {e}")))?;
@@ -361,74 +308,43 @@ fn write_observability(
     }
     match p.str_or("series-out", "") {
         "" => {}
-        path => {
-            let set = rec.timeseries()?;
-            let text = if path.ends_with(".csv") {
-                set.to_csv()
-            } else {
-                set.to_jsonl()
-            };
-            std::fs::write(path, text)
-                .map_err(|e| ArgError::new(format!("--series-out {path}: {e}")))?;
-        }
-    }
-    // A stream must hit the disk even when no other artefact asked for
-    // it; replaying also validates the flushed file end-to-end.
-    if let CliRecorder::Stream { .. } = rec {
-        rec.stream_merged()?;
+        path => write_series(&series(), path)?,
     }
     Ok(())
+}
+
+/// Write `set` to `--series-out` (CSV when the path ends in `.csv`, else
+/// JSONL).
+fn write_series(set: &TimeSeriesSet, path: &str) -> Result<(), ArgError> {
+    let text = if path.ends_with(".csv") {
+        set.to_csv()
+    } else {
+        set.to_jsonl()
+    };
+    std::fs::write(path, text).map_err(|e| ArgError::new(format!("--series-out {path}: {e}")))
 }
 
 /// The run document: the metrics snapshot extended with the manifest,
 /// per-job critical-path attribution, and (when `--window-us` sampled)
 /// the windowed `ts.*` series. This is the unit `vc diff` aligns.
-fn run_document(
-    rec: &mut CliRecorder,
-    manifest: &RunManifest,
-) -> Result<serde_json::Value, ArgError> {
-    let serde_json::Value::Object(mut entries) = rec.metrics()?.to_json() else {
+fn run_document(dump: &TraceDump, manifest: &RunManifest) -> Result<serde_json::Value, ArgError> {
+    let serde_json::Value::Object(mut entries) = dump.metrics.to_json() else {
         return Err(ArgError::new("internal: metrics snapshot is not an object"));
     };
     entries.push((MANIFEST_KEY.to_string(), manifest.to_json()));
-    let trace = rec.trace_doc()?;
-    let dump = TraceDump::from_chrome_value(&trace)
-        .map_err(|e| ArgError::new(format!("internal trace: {e}")))?;
-    let jobs = vc_obs::analyze(&dump);
+    let jobs: Vec<_> = vc_obs::analyze(dump)
+        .iter()
+        .map(vc_obs::JobAttribution::to_json)
+        .collect();
     entries.push((
         "attribution".to_string(),
-        serde_json::Value::Object(vec![(
-            "jobs".to_string(),
-            serde_json::Value::Array(jobs.iter().map(vc_obs::JobAttribution::to_json).collect()),
-        )]),
+        serde_json::json!({ "jobs": jobs }),
     ));
     if manifest.window_us > 0 {
-        let set = rec.timeseries()?;
-        let series: Vec<(String, serde_json::Value)> = set
-            .series
-            .iter()
-            .map(|(name, points)| {
-                let rows: Vec<serde_json::Value> = points
-                    .iter()
-                    .map(|&(t, v)| {
-                        serde_json::Value::Array(vec![
-                            serde_json::Value::U64(t),
-                            serde_json::Value::F64(v),
-                        ])
-                    })
-                    .collect();
-                (name.clone(), serde_json::Value::Array(rows))
-            })
-            .collect();
+        let set = TimeSeriesSet::from_counter_series(&dump.counter_series);
         entries.push((
             "timeseries".to_string(),
-            serde_json::Value::Object(vec![
-                (
-                    "window_us".to_string(),
-                    serde_json::Value::U64(manifest.window_us),
-                ),
-                ("series".to_string(), serde_json::Value::Object(series)),
-            ]),
+            serde_json::json!({ "window_us": manifest.window_us, "series": set.to_json() }),
         ));
     }
     Ok(serde_json::Value::Object(entries))
@@ -455,23 +371,22 @@ fn run_recorded_command<T>(
     capture: bool,
     body: impl FnOnce(&dyn Recorder) -> T,
 ) -> Result<RecordedRun<T>, ArgError> {
-    let mut rec = CliRecorder::build(p, manifest)?;
+    let rec = CliRecorder::build(p, manifest)?;
     let result = body(rec.as_recorder());
+    let dump = rec.finish()?;
     let metrics_path = p.str_or("metrics-out", "");
     let want_doc = capture || (!metrics_path.is_empty() && !metrics_path.ends_with(".csv"));
     let doc = if want_doc {
-        Some(run_document(&mut rec, manifest)?)
+        Some(run_document(&dump, manifest)?)
     } else {
         None
     };
-    write_observability(p, &mut rec, manifest, doc.as_ref())?;
-    let metrics = rec.metrics()?;
-    let (spans, events) = rec.span_event_counts()?;
+    write_observability(p, &dump, manifest, doc.as_ref())?;
     Ok(RecordedRun {
         result,
-        metrics,
-        spans,
-        events,
+        spans: dump.spans.len(),
+        events: dump.events.len(),
+        metrics: dump.metrics,
         doc,
     })
 }
@@ -1051,8 +966,8 @@ fn render_diff(report: &DiffReport, warnings: &[String]) -> String {
         out.push_str(&format!(
             "  {:<38} {:>15} {:>15}  {}{}\n",
             d.name,
-            fmt_ts_val(d.baseline),
-            fmt_ts_val(d.candidate),
+            report::fmt_ts_val(d.baseline),
+            report::fmt_ts_val(d.candidate),
             d.verdict.label(),
             if d.advisory { " (advisory)" } else { "" },
         ));
@@ -1061,8 +976,8 @@ fn render_diff(report: &DiffReport, warnings: &[String]) -> String {
         out.push_str(&format!(
             "  {:<38} {:>15} {:>15}  {} (mean, {}/{} window(s) changed)\n",
             s.name,
-            fmt_ts_val(s.mean_baseline),
-            fmt_ts_val(s.mean_candidate),
+            report::fmt_ts_val(s.mean_baseline),
+            report::fmt_ts_val(s.mean_candidate),
             s.verdict.label(),
             s.changed_windows,
             s.windows,
@@ -1111,8 +1026,8 @@ fn render_diff(report: &DiffReport, warnings: &[String]) -> String {
         out.push_str(&format!(
             "  alert    {:<26} {} -> {}\n",
             a.name,
-            fmt_ts_val(a.baseline),
-            fmt_ts_val(a.candidate)
+            report::fmt_ts_val(a.baseline),
+            report::fmt_ts_val(a.candidate)
         ));
     }
     out
@@ -1394,360 +1309,12 @@ fn diff_paired(p: &Parsed, opts: &DiffOptions, default_seeds: usize) -> Result<S
     Ok(out)
 }
 
-/// One `u64` attribute of a dumped audit event, defaulting to 0.
-fn event_u64(e: &vc_obs::critical_path::DumpEvent, key: &str) -> u64 {
-    e.attr(key).and_then(serde_json::Value::as_u64).unwrap_or(0)
-}
-
-/// One link's telemetry, reassembled from the `net.link.<name>.*`
-/// entries of a metrics snapshot. In queue runs the counters sum (and
-/// `peak_util` maxes) over every job that crossed the link.
-#[derive(Debug, Default)]
-struct LinkRow {
-    name: String,
-    bytes: u64,
-    shuffle_bytes: u64,
-    busy_us: u64,
-    binding_events: u64,
-    peak_util: f64,
-}
-
-/// Parse every `net.link.*` counter/gauge in a metrics snapshot back
-/// into per-link rows, keyed and sorted by link name.
-fn collect_link_rows(metrics: &serde_json::Value) -> Vec<LinkRow> {
-    use std::collections::BTreeMap;
-    let mut rows: BTreeMap<String, LinkRow> = BTreeMap::new();
-    fn row<'a>(rows: &'a mut BTreeMap<String, LinkRow>, link: &str) -> &'a mut LinkRow {
-        rows.entry(link.to_string()).or_insert_with(|| LinkRow {
-            name: link.to_string(),
-            ..LinkRow::default()
-        })
-    }
-    if let Some(counters) = metrics
-        .get("counters")
-        .and_then(serde_json::Value::as_object)
-    {
-        for (key, value) in counters {
-            let Some(rest) = key.strip_prefix("net.link.") else {
-                continue;
-            };
-            let v = value.as_u64().unwrap_or(0);
-            // `.shuffle_bytes` must be tested before `.bytes`: both are
-            // suffixes of the former.
-            if let Some(link) = rest.strip_suffix(".shuffle_bytes") {
-                row(&mut rows, link).shuffle_bytes = v;
-            } else if let Some(link) = rest.strip_suffix(".bytes") {
-                row(&mut rows, link).bytes = v;
-            } else if let Some(link) = rest.strip_suffix(".busy_us") {
-                row(&mut rows, link).busy_us = v;
-            } else if let Some(link) = rest.strip_suffix(".binding_events") {
-                row(&mut rows, link).binding_events = v;
-            }
-        }
-    }
-    if let Some(gauges) = metrics.get("gauges").and_then(serde_json::Value::as_object) {
-        for (key, value) in gauges {
-            if let Some(link) = key
-                .strip_prefix("net.link.")
-                .and_then(|rest| rest.strip_suffix(".peak_util"))
-            {
-                row(&mut rows, link).peak_util = value.as_f64().unwrap_or(0.0);
-            }
-        }
-    }
-    rows.into_values().collect()
-}
-
-/// The `--network` hot-spot summary: per-rack uplink peaks, top-K
-/// congested links, the shuffle-byte locality split, and the exactness
-/// cross-check between link-level and engine-level shuffle accounting.
-fn network_summary(metrics: &serde_json::Value) -> (serde_json::Value, String) {
-    let links = collect_link_rows(metrics);
-    let counter = |name: &str| -> u64 {
-        metrics
-            .get("counters")
-            .and_then(serde_json::Value::as_object)
-            .and_then(|entries| entries.iter().find(|(k, _)| k == name))
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap_or(0)
-    };
-
-    let uplinks: Vec<&LinkRow> = links
-        .iter()
-        .filter(|l| l.name.starts_with("rack") && l.name.ends_with(".up"))
-        .collect();
-    let uplink_peak = uplinks.iter().map(|l| l.peak_util).fold(0.0, f64::max);
-    let uplink_mean_peak = if uplinks.is_empty() {
-        0.0
-    } else {
-        uplinks.iter().map(|l| l.peak_util).sum::<f64>() / uplinks.len() as f64
-    };
-    let uplink_bytes: u64 = uplinks.iter().map(|l| l.bytes).sum();
-    let uplink_shuffle_bytes: u64 = uplinks.iter().map(|l| l.shuffle_bytes).sum();
-
-    let mut congested: Vec<&LinkRow> = links.iter().collect();
-    congested.sort_by(|a, b| {
-        b.peak_util
-            .total_cmp(&a.peak_util)
-            .then_with(|| b.bytes.cmp(&a.bytes))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    congested.truncate(5);
-
-    // Shuffle locality split as the engine counted it, fetch by fetch.
-    let node_local = counter("mr.shuffle.node_local_bytes");
-    let rack_local = counter("mr.shuffle.rack_local_bytes");
-    let cross_rack = counter("mr.shuffle.remote_bytes");
-
-    // Exactness cross-check: every cross-node shuffle byte enters its
-    // destination node exactly once, and node-local shuffle crosses no
-    // link at all, so the node-rx shuffle integrals must equal the
-    // engine's rack-local + cross-rack total *exactly* (both are integer
-    // byte counts attributed at flow completion, not rate integrals).
-    let link_rx_shuffle: u64 = links
-        .iter()
-        .filter(|l| l.name.starts_with("node") && l.name.ends_with(".rx"))
-        .map(|l| l.shuffle_bytes)
-        .sum();
-    let engine_cross_node = rack_local + cross_rack;
-    let matches = link_rx_shuffle == engine_cross_node;
-
-    let link_objs: Vec<serde_json::Value> = links
-        .iter()
-        .map(|l| {
-            serde_json::json!({
-                "link": l.name.as_str(),
-                "bytes": l.bytes,
-                "shuffle_bytes": l.shuffle_bytes,
-                "busy_us": l.busy_us,
-                "binding_events": l.binding_events,
-                "peak_util": l.peak_util,
-            })
-        })
-        .collect();
-    let congested_objs: Vec<serde_json::Value> = congested
-        .iter()
-        .map(|l| serde_json::json!({"link": l.name.as_str(), "peak_util": l.peak_util}))
-        .collect();
-    let json = serde_json::json!({
-        "links": link_objs,
-        "rack_uplinks": {
-            "count": uplinks.len() as u64,
-            "peak_util": uplink_peak,
-            "mean_peak_util": uplink_mean_peak,
-            "bytes": uplink_bytes,
-            "shuffle_bytes": uplink_shuffle_bytes,
-        },
-        "top_congested": congested_objs,
-        "shuffle_split": {
-            "node_local_bytes": node_local,
-            "rack_local_bytes": rack_local,
-            "cross_rack_bytes": cross_rack,
-        },
-        "consistency": {
-            "link_rx_shuffle_bytes": link_rx_shuffle,
-            "engine_cross_node_shuffle_bytes": engine_cross_node,
-            "shuffle_rx_matches_engine": matches,
-        },
-    });
-
-    let mut text = String::new();
-    text.push_str(&format!(
-        "\nnetwork — {} link(s) with traffic\n",
-        links.len()
-    ));
-    text.push_str(&format!(
-        "  rack uplinks ({}): peak util {:.2}, mean peak {:.2}, {} shuffle B of {} B total\n",
-        uplinks.len(),
-        uplink_peak,
-        uplink_mean_peak,
-        uplink_shuffle_bytes,
-        uplink_bytes,
-    ));
-    let total_shuffle = node_local + rack_local + cross_rack;
-    let cross_pct = if total_shuffle > 0 {
-        100.0 * cross_rack as f64 / total_shuffle as f64
-    } else {
-        0.0
-    };
-    text.push_str(&format!(
-        "  shuffle split: node-local {node_local} B / in-rack {rack_local} B / \
-         cross-rack {cross_rack} B ({cross_pct:.0}% cross-rack)\n"
-    ));
-    if !congested.is_empty() {
-        text.push_str("  top congested links:\n");
-        for l in &congested {
-            text.push_str(&format!(
-                "    {:<14} peak {:.2}  busy {:>8.3}s  {:>14} B  binding {}\n",
-                l.name,
-                l.peak_util,
-                l.busy_us as f64 / 1e6,
-                l.bytes,
-                l.binding_events,
-            ));
-        }
-    }
-    text.push_str(&format!(
-        "  consistency: link node-rx shuffle {} B {} engine cross-node shuffle {} B\n",
-        link_rx_shuffle,
-        if matches { "==" } else { "!=" },
-        engine_cross_node,
-    ));
-    (json, text)
-}
-
-/// One counter from a metrics-snapshot JSON document, defaulting to 0.
-fn snap_counter(metrics: &serde_json::Value, name: &str) -> u64 {
-    metrics
-        .get("counters")
-        .and_then(serde_json::Value::as_object)
-        .and_then(|entries| entries.iter().find(|(k, _)| k == name))
-        .and_then(|(_, v)| v.as_u64())
-        .unwrap_or(0)
-}
-
-/// One gauge from a metrics-snapshot JSON document, if present.
-fn snap_gauge(metrics: &serde_json::Value, name: &str) -> Option<f64> {
-    metrics
-        .get("gauges")
-        .and_then(serde_json::Value::as_object)
-        .and_then(|entries| entries.iter().find(|(k, _)| k == name))
-        .and_then(|(_, v)| v.as_f64())
-}
-
-/// The `--perf` self-profile summary: where the *simulator's* wall-clock
-/// went (by `prof.phase.*`), fair-share solver effort, DES event volume,
-/// and peak RSS. The exclusive breakdown tiles the total exactly by
-/// construction: `serve` and `des_pop` are disjoint slices of
-/// `cloudsim_run`, `mr_service` is the slice of `serve` inside the
-/// MapReduce engine, and `other` is the remainder. A standalone
-/// `simulate-job` run has no queue loop; its total is `mr_job`.
-fn perf_summary(metrics: &serde_json::Value) -> (serde_json::Value, String) {
-    let phase_wall = |name: &str| snap_counter(metrics, &format!("prof.phase.{name}.wall_us"));
-    let phase_calls = |name: &str| snap_counter(metrics, &format!("prof.phase.{name}.calls"));
-
-    let run_wall = phase_wall("cloudsim_run");
-    let serve = phase_wall("serve");
-    let mr_service = phase_wall("mr_service");
-    let des_pop = phase_wall("des_pop");
-    let standalone = phase_calls("cloudsim_run") == 0;
-    let (total, total_phase) = if standalone {
-        (phase_wall("mr_job"), "mr_job")
-    } else {
-        (run_wall, "cloudsim_run")
-    };
-
-    // Exclusive components. Saturating arithmetic keeps degenerate and
-    // partially-profiled snapshots at exact zeros instead of underflowing.
-    let breakdown: Vec<(&str, u64)> = if standalone {
-        vec![("mapreduce", total), ("other", 0)]
-    } else {
-        vec![
-            ("placement/queue", serve.saturating_sub(mr_service)),
-            ("mapreduce", mr_service),
-            ("des-pop", des_pop),
-            ("other", total.saturating_sub(serve).saturating_sub(des_pop)),
-        ]
-    };
-
-    let phases: Vec<serde_json::Value> = vc_obs::prof::PHASES
-        .iter()
-        .filter(|ph| phase_calls(ph.name) > 0)
-        .map(|ph| {
-            serde_json::json!({
-                "phase": ph.name,
-                "calls": phase_calls(ph.name),
-                "wall_us": phase_wall(ph.name),
-            })
-        })
-        .collect();
-    let num_phases = phases.len();
-
-    let solves = snap_counter(metrics, "prof.solver.solves");
-    let flows = snap_counter(metrics, "prof.solver.flows");
-    let iterations = snap_counter(metrics, "prof.solver.iterations");
-    let links_touched = snap_counter(metrics, "prof.solver.links_touched");
-    let avg_flows = if solves > 0 {
-        flows as f64 / solves as f64
-    } else {
-        0.0
-    };
-    let avg_iters = if solves > 0 {
-        iterations as f64 / solves as f64
-    } else {
-        0.0
-    };
-    let peak_flows = snap_gauge(metrics, "prof.solver.peak_flows").unwrap_or(0.0);
-    let events = snap_counter(metrics, "des.events_processed");
-    let peak_rss_kb = snap_gauge(metrics, "prof.rss_peak_kb");
-
-    let pct = |us: u64| -> f64 {
-        if total > 0 {
-            100.0 * us as f64 / total as f64
-        } else {
-            0.0
-        }
-    };
-    let breakdown_objs: Vec<serde_json::Value> = breakdown
-        .iter()
-        .map(|(name, us)| serde_json::json!({"component": *name, "wall_us": *us, "pct": pct(*us)}))
-        .collect();
-    let json = serde_json::json!({
-        "total_wall_us": total,
-        "total_phase": total_phase,
-        "breakdown": breakdown_objs,
-        "phases": phases,
-        "solver": {
-            "solves": solves,
-            "flows": flows,
-            "iterations": iterations,
-            "links_touched": links_touched,
-            "completion_batches": snap_counter(metrics, "prof.solver.completion_batches"),
-            "batch_flows": snap_counter(metrics, "prof.solver.batch_flows"),
-            "flows_skipped": snap_counter(metrics, "prof.solver.flows_skipped"),
-            "wall_us": snap_counter(metrics, "prof.solver.wall_us"),
-            "avg_flows_per_solve": avg_flows,
-            "avg_iterations_per_solve": avg_iters,
-            "peak_flows": peak_flows,
-            "peak_iterations": snap_gauge(metrics, "prof.solver.peak_iterations").unwrap_or(0.0),
-        },
-        "des": { "events_processed": events },
-        "peak_rss_kb": peak_rss_kb,
-    });
-
-    let mut text = String::new();
-    text.push_str(&format!(
-        "\nperf — simulator self-profile ({num_phases} phase(s) recorded)\n"
-    ));
-    text.push_str(&format!(
-        "  total wall-clock: {:.3}s ({total_phase})\n",
-        total as f64 / 1e6
-    ));
-    for (name, us) in &breakdown {
-        text.push_str(&format!(
-            "    {:<16} {:>9.3}s {:>5.1}%\n",
-            name,
-            *us as f64 / 1e6,
-            pct(*us),
-        ));
-    }
-    let flows_skipped = snap_counter(metrics, "prof.solver.flows_skipped");
-    text.push_str(&format!(
-        "  solver: {solves} solve(s), {flows} flow(s) (avg {avg_flows:.1}/solve, peak {peak_flows:.0}), \
-         {iterations} iteration(s), {links_touched} link(s) touched, {flows_skipped} flow(s) skipped\n"
-    ));
-    text.push_str(&format!("  des: {events} event(s) processed\n"));
-    if let Some(kb) = peak_rss_kb {
-        text.push_str(&format!("  peak RSS: {:.1} MB\n", kb / 1024.0));
-    }
-    (json, text)
-}
-
-/// `affinity-vc report` — analyse a trace written by `--trace-out`:
-/// per-job critical-path attribution (where did the makespan go), the
-/// placement decision audit (seed-scan work, bound gaps, Theorem-2
-/// exchanges), and optionally the headline placement counters from a
-/// `--metrics-out` snapshot.
+/// `affinity-vc report` — analyse a trace written by `--trace-out` (or
+/// a stream written by `--stream-out`): per-job critical-path
+/// attribution (where did the makespan go), the placement decision
+/// audit (seed-scan work, bound gaps, Theorem-2 exchanges), and
+/// optionally the headline placement counters from a `--metrics-out`
+/// snapshot. The sections themselves live in [`vc_obs::report`].
 pub fn report(p: &Parsed) -> Result<String, ArgError> {
     p.ensure_known(&[
         "trace",
@@ -1770,609 +1337,105 @@ pub fn report(p: &Parsed) -> Result<String, ArgError> {
             ))
         })?),
     };
+    let read = |flag: &str, path: &str| {
+        std::fs::read_to_string(path)
+            .map_err(|e| ArgError::new(format!("--{flag} {path}: I/O error: {e}")))
+    };
     let metrics: Option<serde_json::Value> = match p.str_or("metrics", "") {
         "" => None,
-        path => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ArgError::new(format!("--metrics {path}: I/O error: {e}")))?;
-            Some(
-                serde_json::from_str(&text)
-                    .map_err(|e| ArgError::new(format!("--metrics {path}: {e}")))?,
-            )
-        }
+        path => Some(
+            serde_json::from_str(&read("metrics", path)?)
+                .map_err(|e| ArgError::new(format!("--metrics {path}: {e}")))?,
+        ),
     };
 
     // `--perf` only needs a metrics snapshot, so the trace input becomes
     // optional when it is the sole request; every other mode requires
     // either --trace (a Chrome document) or --stream (a JSONL file from
-    // --stream-out, replayed into the same document shape).
+    // --stream-out).
     let trace_path = p.str_or("trace", "");
     let stream_path = p.str_or("stream", "");
-    if !trace_path.is_empty() && !stream_path.is_empty() {
-        return Err(ArgError::new(
-            "--trace and --stream both name a trace input; pass exactly one",
-        ));
-    }
-    let doc: Option<serde_json::Value> = if !stream_path.is_empty() {
-        let text = std::fs::read_to_string(stream_path)
-            .map_err(|e| ArgError::new(format!("--stream {stream_path}: I/O error: {e}")))?;
-        let m = vc_obs::replay_jsonl(&text)
-            .map_err(|e| ArgError::new(format!("--stream {stream_path}: {e}")))?;
-        Some(vc_obs::trace::chrome_trace_parts(
-            &m.spans,
-            &m.events,
-            &m.track_names,
-            &m.counter_series,
-        ))
-    } else if !trace_path.is_empty() {
-        let text = std::fs::read_to_string(trace_path)
-            .map_err(|e| ArgError::new(format!("--trace {trace_path}: I/O error: {e}")))?;
-        Some(
-            serde_json::from_str(&text)
-                .map_err(|e| ArgError::new(format!("--trace {trace_path}: {e}")))?,
-        )
-    } else {
-        if !(p.switch("perf") && metrics.is_some()) {
-            return Err(ArgError::new(
-                "missing required option --trace <FILE> (a file written by --trace-out) \
-                 or --stream <FILE> (a JSONL file written by --stream-out); \
-                 only `report --perf --metrics <FILE>` works without one",
-            ));
+    let dump: Option<TraceDump> = match (trace_path, stream_path) {
+        ("", "") => {
+            if !(p.switch("perf") && metrics.is_some()) {
+                return Err(ArgError::new(
+                    "missing required option --trace <FILE> (a file written by --trace-out) \
+                     or --stream <FILE> (a JSONL file written by --stream-out); \
+                     only `report --perf --metrics <FILE>` works without one",
+                ));
+            }
+            None
         }
-        None
+        (path, "") => {
+            let doc: serde_json::Value = serde_json::from_str(&read("trace", path)?)
+                .map_err(|e| ArgError::new(format!("--trace {path}: {e}")))?;
+            Some(
+                TraceDump::from_chrome_value(&doc)
+                    .map_err(|e| ArgError::new(format!("--trace {path}: {e}")))?,
+            )
+        }
+        ("", path) => Some(
+            vc_obs::replay_jsonl(&read("stream", path)?)
+                .map_err(|e| ArgError::new(format!("--stream {path}: {e}")))?,
+        ),
+        _ => {
+            return Err(ArgError::new(
+                "--trace and --stream both name a trace input; pass exactly one",
+            ))
+        }
     };
-    let input_label = if stream_path.is_empty() {
-        format!("--trace {trace_path}")
-    } else {
-        format!("--stream {stream_path}")
+    let needs_trace = |flag: &str| {
+        dump.as_ref().ok_or_else(|| {
+            ArgError::new(format!("{flag} needs a trace input (--trace or --stream)"))
+        })
     };
-    let dump = match &doc {
-        Some(d) => TraceDump::from_chrome_value(d)
-            .map_err(|e| ArgError::new(format!("{input_label}: {e}")))?,
-        None => TraceDump::default(),
+    let needs_metrics = |flag: &str| {
+        metrics.as_ref().ok_or_else(|| {
+            ArgError::new(format!(
+                "{flag} needs --metrics <FILE> (a snapshot written by --metrics-out)"
+            ))
+        })
     };
-    let jobs = vc_obs::analyze(&dump);
 
     // `--timeline` renders the windowed `ts.*` series; `--series-out`
     // re-exports them (CSV/JSONL by extension) from either input kind.
     let series_out = p.str_or("series-out", "");
-    let timeline: Option<TimeSeriesSet> = if p.switch("timeline") || !series_out.is_empty() {
-        let d = doc
-            .as_ref()
-            .ok_or_else(|| ArgError::new("--timeline needs a trace input (--trace or --stream)"))?;
-        Some(
-            TimeSeriesSet::from_chrome_value(d)
-                .map_err(|e| ArgError::new(format!("{input_label}: {e}")))?,
-        )
-    } else {
-        None
-    };
-    if let (path, Some(set)) = (series_out, &timeline) {
-        if !path.is_empty() {
-            let text = if path.ends_with(".csv") {
-                set.to_csv()
-            } else {
-                set.to_jsonl()
-            };
-            std::fs::write(path, text)
-                .map_err(|e| ArgError::new(format!("--series-out {path}: {e}")))?;
+    let timeline = if p.switch("timeline") || !series_out.is_empty() {
+        let set = TimeSeriesSet::from_counter_series(&needs_trace("--timeline")?.counter_series);
+        if !series_out.is_empty() {
+            write_series(&set, series_out)?;
         }
+        Some(set)
+    } else {
+        None
+    };
+
+    let empty = TraceDump::default();
+    let trace = dump.as_ref().unwrap_or(&empty);
+    let jobs = vc_obs::analyze(trace);
+    let mut sections = vec![
+        ("jobs", report::critical_path(&jobs)),
+        ("placement", report::placement(trace)),
+        ("metrics", report::metrics_counters(metrics.as_ref())),
+    ];
+    if p.switch("network") {
+        sections.push(("network", report::network(needs_metrics("--network")?)));
     }
-
-    let network = if p.switch("network") {
-        let metrics = metrics.as_ref().ok_or_else(|| {
-            ArgError::new("--network needs --metrics <FILE> (a snapshot written by --metrics-out)")
-        })?;
-        Some(network_summary(metrics))
-    } else {
-        None
-    };
-    let perf = if p.switch("perf") {
-        let metrics = metrics.as_ref().ok_or_else(|| {
-            ArgError::new("--perf needs --metrics <FILE> (a snapshot written by --metrics-out)")
-        })?;
-        Some(perf_summary(metrics))
-    } else {
-        None
-    };
-
-    let scan_audits: Vec<&vc_obs::critical_path::DumpEvent> = dump
-        .events
-        .iter()
-        .filter(|e| e.name == "placement.scan_audit")
-        .collect();
-    let exchange_audits: Vec<&vc_obs::critical_path::DumpEvent> = dump
-        .events
-        .iter()
-        .filter(|e| e.name == "placement.exchange_audit")
-        .collect();
-
+    if p.switch("perf") {
+        sections.push(("perf", report::perf(needs_metrics("--perf")?)));
+    }
+    if let Some(set) = &timeline {
+        sections.push(("timeline", report::timeline(set)));
+    }
     // `--health` summarises the watchdog's `alert.*` events (plus the
     // offline attribution-tiling audit over the analysed jobs);
     // `--fail-on-alert <severity>` implies it and gates the exit code.
-    let health: Option<Vec<HealthRow>> = if p.switch("health") || fail_on.is_some() {
-        if doc.is_none() {
-            return Err(ArgError::new(
-                "--health needs a trace input (--trace or --stream)",
-            ));
-        }
-        Some(health_summary(&dump, &jobs))
-    } else {
-        None
-    };
-    if let (Some(threshold), Some(rows)) = (fail_on, &health) {
-        let tripped: Vec<&HealthRow> = rows.iter().filter(|r| r.severity >= threshold).collect();
-        if !tripped.is_empty() {
-            let total: u64 = tripped.iter().map(|r| r.count).sum();
-            let rules: Vec<String> = tripped
-                .iter()
-                .map(|r| format!("{} ({}, x{})", r.rule, r.severity, r.count))
-                .collect();
-            return Err(ArgError::new(format!(
-                "health gate: FAIL — {total} alert(s) at or above {threshold}: {}",
-                rules.join(", ")
-            )));
-        }
+    if p.switch("health") || fail_on.is_some() {
+        let health =
+            report::health(needs_trace("--health")?, &jobs, fail_on).map_err(ArgError::new)?;
+        sections.push(("health", health));
     }
-
-    if p.switch("json") {
-        let event_obj = |e: &vc_obs::critical_path::DumpEvent| {
-            let mut entries = vec![("t_us".to_string(), serde_json::Value::U64(e.t_us))];
-            entries.extend(e.attrs.iter().cloned());
-            serde_json::Value::Object(entries)
-        };
-        let mut entries = vec![
-            (
-                "jobs".to_string(),
-                serde_json::Value::Array(
-                    jobs.iter().map(vc_obs::JobAttribution::to_json).collect(),
-                ),
-            ),
-            (
-                "placement".to_string(),
-                serde_json::Value::Object(vec![
-                    (
-                        "scan_audits".to_string(),
-                        serde_json::Value::Array(
-                            scan_audits.iter().map(|e| event_obj(e)).collect(),
-                        ),
-                    ),
-                    (
-                        "exchange_audits".to_string(),
-                        serde_json::Value::Array(
-                            exchange_audits.iter().map(|e| event_obj(e)).collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "metrics".to_string(),
-                metrics.unwrap_or(serde_json::Value::Null),
-            ),
-        ];
-        if let Some((net_json, _)) = &network {
-            entries.push(("network".to_string(), net_json.clone()));
-        }
-        if let Some((perf_json, _)) = &perf {
-            entries.push(("perf".to_string(), perf_json.clone()));
-        }
-        if let Some(set) = &timeline {
-            let series_objs: Vec<(String, serde_json::Value)> = set
-                .series
-                .iter()
-                .map(|(name, points)| {
-                    let rows: Vec<serde_json::Value> = points
-                        .iter()
-                        .map(|&(t, v)| {
-                            serde_json::Value::Array(vec![
-                                serde_json::Value::U64(t),
-                                serde_json::Value::F64(v),
-                            ])
-                        })
-                        .collect();
-                    (name.clone(), serde_json::Value::Array(rows))
-                })
-                .collect();
-            entries.push((
-                "timeline".to_string(),
-                serde_json::Value::Object(vec![
-                    (
-                        "window_count".to_string(),
-                        serde_json::Value::U64(set.window_count() as u64),
-                    ),
-                    ("series".to_string(), serde_json::Value::Object(series_objs)),
-                ]),
-            ));
-        }
-        if let Some(rows) = &health {
-            let total: u64 = rows.iter().map(|r| r.count).sum();
-            let mut health_entries = vec![
-                ("total".to_string(), serde_json::Value::U64(total)),
-                (
-                    "alerts".to_string(),
-                    serde_json::Value::Array(rows.iter().map(HealthRow::to_json).collect()),
-                ),
-            ];
-            if fail_on.is_some() {
-                health_entries.push((
-                    "gate".to_string(),
-                    serde_json::Value::Str("pass".to_string()),
-                ));
-            }
-            entries.push((
-                "health".to_string(),
-                serde_json::Value::Object(health_entries),
-            ));
-        }
-        return Ok(serde_json::Value::Object(entries).to_string());
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "critical-path attribution — {} job(s)\n",
-        jobs.len()
-    ));
-    if !jobs.is_empty() {
-        // Abbreviated category headers so the table stays under 100 cols;
-        // the full names are in the JSON output and docs/metrics-schema.md.
-        let short = |cat: vc_obs::Category| match cat {
-            vc_obs::Category::Map => "map",
-            vc_obs::Category::StragglerSlack => "straggler",
-            vc_obs::Category::ShuffleSerialisation => "shuf-ser",
-            vc_obs::Category::ShuffleNetworkWait => "shuf-net",
-            vc_obs::Category::Reduce => "reduce",
-            vc_obs::Category::SchedulerWait => "sched",
-        };
-        out.push_str(&format!(
-            "{:>6} {:>6} {:>10} {:>10}",
-            "track", "dc", "start_s", "makespan_s"
-        ));
-        for cat in vc_obs::CATEGORIES {
-            out.push_str(&format!(" {:>10}", short(cat)));
-        }
-        out.push('\n');
-        for job in &jobs {
-            let makespan = job.makespan_us();
-            out.push_str(&format!(
-                "{:>6} {:>6} {:>10.2} {:>10.2}",
-                job.track,
-                job.distance
-                    .map_or_else(|| "-".to_string(), |d| d.to_string()),
-                job.start_us as f64 / 1e6,
-                makespan as f64 / 1e6,
-            ));
-            for cat in vc_obs::CATEGORIES {
-                let us = job.total_us(cat);
-                let pct = if makespan > 0 {
-                    100.0 * us as f64 / makespan as f64
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(" {pct:>9.1}%"));
-            }
-            out.push('\n');
-        }
-    }
-
-    out.push_str(&format!(
-        "\nplacement — {} decision(s), {} exchange batch(es)\n",
-        scan_audits.len(),
-        exchange_audits.len()
-    ));
-    if !scan_audits.is_empty() {
-        let sum = |key: &str| -> u64 { scan_audits.iter().map(|e| event_u64(e, key)).sum() };
-        let gap_total = sum("bound_gap");
-        out.push_str(&format!(
-            "  seeds: {} total — {} scanned, {} pruned, {} aborted, {} tied; \
-             mean bound gap {:.2}\n",
-            sum("seeds_total"),
-            sum("seeds_scanned"),
-            sum("seeds_pruned"),
-            sum("seeds_aborted"),
-            sum("seeds_tied"),
-            gap_total as f64 / scan_audits.len() as f64,
-        ));
-    }
-    if !exchange_audits.is_empty() {
-        let sum = |key: &str| -> u64 { exchange_audits.iter().map(|e| event_u64(e, key)).sum() };
-        out.push_str(&format!(
-            "  exchanges: {} swaps over {} passes, distance saved {} ({} → {})\n",
-            sum("swaps"),
-            sum("passes"),
-            sum("saved"),
-            sum("online_distance"),
-            sum("optimized_distance"),
-        ));
-    }
-
-    if let Some(metrics) = &metrics {
-        if let Some(counters) = metrics
-            .get("counters")
-            .and_then(serde_json::Value::as_object)
-        {
-            let placement: Vec<_> = counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("placement."))
-                .collect();
-            if !placement.is_empty() {
-                out.push_str("\ncounters (--metrics):\n");
-                for (k, v) in placement {
-                    out.push_str(&format!("  {k} = {v}\n"));
-                }
-            }
-        }
-    }
-    if let Some((_, net_text)) = &network {
-        out.push_str(net_text);
-    }
-    if let Some((_, perf_text)) = &perf {
-        out.push_str(perf_text);
-    }
-    if let Some(set) = &timeline {
-        out.push_str(&render_timeline(set));
-    }
-    if let Some(rows) = &health {
-        out.push_str(&render_health(rows));
-        if let Some(threshold) = fail_on {
-            out.push_str(&format!(
-                "health gate: PASS — no alerts at or above {threshold}\n"
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// One rule's aggregated alert history from a `--health` report: how
-/// often it fired, when, and the worst window it pointed at.
-struct HealthRow {
-    rule: String,
-    severity: Severity,
-    subsystem: String,
-    count: u64,
-    first_us: u64,
-    last_us: u64,
-    /// `(value, window_edge_us)` of the highest-valued alert, when the
-    /// rule attaches a numeric `value` (detector rules always do).
-    worst: Option<(f64, u64)>,
-}
-
-impl HealthRow {
-    fn to_json(&self) -> serde_json::Value {
-        let mut entries = vec![
-            (
-                "rule".to_string(),
-                serde_json::Value::Str(self.rule.clone()),
-            ),
-            (
-                "severity".to_string(),
-                serde_json::Value::Str(self.severity.to_string()),
-            ),
-            (
-                "subsystem".to_string(),
-                serde_json::Value::Str(self.subsystem.clone()),
-            ),
-            ("count".to_string(), serde_json::Value::U64(self.count)),
-            (
-                "first_t_us".to_string(),
-                serde_json::Value::U64(self.first_us),
-            ),
-            (
-                "last_t_us".to_string(),
-                serde_json::Value::U64(self.last_us),
-            ),
-        ];
-        if let Some((value, edge)) = self.worst {
-            entries.push(("worst_value".to_string(), serde_json::Value::F64(value)));
-            entries.push((
-                "worst_window_edge_us".to_string(),
-                serde_json::Value::U64(edge),
-            ));
-        }
-        serde_json::Value::Object(entries)
-    }
-}
-
-/// Group the trace's `alert.*` events by rule and append the offline
-/// attribution-tiling audit: each analysed job's critical path must
-/// tile its makespan exactly (1 µs rounding tolerance), the one
-/// invariant that can only be checked after analysis.
-fn health_summary(dump: &TraceDump, jobs: &[vc_obs::JobAttribution]) -> Vec<HealthRow> {
-    let mut rows: Vec<HealthRow> = Vec::new();
-    for e in dump
-        .events
-        .iter()
-        .filter(|e| e.name.starts_with(ALERT_PREFIX))
-    {
-        let attr_str = |key: &str| {
-            e.attr(key)
-                .and_then(serde_json::Value::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        let rule = match e.attr("rule").and_then(serde_json::Value::as_str) {
-            Some(r) => r.to_string(),
-            None => e
-                .name
-                .strip_prefix(ALERT_PREFIX)
-                .unwrap_or(&e.name)
-                .to_string(),
-        };
-        let severity = e
-            .attr("severity")
-            .and_then(serde_json::Value::as_str)
-            .and_then(Severity::parse)
-            .unwrap_or(Severity::Warn);
-        let value = e.attr("value").and_then(serde_json::Value::as_f64);
-        let edge = e
-            .attr("window_edge_us")
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(e.t_us);
-        match rows.iter_mut().find(|r| r.rule == rule) {
-            Some(row) => {
-                row.count += 1;
-                row.first_us = row.first_us.min(e.t_us);
-                row.last_us = row.last_us.max(e.t_us);
-                if let Some(v) = value {
-                    let better = match row.worst {
-                        Some((w, _)) => v > w,
-                        None => true,
-                    };
-                    if better {
-                        row.worst = Some((v, edge));
-                    }
-                }
-            }
-            None => rows.push(HealthRow {
-                rule,
-                severity,
-                subsystem: attr_str("subsystem"),
-                count: 1,
-                first_us: e.t_us,
-                last_us: e.t_us,
-                worst: value.map(|v| (v, edge)),
-            }),
-        }
-    }
-
-    let mut tiling: Option<HealthRow> = None;
-    for job in jobs {
-        let gap = job.makespan_us().abs_diff(job.attributed_us());
-        if gap <= 1 {
-            continue;
-        }
-        let row = tiling.get_or_insert_with(|| HealthRow {
-            rule: "attribution_tiling".to_string(),
-            severity: Severity::Critical,
-            subsystem: "obs".to_string(),
-            count: 0,
-            first_us: job.start_us,
-            last_us: job.start_us,
-            worst: None,
-        });
-        row.count += 1;
-        row.first_us = row.first_us.min(job.start_us);
-        row.last_us = row.last_us.max(job.start_us);
-        let better = match row.worst {
-            Some((w, _)) => gap as f64 > w,
-            None => true,
-        };
-        if better {
-            row.worst = Some((gap as f64, job.end_us));
-        }
-    }
-    rows.extend(tiling);
-
-    // Severest and loudest first.
-    rows.sort_by(|a, b| b.severity.cmp(&a.severity).then(b.count.cmp(&a.count)));
-    rows
-}
-
-/// The `report --health` table: one row per alert rule, worst-window
-/// pointer in the last column.
-fn render_health(rows: &[HealthRow]) -> String {
-    let mut out = String::new();
-    let total: u64 = rows.iter().map(|r| r.count).sum();
-    out.push_str(&format!(
-        "\nhealth — {} alert(s) across {} rule(s)\n",
-        total,
-        rows.len()
-    ));
-    if rows.is_empty() {
-        out.push_str("  no alerts; every audited invariant and detector stayed quiet\n");
-        return out;
-    }
-    out.push_str(&format!(
-        "{:>24} {:>8} {:>10} {:>6} {:>9} {:>9}  {}\n",
-        "rule", "severity", "subsystem", "count", "first_s", "last_s", "worst"
-    ));
-    for r in rows {
-        let worst = r
-            .worst
-            .map(|(v, edge)| format!("{} @ {:.2}s", fmt_ts_val(v), edge as f64 / 1e6))
-            .unwrap_or_else(|| "-".to_string());
-        out.push_str(&format!(
-            "{:>24} {:>8} {:>10} {:>6} {:>9.2} {:>9.2}  {}\n",
-            r.rule,
-            r.severity,
-            r.subsystem,
-            r.count,
-            r.first_us as f64 / 1e6,
-            r.last_us as f64 / 1e6,
-            worst,
-        ));
-    }
-    out
-}
-
-/// One timeline cell: integers render bare, everything else at four
-/// decimal places so fill/frag/util fractions stay readable.
-fn fmt_ts_val(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
-}
-
-/// The `report --timeline` table: one row per window edge (shown in
-/// seconds), one column per `ts.*` series with the prefix stripped,
-/// `-` where a series has no sample at that edge.
-fn render_timeline(set: &TimeSeriesSet) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\ntimeline — {} window(s), {} series\n",
-        set.window_count(),
-        set.series.len()
-    ));
-    if set.is_empty() {
-        out.push_str("  (no ts.* samples; run simulate with --window-us <N>)\n");
-        return out;
-    }
-    let edges = set.edges();
-    let names: Vec<&String> = set.series.keys().collect();
-    // Pre-render every cell so column widths can be computed.
-    let headers: Vec<&str> = names
-        .iter()
-        .map(|n| n.strip_prefix(TS_PREFIX).unwrap_or(n))
-        .collect();
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(edges.len());
-    for &edge in &edges {
-        let mut row = vec![format!("{:.2}", edge as f64 / 1e6)];
-        for name in &names {
-            let points = &set.series[*name];
-            let cell = points
-                .binary_search_by_key(&edge, |&(t, _)| t)
-                .map(|pos| fmt_ts_val(points[pos].1))
-                .unwrap_or_else(|_| "-".to_string());
-            row.push(cell);
-        }
-        rows.push(row);
-    }
-    let mut widths: Vec<usize> = std::iter::once("t_s")
-        .chain(headers.iter().copied())
-        .map(str::len)
-        .collect();
-    for row in &rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    out.push_str(&format!("  {:>w$}", "t_s", w = widths[0]));
-    for (h, w) in headers.iter().zip(&widths[1..]) {
-        out.push_str(&format!(" {h:>w$}", w = *w));
-    }
-    out.push('\n');
-    for row in &rows {
-        out.push_str("  ");
-        for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(&format!("{cell:>w$}", w = *w));
-        }
-        out.push('\n');
-    }
-    out
+    Ok(report::render(sections, p.switch("json")))
 }
 
 /// `affinity-vc derive-distance`

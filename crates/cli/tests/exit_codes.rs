@@ -54,6 +54,36 @@ fn trace_with_wrong_shape_exits_nonzero() {
 }
 
 #[test]
+fn malformed_trace_records_exit_one_naming_file_and_record() {
+    // Each record is well-formed JSON the Chrome reader must refuse: an
+    // overflowing `ts + dur` (a panic in a debug build before), and a
+    // span with no `ts` (silently read as t=0 before).
+    let cases = [
+        (
+            r#"{"ph":"X","name":"job","pid":0,"tid":0,"ts":18446744073709551615,"dur":10,"args":{}}"#,
+            "overflows",
+        ),
+        (
+            r#"{"ph":"X","name":"job","pid":0,"tid":0,"dur":10,"args":{}}"#,
+            "`ts`",
+        ),
+    ];
+    for (i, (record, what)) in cases.into_iter().enumerate() {
+        let (path, path_s) = tmp(&format!("affinity_vc_bad_record_{i}.json"));
+        std::fs::write(&path, format!(r#"{{"traceEvents":[{record}]}}"#)).unwrap();
+        let out = run(&["report", "--trace", &path_s]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{record}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&path_s), "error must name the file: {err}");
+        assert!(
+            err.contains("traceEvents[0]") && err.contains(what),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn missing_trace_file_exits_nonzero() {
     let out = run(&["report", "--trace", "/no/such/dir/trace.json"]);
     assert_eq!(out.status.code(), Some(1));

@@ -29,169 +29,18 @@ use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 
-use crate::recorder::{AttrValue, EventRecord, SpanRecord};
+use crate::recorder::{AttrValue, SpanRecord, TrackId};
+use crate::trace::TraceDump;
 
-/// Owned, analysis-friendly copy of one recorded span. Unlike
-/// [`SpanRecord`] the name is a `String`, so dumps parsed back from
-/// Chrome-trace JSON and dumps taken live from a recorder are the same
-/// type.
-#[derive(Clone, Debug)]
-pub struct DumpSpan {
-    pub track: u64,
-    pub name: String,
-    pub start_us: u64,
-    pub end_us: u64,
-    pub attrs: Vec<(String, Value)>,
-    /// Span was still open when the trace was taken.
-    pub unterminated: bool,
+/// A span's end, clamped to its start as the Chrome writer clamps it;
+/// open spans never reach the analysis.
+fn end_us(span: &SpanRecord) -> u64 {
+    span.end_us
+        .map_or(span.start_us, |end| end.max(span.start_us))
 }
 
-impl DumpSpan {
-    pub fn attr(&self, key: &str) -> Option<&Value> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        self.attr(key).and_then(Value::as_u64)
-    }
-
-    pub fn attr_f64(&self, key: &str) -> Option<f64> {
-        self.attr(key).and_then(Value::as_f64)
-    }
-
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-}
-
-/// Owned copy of one instant event.
-#[derive(Clone, Debug)]
-pub struct DumpEvent {
-    pub name: String,
-    pub t_us: u64,
-    pub track: Option<u64>,
-    pub attrs: Vec<(String, Value)>,
-}
-
-impl DumpEvent {
-    pub fn attr(&self, key: &str) -> Option<&Value> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-/// A recorder dump decoupled from the recorder: buildable from a live
-/// [`MemRecorder`] or parsed back from a `--trace-out` Chrome trace file.
-///
-/// [`MemRecorder`]: crate::recorder::MemRecorder
-#[derive(Clone, Debug, Default)]
-pub struct TraceDump {
-    pub spans: Vec<DumpSpan>,
-    pub events: Vec<DumpEvent>,
-}
-
-fn attr_to_value(v: &AttrValue) -> Value {
-    match v {
-        AttrValue::U64(x) => json!(*x),
-        AttrValue::I64(x) => json!(*x),
-        AttrValue::F64(x) => json!(*x),
-        AttrValue::Bool(x) => json!(*x),
-        AttrValue::Str(s) => json!(*s),
-        AttrValue::Owned(s) => json!(s.as_str()),
-    }
-}
-
-impl TraceDump {
-    /// Build a dump from recorder buffers.
-    pub fn from_records(spans: &[SpanRecord], events: &[EventRecord]) -> Self {
-        let spans = spans
-            .iter()
-            .map(|s| DumpSpan {
-                track: s.track.0,
-                name: s.name.to_string(),
-                start_us: s.start_us,
-                end_us: s.end_us.unwrap_or(s.start_us),
-                attrs: s
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), attr_to_value(v)))
-                    .collect(),
-                unterminated: s.end_us.is_none(),
-            })
-            .collect();
-        let events = events
-            .iter()
-            .map(|e| DumpEvent {
-                name: e.name.to_string(),
-                t_us: e.t_us,
-                track: e.track.map(|t| t.0),
-                attrs: e
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), attr_to_value(v)))
-                    .collect(),
-            })
-            .collect();
-        Self { spans, events }
-    }
-
-    pub fn from_mem(rec: &crate::recorder::MemRecorder) -> Self {
-        Self::from_records(&rec.spans(), &rec.events())
-    }
-
-    /// Parse a Chrome trace-event document (the `--trace-out` format)
-    /// back into a dump. Only `"X"` (span) and `"i"` (instant) records
-    /// matter for analysis; metadata and counter records are skipped.
-    pub fn from_chrome_value(doc: &Value) -> Result<Self, String> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "trace file has no traceEvents array".to_string())?;
-        let mut dump = TraceDump::default();
-        for e in events {
-            let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
-            let name = e
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string();
-            let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-            let ts = e.get("ts").and_then(Value::as_u64).unwrap_or(0);
-            let attrs: Vec<(String, Value)> = match e.get("args") {
-                Some(Value::Object(entries)) => entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            match ph {
-                "X" => {
-                    let dur = e.get("dur").and_then(Value::as_u64).unwrap_or(0);
-                    let unterminated = attrs
-                        .iter()
-                        .any(|(k, v)| k == "unterminated" && matches!(v, Value::Bool(true)));
-                    dump.spans.push(DumpSpan {
-                        track: tid,
-                        name,
-                        start_us: ts,
-                        end_us: ts + dur,
-                        attrs,
-                        unterminated,
-                    });
-                }
-                "i" => {
-                    let scoped = e.get("s").and_then(Value::as_str) == Some("t");
-                    dump.events.push(DumpEvent {
-                        name,
-                        t_us: ts,
-                        track: scoped.then_some(tid),
-                        attrs,
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(dump)
-    }
+fn attr_u64(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.attr(key).and_then(AttrValue::as_u64)
 }
 
 /// The six attribution buckets. Order is the canonical reporting order.
@@ -315,38 +164,27 @@ fn push_seg(segs: &mut Vec<Segment>, category: Category, start: u64, end: u64, w
 /// straggler slack, using the `slowdown` attribute the engine records
 /// on straggling attempts: a factor `f > 1` means the attempt took
 /// `f×` its clean duration, so `dur·(1 − 1/f)` of it is slack.
-fn push_map_segments(segs: &mut Vec<Segment>, span: &DumpSpan) {
-    let dur = span.duration_us();
-    let slack = match span.attr_f64("slowdown") {
+fn push_map_segments(segs: &mut Vec<Segment>, span: &SpanRecord) {
+    let end = end_us(span);
+    let dur = end - span.start_us;
+    let slack = match span.attr("slowdown").and_then(AttrValue::as_f64) {
         Some(f) if f > 1.0 => ((dur as f64) * (1.0 - 1.0 / f)).round() as u64,
         _ => 0,
     };
     let slack = slack.min(dur);
     let what = format!(
         "map {} attempt {}",
-        span.attr_u64("task").unwrap_or(0),
-        span.attr_u64("attempt").unwrap_or(0)
+        attr_u64(span, "task").unwrap_or(0),
+        attr_u64(span, "attempt").unwrap_or(0)
     );
-    push_seg(
-        segs,
-        Category::StragglerSlack,
-        span.end_us - slack,
-        span.end_us,
-        &what,
-    );
-    push_seg(
-        segs,
-        Category::Map,
-        span.start_us,
-        span.end_us - slack,
-        &what,
-    );
+    push_seg(segs, Category::StragglerSlack, end - slack, end, &what);
+    push_seg(segs, Category::Map, span.start_us, end - slack, &what);
 }
 
 /// Walk the map phase backwards from `from_t` down to the job start,
 /// chaining through the latest-finishing map attempt at each point and
 /// attributing inter-attempt gaps to the scheduler.
-fn walk_map_chain(segs: &mut Vec<Segment>, maps: &[&DumpSpan], job_start: u64, from_t: u64) {
+fn walk_map_chain(segs: &mut Vec<Segment>, maps: &[&SpanRecord], job_start: u64, from_t: u64) {
     let mut cur = from_t;
     loop {
         if cur <= job_start {
@@ -356,8 +194,8 @@ fn walk_map_chain(segs: &mut Vec<Segment>, maps: &[&DumpSpan], job_start: u64, f
         // started strictly before it (so the walk always progresses).
         let gating = maps
             .iter()
-            .filter(|m| m.end_us <= cur && m.start_us < cur)
-            .max_by_key(|m| (m.end_us, m.start_us));
+            .filter(|m| end_us(m) <= cur && m.start_us < cur)
+            .max_by_key(|m| (end_us(m), m.start_us));
         match gating {
             None => {
                 push_seg(
@@ -373,7 +211,7 @@ fn walk_map_chain(segs: &mut Vec<Segment>, maps: &[&DumpSpan], job_start: u64, f
                 push_seg(
                     segs,
                     Category::SchedulerWait,
-                    m.end_us,
+                    end_us(m),
                     cur,
                     "map slot wait",
                 );
@@ -384,31 +222,31 @@ fn walk_map_chain(segs: &mut Vec<Segment>, maps: &[&DumpSpan], job_start: u64, f
     }
 }
 
-/// Attribute one job. `members` are the spans inside the job's track
-/// block (map/shuffle/reduce/commit lanes).
-fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
-    let (j0, j1) = (job.start_us, job.end_us);
+/// Attribute one job. `members` are the closed spans inside the job's
+/// track block (map/shuffle/reduce/commit lanes).
+fn analyze_job(job: &SpanRecord, members: &[&SpanRecord]) -> JobAttribution {
+    let (j0, j1) = (job.start_us, end_us(job));
     let mut segs: Vec<Segment> = Vec::new();
     let mut gating_bottleneck: Option<String> = None;
 
-    let maps: Vec<&DumpSpan> = members
+    let maps: Vec<&SpanRecord> = members
         .iter()
         .copied()
-        .filter(|s| s.name == "map" && !s.unterminated)
+        .filter(|s| s.name == "map")
         .collect();
     let by_reducer = |name: &str, r: u64| {
         members
             .iter()
             .copied()
-            .find(|s| s.name == name && !s.unterminated && s.attr_u64("reducer") == Some(r))
+            .find(|s| s.name == name && attr_u64(s, "reducer") == Some(r))
     };
 
     // The gating reducer is the one whose commit finished last.
     let last_commit = members
         .iter()
         .copied()
-        .filter(|s| s.name == "commit" && !s.unterminated)
-        .max_by_key(|s| (s.end_us, s.attr_u64("reducer").unwrap_or(0)));
+        .filter(|s| s.name == "commit")
+        .max_by_key(|s| (end_us(s), attr_u64(s, "reducer").unwrap_or(0)));
 
     match last_commit {
         None => {
@@ -417,12 +255,12 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
             walk_map_chain(&mut segs, &maps, j0, j1);
         }
         Some(commit) => {
-            let r = commit.attr_u64("reducer").unwrap_or(0);
+            let r = attr_u64(commit, "reducer").unwrap_or(0);
             // Anything after the last commit (should be empty).
             push_seg(
                 &mut segs,
                 Category::SchedulerWait,
-                commit.end_us,
+                end_us(commit),
                 j1,
                 "job teardown",
             );
@@ -430,7 +268,7 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
                 &mut segs,
                 Category::Reduce,
                 commit.start_us,
-                commit.end_us,
+                end_us(commit),
                 &format!("commit {r}"),
             );
             let mut cur = commit.start_us;
@@ -439,7 +277,7 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
                 push_seg(
                     &mut segs,
                     Category::SchedulerWait,
-                    reduce.end_us,
+                    end_us(reduce),
                     cur,
                     "commit wait",
                 );
@@ -447,7 +285,7 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
                     &mut segs,
                     Category::Reduce,
                     reduce.start_us,
-                    reduce.end_us,
+                    end_us(reduce),
                     &format!("reduce {r}"),
                 );
                 cur = reduce.start_us;
@@ -457,22 +295,23 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
                 Some(shuffle) => {
                     gating_bottleneck = shuffle
                         .attr("last_fetch_bottleneck")
-                        .and_then(Value::as_str)
+                        .and_then(AttrValue::as_str)
                         .map(str::to_string);
                     push_seg(
                         &mut segs,
                         Category::SchedulerWait,
-                        shuffle.end_us,
+                        end_us(shuffle),
                         cur,
                         "reduce slot wait",
                     );
-                    let (s0, s1) = (shuffle.start_us, shuffle.end_us.min(cur));
+                    let (s0, s1) = (shuffle.start_us, end_us(shuffle).min(cur));
                     // All-maps-done time bounds the shuffle tail: before it
                     // the shuffle overlaps the map phase for free.
-                    let gate = shuffle.attr_u64("maps_done_us").unwrap_or(s0).clamp(s0, s1);
+                    let gate = attr_u64(shuffle, "maps_done_us")
+                        .unwrap_or(s0)
+                        .clamp(s0, s1);
                     let tail = s1 - gate;
-                    let ser = shuffle
-                        .attr_u64("last_fetch_ideal_us")
+                    let ser = attr_u64(shuffle, "last_fetch_ideal_us")
                         .unwrap_or(0)
                         .min(tail);
                     push_seg(
@@ -512,10 +351,10 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
 
     segs.sort_by_key(|s| (s.start_us, s.end_us));
     JobAttribution {
-        track: job.track,
+        track: job.track.0,
         start_us: j0,
         end_us: j1,
-        distance: job.attr_u64("cluster_distance"),
+        distance: attr_u64(job, "cluster_distance"),
         gating_bottleneck,
         segments: segs,
     }
@@ -525,20 +364,18 @@ fn analyze_job(job: &DumpSpan, members: &[&DumpSpan]) -> JobAttribution {
 /// spans; member spans are assigned to the job with the greatest track
 /// base at or below their own track (the per-request track blocks are
 /// disjoint, so this is exact for both queue and standalone traces).
+/// Open spans are ignored.
 pub fn analyze(dump: &TraceDump) -> Vec<JobAttribution> {
-    let mut jobs: Vec<&DumpSpan> = dump
-        .spans
-        .iter()
-        .filter(|s| s.name == "job" && !s.unterminated)
-        .collect();
+    let closed = || dump.spans.iter().filter(|s| s.end_us.is_some());
+    let mut jobs: Vec<&SpanRecord> = closed().filter(|s| s.name == "job").collect();
     jobs.sort_by_key(|s| s.track);
     if jobs.is_empty() {
         return Vec::new();
     }
 
-    let mut members: BTreeMap<u64, Vec<&DumpSpan>> = BTreeMap::new();
-    for span in &dump.spans {
-        if matches!(span.name.as_str(), "map" | "shuffle" | "reduce" | "commit") {
+    let mut members: BTreeMap<TrackId, Vec<&SpanRecord>> = BTreeMap::new();
+    for span in closed() {
+        if matches!(span.name, "map" | "shuffle" | "reduce" | "commit") {
             // Greatest job track <= span track.
             let owner = match jobs.binary_search_by_key(&span.track, |j| j.track) {
                 Ok(i) => Some(i),
@@ -559,18 +396,22 @@ pub fn analyze(dump: &TraceDump) -> Vec<JobAttribution> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::SpanId;
 
-    fn span(track: u64, name: &str, start: u64, end: u64, attrs: &[(&str, Value)]) -> DumpSpan {
-        DumpSpan {
-            track,
-            name: name.to_string(),
+    fn span(
+        track: u64,
+        name: &'static str,
+        start: u64,
+        end: u64,
+        attrs: &[(&'static str, AttrValue)],
+    ) -> SpanRecord {
+        SpanRecord {
+            id: SpanId(0),
+            track: TrackId(track),
+            name,
             start_us: start,
-            end_us: end,
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            unterminated: false,
+            end_us: Some(end),
+            attrs: attrs.to_vec(),
         }
     }
 
@@ -586,13 +427,19 @@ mod tests {
         //   reduce r0 [600, 900]; commit r0 [900, 1000]
         let dump = TraceDump {
             spans: vec![
-                span(0, "job", 0, 1000, &[("cluster_distance", json!(7))]),
+                span(
+                    0,
+                    "job",
+                    0,
+                    1000,
+                    &[("cluster_distance", AttrValue::U64(7))],
+                ),
                 span(
                     2,
                     "map",
                     0,
                     100,
-                    &[("task", json!(0)), ("attempt", json!(0))],
+                    &[("task", AttrValue::U64(0)), ("attempt", AttrValue::U64(0))],
                 ),
                 span(
                     3,
@@ -600,9 +447,9 @@ mod tests {
                     0,
                     400,
                     &[
-                        ("task", json!(1)),
-                        ("attempt", json!(0)),
-                        ("slowdown", json!(2.0)),
+                        ("task", AttrValue::U64(1)),
+                        ("attempt", AttrValue::U64(0)),
+                        ("slowdown", AttrValue::F64(2.0)),
                     ],
                 ),
                 span(
@@ -611,16 +458,16 @@ mod tests {
                     0,
                     600,
                     &[
-                        ("reducer", json!(0)),
-                        ("maps_done_us", json!(400)),
-                        ("last_fetch_ideal_us", json!(50)),
-                        ("last_fetch_bottleneck", json!("rack-up")),
+                        ("reducer", AttrValue::U64(0)),
+                        ("maps_done_us", AttrValue::U64(400)),
+                        ("last_fetch_ideal_us", AttrValue::U64(50)),
+                        ("last_fetch_bottleneck", AttrValue::Str("rack-up")),
                     ],
                 ),
-                span(2, "reduce", 600, 900, &[("reducer", json!(0))]),
-                span(2, "commit", 900, 1000, &[("reducer", json!(0))]),
+                span(2, "reduce", 600, 900, &[("reducer", AttrValue::U64(0))]),
+                span(2, "commit", 900, 1000, &[("reducer", AttrValue::U64(0))]),
             ],
-            events: vec![],
+            ..TraceDump::default()
         };
 
         let jobs = analyze(&dump);
@@ -662,19 +509,22 @@ mod tests {
                     "map",
                     0,
                     100,
-                    &[("task", json!(0)), ("attempt", json!(0))],
+                    &[("task", AttrValue::U64(0)), ("attempt", AttrValue::U64(0))],
                 ),
                 span(
                     2,
                     "shuffle",
                     200,
                     300,
-                    &[("reducer", json!(1)), ("maps_done_us", json!(100))],
+                    &[
+                        ("reducer", AttrValue::U64(1)),
+                        ("maps_done_us", AttrValue::U64(100)),
+                    ],
                 ),
-                span(2, "reduce", 300, 450, &[("reducer", json!(1))]),
-                span(2, "commit", 450, 500, &[("reducer", json!(1))]),
+                span(2, "reduce", 300, 450, &[("reducer", AttrValue::U64(1))]),
+                span(2, "commit", 450, 500, &[("reducer", AttrValue::U64(1))]),
             ],
-            events: vec![],
+            ..TraceDump::default()
         };
         let jobs = analyze(&dump);
         let job = &jobs[0];
@@ -707,8 +557,8 @@ mod tests {
         rec.span_end(c, 100);
         rec.span_end(j, 100);
 
-        let direct = analyze(&TraceDump::from_mem(&rec));
         let doc = crate::trace::chrome_trace(&rec);
+        let direct = analyze(&rec.into_dump());
         let parsed = analyze(&TraceDump::from_chrome_value(&doc).unwrap());
         assert_eq!(direct.len(), parsed.len());
         for (a, b) in direct.iter().zip(&parsed) {

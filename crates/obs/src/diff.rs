@@ -24,6 +24,8 @@
 //! 80% of it shuffle-network-wait behind rack1.up".
 
 use crate::manifest::RunManifest;
+use crate::metrics::SnapshotView;
+use crate::timeseries::TimeSeriesSet;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -734,26 +736,20 @@ impl DiffReport {
 }
 
 fn num_entries(doc: &Value, key: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    if let Some(entries) = doc.get(key).and_then(Value::as_object) {
-        for (name, v) in entries {
-            if let Some(x) = v.as_f64() {
-                out.insert(name.clone(), x);
-            }
-        }
-    }
-    out
+    SnapshotView(doc)
+        .section(key)
+        .iter()
+        .filter_map(|(name, v)| Some((name.clone(), v.as_f64()?)))
+        .collect()
 }
 
 /// Histogram aggregates flattened to `<name>.count/.sum/.max` scalars.
 fn histogram_entries(doc: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
-    if let Some(entries) = doc.get("histograms").and_then(Value::as_object) {
-        for (name, h) in entries {
-            for field in ["count", "sum", "max"] {
-                if let Some(x) = h.get(field).and_then(Value::as_f64) {
-                    out.insert(format!("{name}.{field}"), x);
-                }
+    for (name, h) in SnapshotView(doc).section("histograms") {
+        for field in ["count", "sum", "max"] {
+            if let Some(x) = h.get(field).and_then(Value::as_f64) {
+                out.insert(format!("{name}.{field}"), x);
             }
         }
     }
@@ -802,65 +798,14 @@ fn diff_scalars(
     ScalarDiff { deltas, compared }
 }
 
-/// Per-link rollup parsed from `net.link.<link>.<field>` counters and
-/// `net.link.<link>.peak_util` gauges.
-#[derive(Default, Clone)]
-struct LinkSide {
-    bytes: u64,
-    busy_us: u64,
-    peak_util: f64,
-}
-
-fn link_sides(
-    counters: &BTreeMap<String, f64>,
-    gauges: &BTreeMap<String, f64>,
-) -> BTreeMap<String, LinkSide> {
-    let mut out: BTreeMap<String, LinkSide> = BTreeMap::new();
-    for (name, v) in counters {
-        let Some(rest) = name.strip_prefix("net.link.") else {
-            continue;
-        };
-        let Some((link, field)) = rest.rsplit_once('.') else {
-            continue;
-        };
-        let entry = out.entry(link.to_string()).or_default();
-        match field {
-            "bytes" => entry.bytes = *v as u64,
-            "busy_us" => entry.busy_us = *v as u64,
-            _ => {}
-        }
-    }
-    for (name, v) in gauges {
-        if let Some(rest) = name.strip_prefix("net.link.") {
-            if let Some(link) = rest.strip_suffix(".peak_util") {
-                out.entry(link.to_string()).or_default().peak_util = *v;
-            }
-        }
-    }
-    out
-}
-
+/// Each run's windowed series as `name → edge → value`.
 fn series_map(doc: &Value) -> BTreeMap<String, BTreeMap<u64, f64>> {
-    let mut out: BTreeMap<String, BTreeMap<u64, f64>> = BTreeMap::new();
-    if let Some(series) = doc
-        .get("timeseries")
-        .and_then(|t| t.get("series"))
-        .and_then(Value::as_object)
-    {
-        for (name, points) in series {
-            let mut m = BTreeMap::new();
-            if let Some(arr) = points.as_array() {
-                for p in arr {
-                    let (Some(t), Some(v)) = (p[0].as_u64(), p[1].as_f64()) else {
-                        continue;
-                    };
-                    m.insert(t, v);
-                }
-            }
-            out.insert(name.clone(), m);
-        }
-    }
-    out
+    let series = doc.get("timeseries").and_then(|t| t.get("series"));
+    let set = series.map(TimeSeriesSet::from_json).unwrap_or_default();
+    set.series
+        .into_iter()
+        .map(|(name, points)| (name, points.into_iter().collect()))
+        .collect()
 }
 
 /// Attribution rollup: per-category µs sums, per-bottleneck gating
@@ -947,8 +892,8 @@ pub fn diff(
     );
 
     // Links: union of both sides' rollups; report changed ones.
-    let base_links = link_sides(&base_counters, &base_gauges);
-    let cand_links = link_sides(&cand_counters, &cand_gauges);
+    let base_links = SnapshotView(baseline).links();
+    let cand_links = SnapshotView(candidate).links();
     let mut link_names: Vec<&String> = base_links.keys().chain(cand_links.keys()).collect();
     link_names.sort();
     link_names.dedup();

@@ -13,10 +13,14 @@
 //!    crate cannot depend on it; timestamps cross the API as raw
 //!    microsecond `u64`s (the same unit `vc_des::SimTime` uses
 //!    internally).
-//! 3. **Standard output formats.** [`MemRecorder`] buffers everything and
-//!    exports a Chrome trace-event JSON (loadable in Perfetto /
-//!    `chrome://tracing`) via [`trace::chrome_trace`], and a metrics
-//!    snapshot as JSON or CSV via [`metrics::MetricsSnapshot`].
+//! 3. **One trace type, standard edge formats.** [`MemRecorder`] buffers
+//!    everything and finishes into a [`TraceDump`], which is also what a
+//!    replayed JSONL stream ([`replay_jsonl`]) and a read-back Chrome
+//!    trace ([`TraceDump::from_chrome_value`]) become. Every analysis
+//!    (critical path, [`report`]) reads the dump; Chrome trace-event JSON
+//!    (loadable in Perfetto / `chrome://tracing`) and the metrics
+//!    snapshot (JSON or CSV via [`metrics::MetricsSnapshot`]) are only
+//!    written and read at the edges.
 //!
 //! Spans model task attempts (map, shuffle fetch, reduce) on a
 //! [`TrackId`] — one track per VM, so the Perfetto timeline reads like a
@@ -34,22 +38,23 @@ pub mod metrics;
 pub mod prof;
 pub mod prom;
 pub mod recorder;
+pub mod report;
 pub mod stream;
 pub mod timeseries;
 pub mod trace;
 
-pub use critical_path::{analyze, Category, JobAttribution, Segment, TraceDump, CATEGORIES};
+pub use critical_path::{analyze, Category, JobAttribution, Segment, CATEGORIES};
 pub use diff::{diff, DiffError, DiffOptions, DiffReport, Verdict};
 pub use health::{
     AlertSink, HealthMonitor, HealthPolicy, Severity, WindowHealthSample, ALERT_PREFIX,
 };
 pub use manifest::{Fnv64, RunManifest, MANIFEST_KEY};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, LinkTotals, MetricsRegistry, MetricsSnapshot, SnapshotView};
 pub use prof::{Phase, PhaseTimer};
 pub use prom::{to_prometheus, to_prometheus_windowed};
 pub use recorder::{
     AttrValue, EventRecord, MemRecorder, NoopRecorder, Recorder, SpanId, SpanRecord, TrackId,
 };
-pub use stream::{intern, manifest_from_jsonl, replay_jsonl, MergedTrace, StreamingRecorder};
+pub use stream::{intern, manifest_from_jsonl, replay_jsonl, StreamingRecorder};
 pub use timeseries::{TimeSeriesSet, WindowSampler, TS_PREFIX};
-pub use trace::chrome_trace;
+pub use trace::{chrome_trace, TraceDump};

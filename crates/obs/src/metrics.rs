@@ -203,6 +203,83 @@ impl MetricsSnapshot {
     }
 }
 
+/// Read-only view of a metrics snapshot as JSON: the document
+/// [`MetricsSnapshot::to_json`] writes, or a run document extending it.
+/// Missing sections and entries read as absent.
+#[derive(Clone, Copy, Debug)]
+pub struct SnapshotView<'a>(pub &'a serde_json::Value);
+
+/// One link's telemetry, reassembled from the `net.link.<link>.<field>`
+/// counters and `net.link.<link>.peak_util` gauge. In queue runs the
+/// counters sum (and `peak_util` maxes) over every job that crossed
+/// the link.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LinkTotals {
+    pub bytes: u64,
+    pub shuffle_bytes: u64,
+    pub busy_us: u64,
+    pub binding_events: u64,
+    pub peak_util: f64,
+}
+
+impl<'a> SnapshotView<'a> {
+    /// The `(name, value)` entries of `counters`, `gauges` or
+    /// `histograms`.
+    pub fn section(self, key: &str) -> &'a [(String, serde_json::Value)] {
+        self.0
+            .get(key)
+            .and_then(serde_json::Value::as_object)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn find(self, key: &str, name: &str) -> Option<&'a serde_json::Value> {
+        self.section(key)
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+    }
+
+    /// One counter, 0 when absent.
+    pub fn counter(self, name: &str) -> u64 {
+        self.find("counters", name)
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or(0)
+    }
+
+    pub fn gauge(self, name: &str) -> Option<f64> {
+        self.find("gauges", name)
+            .and_then(serde_json::Value::as_f64)
+    }
+
+    /// Every link with `net.link.*` telemetry, keyed by link name.
+    pub fn links(self) -> BTreeMap<String, LinkTotals> {
+        let mut links: BTreeMap<String, LinkTotals> = BTreeMap::new();
+        let split = |name: &'a str| name.strip_prefix("net.link.")?.rsplit_once('.');
+        for (name, value) in self.section("counters") {
+            let Some((link, field @ ("bytes" | "shuffle_bytes" | "busy_us" | "binding_events"))) =
+                split(name)
+            else {
+                continue;
+            };
+            let totals = links.entry(link.to_string()).or_default();
+            let v = value.as_u64().unwrap_or(0);
+            match field {
+                "bytes" => totals.bytes = v,
+                "shuffle_bytes" => totals.shuffle_bytes = v,
+                "busy_us" => totals.busy_us = v,
+                _ => totals.binding_events = v,
+            }
+        }
+        for (name, value) in self.section("gauges") {
+            if let Some((link, "peak_util")) = split(name) {
+                links.entry(link.to_string()).or_default().peak_util =
+                    value.as_f64().unwrap_or(0.0);
+            }
+        }
+        links
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,5 +354,35 @@ mod tests {
         assert!(csv.contains("gauge,b,value,2"));
         assert!(csv.contains("histogram,c,count,1"));
         assert!(csv.contains("histogram,c,bucket_2,1"));
+    }
+
+    #[test]
+    fn snapshot_view_reads_counters_gauges_and_links() {
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("net.link.rack0.up.bytes", 10);
+        reg.counter_add("net.link.rack0.up.shuffle_bytes", 4);
+        reg.counter_add("net.link.rack0.up.busy_us", 7);
+        reg.counter_add("net.link.rack0.up.binding_events", 2);
+        reg.counter_add("net.link.node1.rx.flows", 9); // unknown field
+        reg.gauge_set("net.link.rack0.up.peak_util", 0.5);
+        reg.gauge_set("net.link.rack0.up.util", 0.1); // sample mirror
+        reg.counter_add("mr.jobs", 3);
+        let doc = reg.snapshot().to_json();
+        let view = SnapshotView(&doc);
+        assert_eq!(view.counter("mr.jobs"), 3);
+        assert_eq!(view.counter("absent"), 0);
+        assert_eq!(view.gauge("net.link.rack0.up.peak_util"), Some(0.5));
+        assert_eq!(view.gauge("absent"), None);
+        let links = view.links();
+        assert_eq!(links.len(), 1, "{links:?}");
+        let want = LinkTotals {
+            bytes: 10,
+            shuffle_bytes: 4,
+            busy_us: 7,
+            binding_events: 2,
+            peak_util: 0.5,
+        };
+        assert_eq!(links["rack0.up"], want);
+        assert!(SnapshotView(&serde_json::Value::Null).links().is_empty());
     }
 }

@@ -1,10 +1,13 @@
 //! The [`Recorder`] sink trait plus the two standard implementations:
 //! [`NoopRecorder`] (zero cost) and [`MemRecorder`] (in-memory buffers).
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 
+use serde_json::Value;
+
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::trace::TraceDump;
 
 /// Timeline lane for spans — by convention one track per VM, with
 /// reserved tracks for schedulers/queues registered via
@@ -52,6 +55,29 @@ impl AttrValue {
             AttrValue::U64(v) => Some(v),
             AttrValue::I64(v) => u64::try_from(v).ok(),
             _ => None,
+        }
+    }
+
+    /// Any numeric variant as an `f64`, like `serde_json::Value::as_f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            AttrValue::U64(v) => Some(v as f64),
+            AttrValue::I64(v) => Some(v as f64),
+            AttrValue::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The JSON form every export writes (non-finite floats become
+    /// `null`).
+    pub fn to_json(&self) -> Value {
+        match self {
+            AttrValue::U64(x) => Value::U64(*x),
+            AttrValue::I64(x) => Value::I64(*x),
+            AttrValue::F64(x) => Value::F64(*x),
+            AttrValue::Bool(x) => Value::Bool(*x),
+            AttrValue::Str(s) => Value::Str(s.to_string()),
+            AttrValue::Owned(s) => Value::Str(s.clone()),
         }
     }
 }
@@ -106,6 +132,11 @@ impl From<String> for AttrValue {
 
 /// Key/value attribute pair.
 pub type Attr = (&'static str, AttrValue);
+
+/// The first attribute named `key`.
+fn find_attr<'a>(attrs: &'a [Attr], key: &str) -> Option<&'a AttrValue> {
+    attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
 
 /// Observability sink. All methods take `&self` (implementations use
 /// interior mutability) so a recorder can be shared by every layer of a
@@ -214,7 +245,7 @@ pub struct NoopRecorder;
 impl Recorder for NoopRecorder {}
 
 /// A recorded instantaneous event.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EventRecord {
     pub name: &'static str,
     pub t_us: u64,
@@ -222,8 +253,14 @@ pub struct EventRecord {
     pub attrs: Vec<Attr>,
 }
 
+impl EventRecord {
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        find_attr(&self.attrs, key)
+    }
+}
+
 /// A recorded span; `end_us` is `None` while the span is open.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     pub id: SpanId,
     pub track: TrackId,
@@ -233,14 +270,20 @@ pub struct SpanRecord {
     pub attrs: Vec<Attr>,
 }
 
+impl SpanRecord {
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        find_attr(&self.attrs, key)
+    }
+}
+
 #[derive(Debug, Default)]
 struct MemInner {
-    events: Vec<EventRecord>,
-    spans: Vec<SpanRecord>,
-    /// Open span id → index into `spans`.
+    /// Spans, events, track names and counter series as recorded; the
+    /// metrics and open-span count are filled in by
+    /// [`MemRecorder::into_dump`].
+    trace: TraceDump,
+    /// Open span id → index into `trace.spans`.
     open: BTreeMap<u64, usize>,
-    track_names: BTreeMap<u64, String>,
-    counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
     metrics: MetricsRegistry,
     next_span: u64,
     /// Per-series high-water sample timestamp: the gauge mirror of
@@ -264,11 +307,11 @@ impl MemRecorder {
     }
 
     pub fn events(&self) -> Vec<EventRecord> {
-        self.inner.borrow().events.clone()
+        self.inner.borrow().trace.events.clone()
     }
 
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.borrow().spans.clone()
+        self.inner.borrow().trace.spans.clone()
     }
 
     /// Number of spans begun but not yet ended.
@@ -277,15 +320,32 @@ impl MemRecorder {
     }
 
     pub fn track_names(&self) -> BTreeMap<u64, String> {
-        self.inner.borrow().track_names.clone()
+        self.inner.borrow().trace.track_names.clone()
     }
 
     pub fn counter_series(&self) -> BTreeMap<&'static str, Vec<(u64, f64)>> {
-        self.inner.borrow().counter_series.clone()
+        self.inner.borrow().trace.counter_series.clone()
     }
 
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.borrow().metrics.snapshot()
+    }
+
+    /// The buffers recorded so far, borrowed (metrics and open-span
+    /// count not yet filled in).
+    pub(crate) fn trace(&self) -> Ref<'_, TraceDump> {
+        Ref::map(self.inner.borrow(), |inner| &inner.trace)
+    }
+
+    /// Finish recording: move the buffers into a [`TraceDump`] without
+    /// copying them.
+    pub fn into_dump(self) -> TraceDump {
+        let inner = self.inner.into_inner();
+        TraceDump {
+            metrics: inner.metrics.snapshot(),
+            open_spans: inner.open.len(),
+            ..inner.trace
+        }
     }
 }
 
@@ -328,6 +388,7 @@ impl Recorder for MemRecorder {
             inner.metrics.gauge_set(name, value);
         }
         inner
+            .trace
             .counter_series
             .entry(name)
             .or_default()
@@ -337,12 +398,13 @@ impl Recorder for MemRecorder {
     fn track_name(&self, track: TrackId, name: &str) {
         self.inner
             .borrow_mut()
+            .trace
             .track_names
             .insert(track.0, name.to_string());
     }
 
     fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        self.inner.borrow_mut().events.push(EventRecord {
+        self.inner.borrow_mut().trace.events.push(EventRecord {
             name,
             t_us,
             track,
@@ -354,8 +416,8 @@ impl Recorder for MemRecorder {
         let mut inner = self.inner.borrow_mut();
         inner.next_span += 1;
         let id = SpanId(inner.next_span);
-        let index = inner.spans.len();
-        inner.spans.push(SpanRecord {
+        let index = inner.trace.spans.len();
+        inner.trace.spans.push(SpanRecord {
             id,
             track,
             name,
@@ -373,7 +435,7 @@ impl Recorder for MemRecorder {
         }
         let mut inner = self.inner.borrow_mut();
         if let Some(index) = inner.open.remove(&span.0) {
-            inner.spans[index].end_us = Some(t_us);
+            inner.trace.spans[index].end_us = Some(t_us);
         }
     }
 
@@ -383,7 +445,7 @@ impl Recorder for MemRecorder {
         }
         let mut inner = self.inner.borrow_mut();
         if let Some(&index) = inner.open.get(&span.0) {
-            inner.spans[index].attrs.push((key, value));
+            inner.trace.spans[index].attrs.push((key, value));
         }
     }
 }

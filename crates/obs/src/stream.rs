@@ -10,7 +10,7 @@
 //! Every line carries the op's resolved timestamp (untimestamped ops
 //! inherit the recorder's high-water mark) and a sequence number, so
 //! [`replay_jsonl`] can sort by `(t_us, seq)` and replay the log into a
-//! [`MergedTrace`] that equals the `MemRecorder` view of the same run
+//! [`TraceDump`] that equals [`MemRecorder::into_dump`] of the same run
 //! bit for bit (see `crates/obs/tests/props.rs`).
 //!
 //! Format: one JSON object per line. `t`/`q` are the stamp; `o` tags
@@ -21,6 +21,7 @@
 //! a `<key>b` bit-pattern field so replay is exact for every `f64`.
 //!
 //! [`MemRecorder`]: crate::recorder::MemRecorder
+//! [`MemRecorder::into_dump`]: crate::recorder::MemRecorder::into_dump
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -28,8 +29,9 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Mutex, OnceLock};
 
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsRegistry;
 use crate::recorder::{Attr, AttrValue, EventRecord, Recorder, SpanId, SpanRecord, TrackId};
+use crate::trace::TraceDump;
 
 /// Default buffer size before a flush to the sink.
 pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
@@ -356,7 +358,7 @@ struct StampedOp {
     op: Op,
 }
 
-/// Sort an op log by `(t_us, seq)` and replay it into a [`MergedTrace`].
+/// Sort an op log by `(t_us, seq)` and replay it into a [`TraceDump`].
 ///
 /// A span attribute inherits the high-water timestamp, which can lie past
 /// its span's end when an earlier op ended later in sim time, so it may
@@ -364,11 +366,11 @@ struct StampedOp {
 /// `seq` — recorded before the end, as [`MemRecorder`] sees it.
 ///
 /// [`MemRecorder`]: crate::recorder::MemRecorder
-fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
+fn replay_ops(mut ops: Vec<StampedOp>) -> TraceDump {
     // seq is unique, so this order is total and respects program order.
     ops.sort_by_key(|op| (op.t_us, op.seq));
 
-    let mut out = MergedTrace::default();
+    let mut out = TraceDump::default();
     let mut metrics = MetricsRegistry::default();
     // Span id → (index into `out.spans`, seq of its end once seen).
     let mut span_at: HashMap<u64, (usize, Option<u64>)> = HashMap::new();
@@ -428,19 +430,6 @@ fn replay_ops(mut ops: Vec<StampedOp>) -> MergedTrace {
     out.open_spans = span_at.values().filter(|(_, end)| end.is_none()).count();
     out.metrics = metrics.snapshot();
     out
-}
-
-/// A replayed op stream, shaped like the buffers of a
-/// [`MemRecorder`](crate::recorder::MemRecorder).
-#[derive(Debug, Default)]
-pub struct MergedTrace {
-    pub spans: Vec<SpanRecord>,
-    pub events: Vec<EventRecord>,
-    pub track_names: BTreeMap<u64, String>,
-    pub counter_series: BTreeMap<&'static str, Vec<(u64, f64)>>,
-    pub metrics: MetricsSnapshot,
-    /// Spans begun but never ended at merge time.
-    pub open_spans: usize,
 }
 
 /// Intern a dynamically built name (a replayed op-log name, a per-link
@@ -525,10 +514,10 @@ fn parse_attrs(obj: &Value, line: usize) -> Result<Vec<Attr>, String> {
 }
 
 /// Replay a JSONL op stream written by [`StreamingRecorder`] into a
-/// deterministic [`MergedTrace`]: ops sorted by `(t_us, seq)` and
+/// deterministic [`TraceDump`]: ops sorted by `(t_us, seq)` and
 /// applied in that order. Any malformed, truncated, or unrecognized
 /// line is an error carrying its 1-based line number.
-pub fn replay_jsonl(text: &str) -> Result<MergedTrace, String> {
+pub fn replay_jsonl(text: &str) -> Result<TraceDump, String> {
     let mut ops: Vec<StampedOp> = Vec::new();
     for (index, raw) in text.lines().enumerate() {
         let line = index + 1;
@@ -654,15 +643,13 @@ mod tests {
         let mem = MemRecorder::new();
         drive(&mem);
         let merged = replay_jsonl(&record_stream()).unwrap();
-        assert_eq!(merged.metrics, mem.metrics());
-        assert_eq!(merged.track_names, mem.track_names());
-        assert_eq!(merged.counter_series, mem.counter_series());
+        let mem = mem.into_dump();
+        assert_eq!(merged.metrics, mem.metrics);
+        assert_eq!(merged.track_names, mem.track_names);
+        assert_eq!(merged.counter_series, mem.counter_series);
         assert_eq!(merged.open_spans, 0);
-        assert_eq!(format!("{:?}", merged.spans), format!("{:?}", mem.spans()));
-        assert_eq!(
-            format!("{:?}", merged.events),
-            format!("{:?}", mem.events())
-        );
+        assert_eq!(merged.spans, mem.spans);
+        assert_eq!(merged.events, mem.events);
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //! perturbs the simulation (traced/untraced bit-parity holds).
 //!
 //! Samples travel as ordinary [`Recorder::counter_sample`] series under
-//! the `ts.` name prefix; [`TimeSeriesSet`] regroups them — from a live
-//! recorder, a saved Chrome trace, or a replayed JSONL stream — into a
-//! window-major table ready for CSV/JSONL export and the
-//! `vc report --timeline` view.
+//! the `ts.` name prefix; [`TimeSeriesSet`] regroups a trace's counter
+//! series — however the [`TraceDump`] was obtained — into a window-major
+//! table ready for CSV/JSONL export and the `vc report --timeline` view.
 //!
 //! [`Recorder::counter_sample`]: crate::recorder::Recorder::counter_sample
+//! [`TraceDump`]: crate::trace::TraceDump
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use serde_json::Value;
 
 /// Name prefix that marks a counter series as a windowed time-series.
 pub const TS_PREFIX: &str = "ts.";
@@ -98,36 +100,37 @@ impl TimeSeriesSet {
         Self { series }
     }
 
-    /// Extract every `ts.*` counter track from a Chrome trace-event
-    /// document (the shape written by `--trace-out`).
-    pub fn from_chrome_value(doc: &serde_json::Value) -> Result<Self, String> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| "trace document has no traceEvents array".to_string())?;
-        let mut series: BTreeMap<String, Vec<(u64, f64)>> = BTreeMap::new();
-        for ev in events {
-            if ev.get("ph").and_then(|v| v.as_str()) != Some("C") {
-                continue;
-            }
-            let Some(name) = ev.get("name").and_then(|v| v.as_str()) else {
-                continue;
-            };
-            if !name.starts_with(TS_PREFIX) {
-                continue;
-            }
-            let t = ev
-                .get("ts")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("counter event {name} has no integer ts"))?;
-            let value = ev
-                .get("args")
-                .and_then(|a| a.get("value"))
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("counter event {name} has no numeric args.value"))?;
-            series.entry(name.to_string()).or_default().push((t, value));
+    /// `{"<name>": [[edge_us, value], ...], ...}`: the `series` object
+    /// of a run document's `timeseries` entry and of `report --json`'s
+    /// `timeline` entry.
+    pub fn to_json(&self) -> Value {
+        let series = self
+            .series
+            .iter()
+            .map(|(name, points)| {
+                let rows = points
+                    .iter()
+                    .map(|&(t, v)| Value::Array(vec![Value::U64(t), Value::F64(v)]))
+                    .collect();
+                (name.clone(), Value::Array(rows))
+            })
+            .collect();
+        Value::Object(series)
+    }
+
+    /// Read [`Self::to_json`]'s shape back, skipping malformed points.
+    pub fn from_json(doc: &Value) -> Self {
+        let mut series = BTreeMap::new();
+        for (name, points) in doc.as_object().into_iter().flatten() {
+            let points = points
+                .as_array()
+                .into_iter()
+                .flatten()
+                .filter_map(|p| Some((p[0].as_u64()?, p[1].as_f64()?)))
+                .collect();
+            series.insert(name.clone(), points);
         }
-        Ok(Self { series })
+        Self { series }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -294,19 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_roundtrip_extracts_ts_counters() {
-        let doc: serde_json::Value = serde_json::from_str(
-            r#"{"traceEvents":[
-                {"ph":"C","name":"ts.cloud.fill","pid":0,"tid":0,"ts":100,"args":{"value":0.25}},
-                {"ph":"C","name":"cloudsim.queue_depth","pid":0,"tid":0,"ts":7,"args":{"value":1}},
-                {"ph":"X","name":"map","pid":0,"tid":1,"ts":0,"dur":10,"args":{}}
-            ]}"#,
-        )
-        .unwrap();
-        let set = TimeSeriesSet::from_chrome_value(&doc).unwrap();
-        assert_eq!(set.series.len(), 1);
-        assert_eq!(set.series["ts.cloud.fill"], vec![(100, 0.25)]);
-        let err = TimeSeriesSet::from_chrome_value(&serde_json::from_str("{}").unwrap());
-        assert!(err.is_err());
+    fn json_roundtrip() {
+        let set = sample_set();
+        let json = set.to_json();
+        assert_eq!(
+            json.to_string(),
+            r#"{"ts.a":[[100,1.0],[200,2.0]],"ts.b":[[200,0.5]]}"#
+        );
+        assert_eq!(TimeSeriesSet::from_json(&json), set);
     }
 }

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use vc_obs::metrics::{bucket_index, bucket_lower_bound, Histogram, NUM_BUCKETS};
 use vc_obs::{
-    replay_jsonl, AttrValue, EventRecord, MemRecorder, MetricsSnapshot, Recorder, SpanRecord,
-    StreamingRecorder, TrackId,
+    chrome_trace, replay_jsonl, AttrValue, EventRecord, MemRecorder, MetricsSnapshot, Recorder,
+    SpanRecord, StreamingRecorder, TraceDump, TrackId,
 };
 
 const CTR_NAMES: [&str; 4] = ["m.a", "m.b", "m.c", "m.d"];
@@ -184,5 +184,36 @@ proptest! {
         let mem_events: Vec<_> = mem.events().iter().map(event_key).collect();
         let st_events: Vec<_> = merged.events.iter().map(event_key).collect();
         prop_assert_eq!(mem_events, st_events, "event order must survive the stream");
+    }
+
+    /// The Chrome writer and reader are inverses: a recording read back
+    /// from its own Chrome document (through JSON text, as `report
+    /// --trace` reads it) is the dump the recorder finishes into, and
+    /// writing that again gives the same document. The generated ops
+    /// avoid the lossy cases listed in `vc_obs::trace`; one span is left
+    /// open to cover the `unterminated` flag.
+    #[test]
+    fn chrome_roundtrip_is_exact(
+        ops in proptest::collection::vec(
+            (0usize..8, any::<u64>(), 0u64..10_000),
+            0..100,
+        )
+    ) {
+        let rec = MemRecorder::new();
+        apply_ops(&rec, &ops);
+        rec.span_begin(TrackId(1), "open", 0, &[("v", AttrValue::U64(1))]);
+        let doc = chrome_trace(&rec);
+        let text = serde_json::to_string(&doc).expect("trace serialises");
+        let read = TraceDump::from_chrome_value(&serde_json::from_str(&text).expect("parses"))
+            .expect("own trace reads back");
+        let dump = rec.into_dump();
+
+        prop_assert_eq!(&read.spans, &dump.spans);
+        prop_assert_eq!(&read.events, &dump.events);
+        prop_assert_eq!(&read.track_names, &dump.track_names);
+        prop_assert_eq!(&read.counter_series, &dump.counter_series);
+        prop_assert_eq!((read.open_spans, dump.open_spans), (1, 1));
+        let again = serde_json::to_string(&read.to_chrome_value()).expect("serialises");
+        prop_assert_eq!(again, text);
     }
 }
