@@ -15,8 +15,8 @@ use vc_model::workload::RequestProfile;
 use vc_model::{ClusterState, Request, VmCatalog};
 use vc_netsim::NetworkParams;
 use vc_obs::{
-    report, DiffOptions, DiffReport, Fnv64, HealthPolicy, MemRecorder, MetricsSnapshot, Recorder,
-    RunManifest, Severity, StreamingRecorder, TimeSeriesSet, TraceDump, MANIFEST_KEY,
+    report, DiffOptions, DiffReport, Fnv64, MemRecorder, MetricsSnapshot, Recorder, RunManifest,
+    Severity, StreamingRecorder, TimeSeriesSet, TraceDump, MANIFEST_KEY,
 };
 use vc_placement::distance::distance_with_center;
 use vc_placement::global::Admission;
@@ -90,42 +90,26 @@ fn wants_observability(p: &Parsed) -> bool {
         || !p.str_or("stream-out", "").is_empty()
 }
 
-/// Flag names shared by every command that accepts the health watchdog.
-const HEALTH_OPTIONS: &[&str] = &[
-    "health",
-    "health-audit-events",
-    "health-uplink-util",
-    "health-uplink-windows",
-    "health-frag-windows",
-    "health-queue-windows",
-];
-
-/// The [`HealthPolicy`] selected by `--health` and its tuning flags.
-/// `--health` alone enables the watchdog with defaults; any
-/// `--health-*` tuning flag implies it. `None` when no health flag was
-/// given at all.
-fn health_policy(p: &Parsed) -> Result<Option<HealthPolicy>, ArgError> {
-    let tuned = HEALTH_OPTIONS[1..]
-        .iter()
-        .any(|k| !p.str_or(k, "").is_empty());
-    if !p.switch("health") && !tuned {
-        return Ok(None);
+/// The arrival rate from `--rate`: finite and positive, and small enough
+/// that `count` exponential gaps fit in [`SimTime`] with half its range
+/// to spare for holding times. A gap is at most `-ln(f64::EPSILON)/rate`
+/// seconds, because [`ArrivalProcess::generate`] draws `u ≥ EPSILON`.
+fn arrival_rate(p: &Parsed, count: usize) -> Result<f64, ArgError> {
+    let rate = p.num_or("rate", 0.5f64)?;
+    let given = p.str_or("rate", "0.5");
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(ArgError::new(format!(
+            "--rate {given}: must be a finite positive number of arrivals per second"
+        )));
     }
-    let d = HealthPolicy::default();
-    let policy = HealthPolicy {
-        audit_every_events: p.num_or("health-audit-events", d.audit_every_events)?,
-        uplink_util: p.num_or("health-uplink-util", d.uplink_util)?,
-        uplink_windows: p.num_or("health-uplink-windows", d.uplink_windows)?,
-        frag_windows: p.num_or("health-frag-windows", d.frag_windows)?,
-        queue_windows: p.num_or("health-queue-windows", d.queue_windows)?,
-        ..d
-    };
-    if !(0.0..=1.0).contains(&policy.uplink_util) {
-        return Err(ArgError::new(
-            "--health-uplink-util must be a fraction in [0, 1]",
-        ));
+    let max_gap_us = -f64::EPSILON.ln() / rate * 1e6;
+    if count > 0 && count as f64 * (max_gap_us + 1.0) > (u64::MAX / 2) as f64 {
+        return Err(ArgError::new(format!(
+            "--rate {given}: too low for {count} requests; their arrival times would \
+             overflow the simulation clock"
+        )));
     }
-    Ok(Some(policy))
+    Ok(rate)
 }
 
 /// The `ts.*` sampling cadence from `--window-us` (0/absent = off).
@@ -501,10 +485,16 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
         num_reducers: reducers,
         replication: 3,
     };
+    let straggler_prob = p.num_or("straggler-prob", 0.0f64)?;
+    if !(0.0..=1.0).contains(&straggler_prob) {
+        return Err(ArgError::new(format!(
+            "--straggler-prob {straggler_prob}: must be a probability in [0, 1]"
+        )));
+    }
     let params = SimParams {
         net: NetworkParams::default(),
         seed: p.num_or("seed", 0u64)?,
-        straggler_prob: p.num_or("straggler-prob", 0.0f64)?,
+        straggler_prob,
         speculative_execution: p.switch("speculative"),
         ..SimParams::default()
     };
@@ -580,8 +570,8 @@ pub fn simulate(p: &Parsed) -> Result<String, ArgError> {
     simulate_impl(p, None, false).map(|(out, _)| out)
 }
 
-/// The `simulate` body, parameterised for paired mode: `seed_override`
-/// replaces `--seed` (so `vc diff --seeds N` can sweep a seed range),
+/// The `simulate` body, parameterised for `compare`: `seed_override`
+/// replaces `--seed` (so `compare --seeds N` can sweep a seed range),
 /// and `capture` forces the run document to be built and returned even
 /// when no `--metrics-out` artefact asked for it.
 fn simulate_impl(
@@ -612,18 +602,10 @@ fn simulate_impl(
         "window-us",
         "placement-threads",
         "health",
-        "health-audit-events",
-        "health-uplink-util",
-        "health-uplink-windows",
-        "health-frag-windows",
-        "health-queue-windows",
     ])?;
     let cloud = build_cloud(p)?;
     let count = p.num_or("requests", 10usize)?;
-    let rate = p.num_or("rate", 0.5f64)?;
-    if rate <= 0.0 {
-        return Err(ArgError::new("--rate must be positive"));
-    }
+    let rate = arrival_rate(p, count)?;
     let seed = match seed_override {
         Some(s) => s,
         None => p.num_or("seed", 0u64)?,
@@ -686,8 +668,8 @@ fn simulate_impl(
     if let Some(w) = ts_window(p)? {
         config = config.with_timeseries(w);
     }
-    if let Some(h) = health_policy(p)? {
-        config = config.with_health(h);
+    if p.switch("health") {
+        config = config.with_health();
     }
     let mut entries = cloud_config_entries(p)?;
     entries.extend(config.manifest_entries());
@@ -840,24 +822,11 @@ fn locate_diff_error(err: vc_obs::DiffError, base: (&str, &str), cand: (&str, &s
     }
 }
 
-/// Options shared by `diff` and `compare`.
-const DIFF_OPTIONS: &[&str] = &[
-    "json",
-    "fail-on-regress",
-    "tolerance-pct",
-    "top",
-    "seeds",
-    "seed",
-    "config-a",
-    "config-b",
-];
-
 /// `affinity-vc diff` — align two recorded run documents, classify
 /// every delta, and attribute the makespan delta to critical-path
-/// categories and gating links. Paired mode (`--config-a`/`--config-b`
-/// [`--seeds N`]) re-runs both configs over common seeds instead.
+/// categories and gating links.
 pub fn diff(p: &Parsed, files: &[String]) -> Result<String, ArgError> {
-    p.ensure_known(DIFF_OPTIONS)?;
+    p.ensure_known(&["json", "fail-on-regress", "tolerance-pct", "top"])?;
     let opts = DiffOptions {
         tolerance_pct: p.num_or("tolerance-pct", 0.0f64)?,
         top: p.num_or("top", 5usize)?,
@@ -865,22 +834,12 @@ pub fn diff(p: &Parsed, files: &[String]) -> Result<String, ArgError> {
     if opts.tolerance_pct < 0.0 {
         return Err(ArgError::new("--tolerance-pct must be non-negative"));
     }
-    let paired = !p.str_or("config-a", "").is_empty()
-        || !p.str_or("config-b", "").is_empty()
-        || !p.str_or("seeds", "").is_empty();
-    if paired {
-        if !files.is_empty() {
-            return Err(ArgError::new(
-                "paired mode re-runs both configs itself; drop the file operands",
-            ));
-        }
-        return diff_paired(p, &opts, 5);
-    }
     let [baseline_path, candidate_path] = files else {
         return Err(ArgError::new(
             "diff compares exactly two run documents: \
              `affinity-vc diff <baseline.json> <candidate.json>` (files written by \
-             `simulate --metrics-out`), or paired mode via --config-a/--config-b [--seeds N]",
+             `simulate --metrics-out`); `affinity-vc compare` re-runs two configs \
+             over paired seeds",
         ));
     };
     let (base_text, base_doc) = load_run_doc(baseline_path)?;
@@ -1033,101 +992,35 @@ fn render_diff(report: &DiffReport, warnings: &[String]) -> String {
     out
 }
 
-/// `affinity-vc compare` — the paired multi-seed A/B front door:
-/// `diff --config-a/--config-b` with `--seeds` defaulting to 5.
-pub fn compare(p: &Parsed, files: &[String]) -> Result<String, ArgError> {
-    p.ensure_known(DIFF_OPTIONS)?;
-    if !files.is_empty() {
-        return Err(ArgError::new(
-            "compare re-runs both configs itself; it takes no file operands",
+/// The paired summary's warnings and its per-metric table.
+fn render_paired(report: &vc_obs::diff::PairedReport) -> String {
+    let mut out = String::new();
+    for w in &report.warnings {
+        out.push_str(&format!("  warning: {w}\n"));
+    }
+    out.push_str(&format!(
+        "\n  {:<30} {:>12} {:>7} {:>7} {:>5}\n",
+        "metric", "median(B/A)", "B-wins", "A-wins", "ties"
+    ));
+    for r in &report.rows {
+        let m = r
+            .median_ratio
+            .map_or_else(|| "-".to_string(), |m| format!("{m:.3}"));
+        out.push_str(&format!(
+            "  {:<30} {:>12} {:>7} {:>7} {:>5}\n",
+            r.name, m, r.b_wins, r.a_wins, r.ties
         ));
     }
-    let opts = DiffOptions {
-        tolerance_pct: p.num_or("tolerance-pct", 0.0f64)?,
-        top: p.num_or("top", 5usize)?,
-    };
-    if opts.tolerance_pct < 0.0 {
-        return Err(ArgError::new("--tolerance-pct must be non-negative"));
-    }
-    diff_paired(p, &opts, 5)
+    out
 }
 
-/// Metrics the paired mode summarises, with their goodness direction
-/// (`true` = lower is better).
-const PAIRED_METRICS: &[(&str, bool)] = &[
-    ("attribution.makespan_us", true),
-    ("cloudsim.served", false),
-    ("cloudsim.refused", true),
-    ("cloudsim.wait_us.sum", true),
-    ("placement.dc.sum", true),
-    ("mr.shuffle.node_local_bytes", false),
-    ("mr.shuffle.remote_bytes", true),
-    ("net.rack_uplink.bytes", true),
-];
-
-/// Read one paired-mode metric out of a run document.
-fn paired_metric(doc: &serde_json::Value, name: &str) -> f64 {
-    match name {
-        "attribution.makespan_us" => doc
-            .get("attribution")
-            .and_then(|a| a.get("jobs"))
-            .and_then(serde_json::Value::as_array)
-            .map(|jobs| {
-                jobs.iter()
-                    .filter_map(|j| j.get("makespan_us").and_then(serde_json::Value::as_u64))
-                    .sum::<u64>() as f64
-            })
-            .unwrap_or(0.0),
-        "net.rack_uplink.bytes" => doc
-            .get("counters")
-            .and_then(serde_json::Value::as_object)
-            .map(|counters| {
-                counters
-                    .iter()
-                    .filter(|(k, _)| k.starts_with("net.link.rack") && k.ends_with(".up.bytes"))
-                    .filter_map(|(_, v)| v.as_f64())
-                    .sum()
-            })
-            .unwrap_or(0.0),
-        _ => {
-            if let Some(hist) = name.strip_suffix(".sum") {
-                if let Some(v) = doc
-                    .get("histograms")
-                    .and_then(|h| h.get(hist))
-                    .and_then(|h| h.get("sum"))
-                    .and_then(serde_json::Value::as_f64)
-                {
-                    return v;
-                }
-            }
-            doc.get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0)
-        }
-    }
-}
-
-/// One summarised metric of a paired comparison.
-struct PairedRow {
-    name: &'static str,
-    lower_better: bool,
-    median_ratio: Option<f64>,
-    a_wins: usize,
-    b_wins: usize,
-    ties: usize,
-}
-
-/// Paired multi-seed mode: re-run `--config-a` and `--config-b`
-/// in-process over `--seeds` common seeds and report, per metric, the
-/// median B/A ratio plus sign-test-style win counts.
-fn diff_paired(p: &Parsed, opts: &DiffOptions, default_seeds: usize) -> Result<String, ArgError> {
-    if p.switch("fail-on-regress") {
-        return Err(ArgError::new(
-            "--fail-on-regress applies to the two-file mode; paired mode reports ratios",
-        ));
-    }
-    let seeds = p.num_or("seeds", default_seeds)?;
+/// `affinity-vc compare` — paired multi-seed A/B: re-run `--config-a`
+/// and `--config-b` in-process over `--seeds` common seeds and report,
+/// per metric, the median B/A ratio plus sign-test-style win counts
+/// ([`vc_obs::diff::paired`]).
+pub fn compare(p: &Parsed) -> Result<String, ArgError> {
+    p.ensure_known(&["config-a", "config-b", "seeds", "seed", "json"])?;
+    let seeds = p.num_or("seeds", 5usize)?;
     if seeds == 0 {
         return Err(ArgError::new("--seeds must be positive"));
     }
@@ -1168,144 +1061,27 @@ fn diff_paired(p: &Parsed, opts: &DiffOptions, default_seeds: usize) -> Result<S
         };
         pairs.push((a, b));
     }
-    // The first pair vouches for comparability (topology, window,
-    // schema) and supplies the soft warnings; later seeds share both
-    // configs, so they cannot disagree differently.
-    let first_report = vc_obs::diff(&pairs[0].0, &pairs[0].1, opts)
+    let report = vc_obs::diff::paired(&pairs)
         .map_err(|e| ArgError::new(format!("paired configs are not comparable: {e}")))?;
-    let warnings =
-        vc_obs::diff::comparability_warnings(&first_report.baseline, &first_report.candidate);
-
-    fn median(values: &mut [f64]) -> Option<f64> {
-        if values.is_empty() {
-            return None;
-        }
-        values.sort_by(f64::total_cmp);
-        let n = values.len();
-        Some(if n % 2 == 1 {
-            values[n / 2]
-        } else {
-            (values[n / 2 - 1] + values[n / 2]) / 2.0
-        })
-    }
-
-    let mut rows: Vec<PairedRow> = Vec::new();
-    for &(name, lower_better) in PAIRED_METRICS {
-        let mut ratios: Vec<f64> = Vec::new();
-        let (mut a_wins, mut b_wins, mut ties) = (0usize, 0usize, 0usize);
-        let mut any_nonzero = false;
-        for (a, b) in &pairs {
-            let va = paired_metric(a, name);
-            let vb = paired_metric(b, name);
-            any_nonzero |= va != 0.0 || vb != 0.0;
-            if va > 0.0 {
-                ratios.push(vb / va);
-            }
-            if va == vb {
-                ties += 1;
-            } else if if lower_better { vb < va } else { vb > va } {
-                b_wins += 1;
-            } else {
-                a_wins += 1;
-            }
-        }
-        if !any_nonzero {
-            continue;
-        }
-        rows.push(PairedRow {
-            name,
-            lower_better,
-            median_ratio: median(&mut ratios),
-            a_wins,
-            b_wins,
-            ties,
-        });
-    }
 
     if p.switch("json") {
-        let metric_objs: Vec<serde_json::Value> = rows
-            .iter()
-            .map(|r| {
-                serde_json::Value::Object(vec![
-                    (
-                        "metric".to_string(),
-                        serde_json::Value::Str(r.name.to_string()),
-                    ),
-                    (
-                        "direction".to_string(),
-                        serde_json::Value::Str(
-                            if r.lower_better {
-                                "lower-better"
-                            } else {
-                                "higher-better"
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                    (
-                        "median_ratio".to_string(),
-                        match r.median_ratio {
-                            Some(m) => serde_json::Value::F64(m),
-                            None => serde_json::Value::Null,
-                        },
-                    ),
-                    (
-                        "b_wins".to_string(),
-                        serde_json::Value::U64(r.b_wins as u64),
-                    ),
-                    (
-                        "a_wins".to_string(),
-                        serde_json::Value::U64(r.a_wins as u64),
-                    ),
-                    ("ties".to_string(), serde_json::Value::U64(r.ties as u64)),
-                ])
-            })
-            .collect();
-        return Ok(serde_json::Value::Object(vec![
-            ("seeds".to_string(), serde_json::Value::U64(seeds as u64)),
-            ("seed_start".to_string(), serde_json::Value::U64(base_seed)),
-            (
-                "config_a".to_string(),
-                serde_json::Value::Str(config_a.to_string()),
-            ),
-            (
-                "config_b".to_string(),
-                serde_json::Value::Str(config_b.to_string()),
-            ),
-            (
-                "warnings".to_string(),
-                serde_json::Value::Array(
-                    warnings
-                        .iter()
-                        .cloned()
-                        .map(serde_json::Value::Str)
-                        .collect(),
-                ),
-            ),
-            ("metrics".to_string(), serde_json::Value::Array(metric_objs)),
-        ])
-        .to_string());
+        let mut doc = serde_json::json!({
+            "seeds": seeds,
+            "seed_start": base_seed,
+            "config_a": config_a,
+            "config_b": config_b,
+        });
+        if let (serde_json::Value::Object(head), serde_json::Value::Object(summary)) =
+            (&mut doc, report.to_json())
+        {
+            head.extend(summary);
+        }
+        return Ok(doc.to_string());
     }
-
     let mut out = format!(
         "paired diff — {seeds} seed(s) starting at {base_seed}\n  A: `{config_a}`\n  B: `{config_b}`\n"
     );
-    for w in &warnings {
-        out.push_str(&format!("  warning: {w}\n"));
-    }
-    out.push_str(&format!(
-        "\n  {:<30} {:>12} {:>7} {:>7} {:>5}\n",
-        "metric", "median(B/A)", "B-wins", "A-wins", "ties"
-    ));
-    for r in &rows {
-        let m = r
-            .median_ratio
-            .map_or_else(|| "-".to_string(), |m| format!("{m:.3}"));
-        out.push_str(&format!(
-            "  {:<30} {:>12} {:>7} {:>7} {:>5}\n",
-            r.name, m, r.b_wins, r.a_wins, r.ties
-        ));
-    }
+    out.push_str(&render_paired(&report));
     Ok(out)
 }
 
@@ -1343,10 +1119,21 @@ pub fn report(p: &Parsed) -> Result<String, ArgError> {
     };
     let metrics: Option<serde_json::Value> = match p.str_or("metrics", "") {
         "" => None,
-        path => Some(
-            serde_json::from_str(&read("metrics", path)?)
-                .map_err(|e| ArgError::new(format!("--metrics {path}: {e}")))?,
-        ),
+        path => {
+            let doc: serde_json::Value = serde_json::from_str(&read("metrics", path)?)
+                .map_err(|e| ArgError::new(format!("--metrics {path}: {e}")))?;
+            if doc
+                .get("counters")
+                .and_then(serde_json::Value::as_object)
+                .is_none()
+            {
+                return Err(ArgError::new(format!(
+                    "--metrics {path}: not a metrics snapshot (no `counters` object); \
+                     pass a JSON file written by --metrics-out"
+                )));
+            }
+            Some(doc)
+        }
     };
 
     // `--perf` only needs a metrics snapshot, so the trace input becomes

@@ -26,14 +26,10 @@ pub fn run(argv: &[String]) -> Result<String, ArgError> {
     let Some((command, rest)) = argv.split_first() else {
         return Ok(usage());
     };
-    // `diff`/`compare` take file operands, so they parse positionals.
-    if command == "diff" || command == "compare" {
+    // `diff` takes file operands, so it parses positionals.
+    if command == "diff" {
         let (parsed, files) = Parsed::parse_with_positionals(rest)?;
-        return if command == "diff" {
-            commands::diff(&parsed, &files)
-        } else {
-            commands::compare(&parsed, &files)
-        };
+        return commands::diff(&parsed, &files);
     }
     let parsed = Parsed::parse(rest)?;
     match command.as_str() {
@@ -41,6 +37,7 @@ pub fn run(argv: &[String]) -> Result<String, ArgError> {
         "simulate-job" => commands::simulate_job(&parsed),
         "simulate" | "run" => commands::simulate(&parsed),
         "report" => commands::report(&parsed),
+        "compare" => commands::compare(&parsed),
         "derive-distance" => commands::derive_distance(&parsed),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(ArgError::new(format!(
@@ -119,14 +116,8 @@ HEALTH WATCHDOG (simulate):
                            run the anomaly detectors over the ts.* windows
                            (detectors need --window-us); alerts appear as
                            alert.* events in the trace/stream and as
-                           alert_total{severity,rule} in --prom-out
-    --health-audit-events <N>   audit invariants every N DES events, 0 =
-                           end-of-run only              [default: 64]
-    --health-uplink-util <F>    uplink-saturation threshold  [default: 0.9]
-    --health-uplink-windows <N> consecutive saturated windows [default: 2]
-    --health-frag-windows <N>   consecutive rising-frag windows [default: 3]
-    --health-queue-windows <N>  consecutive stagnant windows  [default: 2]
-                           (any --health-* flag implies --health)
+                           alert_total{severity,rule} in --prom-out;
+                           thresholds are fixed (docs/metrics-schema.md)
 
 REPORT OPTIONS:
     --trace <FILE>         trace written by --trace-out (this or --stream is
@@ -163,11 +154,15 @@ DIFF OPTIONS:
                            metric regressed; prints `diff gate: PASS`
                            otherwise
     --json                 emit the full diff report as JSON
-  Paired mode (also the `compare` command):
+
+COMPARE OPTIONS:
+    affinity-vc compare --config-a <ARGS> --config-b <ARGS>
+                           per metric: median B/A ratio and win counts
     --config-a <ARGS>      quoted simulate flags for side A (e.g. '--policy global')
     --config-b <ARGS>      quoted simulate flags for side B
     --seeds <N>            common seeds to re-run per side  [default: 5]
     --seed <N>             first seed                       [default: 0]
+    --json                 emit the paired summary as JSON
 "
     .to_string()
 }
@@ -1392,9 +1387,9 @@ mod diff_cli_tests {
     }
 
     #[test]
-    fn paired_mode_reports_median_ratios() {
+    fn compare_reports_median_ratios() {
         let out = call(&[
-            "diff",
+            "compare",
             "--config-a",
             "--requests 4 --maps 4",
             "--config-b",
@@ -1419,11 +1414,11 @@ mod diff_cli_tests {
     }
 
     #[test]
-    fn paired_mode_rejects_files_and_io_flags() {
-        let err = call(&["diff", "a.json", "b.json", "--seeds", "2"]).unwrap_err();
-        assert!(err.to_string().contains("paired mode"), "{err}");
+    fn compare_rejects_files_and_io_flags() {
+        let err = call(&["compare", "a.json", "b.json", "--seeds", "2"]).unwrap_err();
+        assert!(err.to_string().contains("unexpected argument"), "{err}");
         let err = call(&[
-            "diff",
+            "compare",
             "--config-a",
             "--requests 2 --metrics-out x.json",
             "--config-b",
@@ -1431,6 +1426,39 @@ mod diff_cli_tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("--metrics-out"), "{err}");
+    }
+
+    #[test]
+    fn diff_compare_and_health_tuning_options_are_unknown() {
+        for (line, flag) in [
+            ("diff --config-a x --config-b y", "--config-a"),
+            ("diff a.json b.json --seed 1", "--seed"),
+            ("diff a.json b.json --seeds 2", "--seeds"),
+            ("compare --config-a x --tolerance-pct 5", "--tolerance-pct"),
+            ("compare --top 1", "--top"),
+            ("compare --fail-on-regress", "--fail-on-regress"),
+            (
+                "simulate --health --health-audit-events 1",
+                "--health-audit-events",
+            ),
+            ("simulate --health-uplink-util 1", "--health-uplink-util"),
+            (
+                "simulate --health-uplink-windows 1",
+                "--health-uplink-windows",
+            ),
+            ("simulate --health-frag-windows 1", "--health-frag-windows"),
+            (
+                "simulate --health-queue-windows 1",
+                "--health-queue-windows",
+            ),
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = call(&args).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown option {flag}")),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property tests for `vc diff` and the run manifest.
 //!
-//! Two invariants hold for *any* simulate configuration:
+//! Three invariants hold for *any* simulate configuration:
 //!
 //! 1. **Self-diff identity** — diffing a run document against itself
 //!    reports zero improved and zero regressed metrics, and the gate
 //!    passes.
-//! 2. **Manifest stability** — re-running the same configuration with
+//! 2. **Self-compare identity** — `vc compare` with the same config on
+//!    both sides reports every metric as a tie on every seed, with a
+//!    median B/A ratio of exactly 1.
+//! 3. **Manifest stability** — re-running the same configuration with
 //!    the same seed produces the same manifest digest (the manifest
 //!    captures only deterministic inputs), and diffing the two runs
 //!    finds no deterministic-counter deltas.
@@ -80,6 +83,38 @@ proptest! {
         prop_assert_eq!(doc["gate"].as_str(), Some("pass"));
         // The explanation has nothing to explain.
         prop_assert_eq!(doc["explanation"]["makespan_delta_us"].as_i64(), Some(0));
+    }
+
+    /// `vc compare --config-a C --config-b C` is the identity: every row
+    /// is all ties with median ratio 1.000 (`-` only for a value that is
+    /// never positive on side A).
+    #[test]
+    fn self_compare_is_identity(
+        requests in 2usize..6,
+        seed in 0u64..1_000,
+        seeds in 1usize..3,
+        maps in 2usize..6,
+        spread in any::<bool>(),
+    ) {
+        let policy = if spread { "spread" } else { "global" };
+        let config = format!("--requests {requests} --maps {maps} --policy {policy}");
+        let (seed_s, seeds_s) = (seed.to_string(), seeds.to_string());
+        let out = call(&[
+            "compare", "--config-a", &config, "--config-b", &config,
+            "--seed", &seed_s, "--seeds", &seeds_s,
+        ]).unwrap();
+        let mut lines = out.lines().skip_while(|l| !l.contains("median(B/A)"));
+        prop_assert!(lines.next().is_some(), "no table: {}", out);
+        let mut rows = 0;
+        for line in lines {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            prop_assert_eq!(cols.len(), 5, "{}", line);
+            prop_assert!(cols[1] == "1.000" || cols[1] == "-", "{}", line);
+            prop_assert_eq!(&cols[2..], &["0", "0", seeds_s.as_str()][..], "{}", line);
+            rows += 1;
+        }
+        prop_assert!(rows > 0, "no metric rows: {}", out);
+        prop_assert!(!out.contains("warning:"), "{}", out);
     }
 
     /// Same config + same seed re-run: identical manifest digest and no

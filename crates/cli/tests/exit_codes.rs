@@ -379,3 +379,47 @@ fn diff_gate_trips_on_regression_with_greppable_verdict() {
     assert!(err.contains("diff gate: FAIL"), "{err}");
     assert!(err.contains("regression"), "{err}");
 }
+
+#[test]
+fn out_of_range_rate_and_straggler_prob_exit_one_naming_flag() {
+    // NaN would trip the arrival generator's assert and 1e-300 would
+    // overflow the simulation clock, so both are refused up front.
+    for line in [
+        "simulate --requests 3 --rate nan",
+        "simulate --requests 3 --rate 1e-300",
+        "simulate --requests 3 --rate inf",
+        "simulate --requests 3 --rate -2",
+        "simulate-job --maps 4 --straggler-prob 2",
+        "simulate-job --maps 4 --straggler-prob -1",
+        "simulate-job --maps 4 --straggler-prob nan",
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{line}: {err}");
+        assert!(err.contains(args[args.len() - 2]), "{line}: {err}");
+    }
+    for prob in ["0", "1"] {
+        let out = run(&["simulate-job", "--maps", "4", "--straggler-prob", prob]);
+        assert!(out.status.success(), "{prob}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn report_metrics_without_counters_exits_one_naming_file() {
+    // Read as a snapshot, a document without a `counters` object prints
+    // all-zero sections and a passing consistency line.
+    for (i, body) in ["[1,2]", "{}", r#"{"counters":[1]}"#]
+        .into_iter()
+        .enumerate()
+    {
+        let (path, path_s) = tmp(&format!("affinity_vc_not_metrics_{i}.json"));
+        std::fs::write(&path, body).unwrap();
+        let out = run(&["report", "--perf", "--network", "--metrics", &path_s]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{body}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&path_s), "error must name the file: {err}");
+        assert!(err.contains("counters"), "{err}");
+    }
+}

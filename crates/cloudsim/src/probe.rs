@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use vc_des::SimTime;
 use vc_model::{Allocation, ClusterState};
 use vc_obs::health::{self, rules, AlertSink, HealthMonitor, Severity, WindowHealthSample};
-use vc_obs::{AttrValue, HealthPolicy, Recorder, TrackId, WindowSampler};
+use vc_obs::{AttrValue, Recorder, TrackId, WindowSampler};
 use vc_topology::{NodeId, Topology};
 
 /// What a probe may see of the simulation: shared borrows only.
@@ -80,7 +80,7 @@ impl Probes {
     pub(crate) fn new(
         rec: &dyn Recorder,
         window_us: Option<u64>,
-        health: Option<&HealthPolicy>,
+        health: bool,
         service: &ServiceModel,
         topo: &Topology,
     ) -> Self {
@@ -107,20 +107,12 @@ impl Probes {
                 uplink_mbps,
             });
             probes.list.push(Box::new(TsProbe));
-            if let Some(h) = health {
-                probes.list.push(Box::new(HealthProbe {
-                    monitor: HealthMonitor::new(h.clone()),
-                    sink: AlertSink::new(),
-                    reported: 0,
-                }));
+            if health {
+                probes.list.push(Box::<HealthProbe>::default());
             }
         }
-        if let Some(h) = health.filter(|h| h.invariants) {
-            probes.list.push(Box::new(AuditProbe {
-                every: h.audit_every_events,
-                since: 0,
-                sink: AlertSink::new(),
-            }));
+        if health {
+            probes.list.push(Box::<AuditProbe>::default());
         }
         probes
     }
@@ -268,6 +260,7 @@ impl Probe for TsProbe {
 
 /// The watchdog's anomaly detectors over each window, plus the
 /// per-window alert count `ts.health.alerts.delta`.
+#[derive(Default)]
 struct HealthProbe {
     monitor: HealthMonitor,
     sink: AlertSink,
@@ -291,21 +284,18 @@ impl Probe for HealthProbe {
     }
 }
 
-/// Invariant audits every `every` events (0 = never) and once at the
-/// end of the run.
+/// Invariant audits every [`health::AUDIT_EVERY_EVENTS`] events and
+/// once at the end of the run.
+#[derive(Default)]
 struct AuditProbe {
-    every: u64,
     since: u64,
     sink: AlertSink,
 }
 
 impl Probe for AuditProbe {
     fn on_event(&mut self, view: &SimView, rec: &dyn Recorder) -> u64 {
-        if self.every == 0 {
-            return 0;
-        }
         self.since += 1;
-        if self.since < self.every {
+        if self.since < health::AUDIT_EVERY_EVENTS {
             return 0;
         }
         self.since = 0;

@@ -10,7 +10,7 @@ use vc_mapreduce::engine::SimParams;
 use vc_mapreduce::{JobConfig, JobObservation, VirtualCluster};
 use vc_model::{Allocation, ClusterState};
 use vc_obs::prof::{self, PhaseTimer};
-use vc_obs::{AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
+use vc_obs::{AttrValue, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_placement::distance::distance_with_center;
 use vc_placement::global::{self, Admission};
 use vc_placement::online::ScanConfig;
@@ -70,13 +70,13 @@ pub struct SimConfig {
     /// with it on or off, and it costs nothing unless a recorder is
     /// enabled.
     pub ts_window_us: Option<u64>,
-    /// When set, run the cloud-health watchdog: cadenced invariant
-    /// auditors inside the DES loop plus anomaly detectors over the
-    /// `ts.*` windows (the latter require [`Self::ts_window_us`]).
+    /// Run the cloud-health watchdog: cadenced invariant auditors inside
+    /// the DES loop plus anomaly detectors over the `ts.*` windows (the
+    /// latter require [`Self::ts_window_us`]).
     /// Violations emit structured `alert.*` events instead of panicking.
     /// Like sampling, the watchdog is read-only — results are
     /// bit-identical with it on or off — and idle without a recorder.
-    pub health: Option<HealthPolicy>,
+    pub health: bool,
 }
 
 impl SimConfig {
@@ -88,7 +88,7 @@ impl SimConfig {
             service: ServiceModel::Trace,
             seed,
             ts_window_us: None,
-            health: None,
+            health: false,
         }
     }
 
@@ -108,9 +108,9 @@ impl SimConfig {
         self
     }
 
-    /// Enable the cloud-health watchdog with the given policy.
-    pub fn with_health(mut self, policy: HealthPolicy) -> Self {
-        self.health = Some(policy);
+    /// Enable the cloud-health watchdog.
+    pub fn with_health(mut self) -> Self {
+        self.health = true;
         self
     }
 
@@ -148,7 +148,7 @@ impl SimConfig {
             ),
             (
                 "health".to_string(),
-                if self.health.is_some() { "on" } else { "off" }.to_string(),
+                if self.health { "on" } else { "off" }.to_string(),
             ),
         ]
     }
@@ -333,13 +333,7 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
     for (i, r) in requests.iter().enumerate() {
         engine.schedule(r.arrival, Event::Arrival(i));
     }
-    let mut probes = Probes::new(
-        rec,
-        ts_window_us,
-        health.as_ref(),
-        &service,
-        state.topology(),
-    );
+    let mut probes = Probes::new(rec, ts_window_us, health, &service, state.topology());
     // Jobs sample windows and audit themselves only for a live recorder.
     let observed = rec.enabled();
     let mut sim = Sim {
@@ -348,7 +342,7 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
         service: &service,
         rec,
         job_window: ts_window_us.filter(|_| observed),
-        job_health: health.as_ref().filter(|_| observed),
+        job_health: health && observed,
         state: state.clone(),
         queue: VecDeque::new(),
         live: BTreeMap::new(),
@@ -417,10 +411,10 @@ struct Sim<'a> {
     mode: &'a PolicyMode,
     service: &'a ServiceModel,
     rec: &'a dyn Recorder,
-    /// The `ts.*` window and health policy each MapReduce job samples
-    /// and audits under; `None` without a live recorder.
+    /// The `ts.*` window each MapReduce job samples under and whether it
+    /// audits itself; off without a live recorder.
     job_window: Option<u64>,
-    job_health: Option<&'a HealthPolicy>,
+    job_health: bool,
     state: ClusterState,
     queue: VecDeque<usize>,
     live: BTreeMap<u64, Allocation>,
@@ -747,7 +741,7 @@ mod tests {
                 service: ServiceModel::Trace,
                 seed: 0,
                 ts_window_us: None,
-                health: None,
+                health: false,
             },
         );
         let second = &result.outcomes[1];
@@ -774,7 +768,7 @@ mod tests {
                 service: ServiceModel::Trace,
                 seed: 0,
                 ts_window_us: None,
-                health: None,
+                health: false,
             },
         );
         assert_eq!(result.refused, 1);
@@ -918,7 +912,7 @@ mod tests {
                 service: ServiceModel::Trace,
                 seed: 0,
                 ts_window_us: None,
-                health: None,
+                health: false,
             },
         );
     }
@@ -1230,9 +1224,7 @@ mod timeseries_tests {
         let rec_health = MemRecorder::new();
         let audited = run_recorded(
             &s,
-            cfg(11)
-                .with_timeseries(WINDOW_US)
-                .with_health(vc_obs::HealthPolicy::default()),
+            cfg(11).with_timeseries(WINDOW_US).with_health(),
             &rec_health,
         );
         assert_eq!(plain.outcomes, audited.outcomes);
@@ -1336,7 +1328,7 @@ mod health_tests {
             0,
         )
         .with_timeseries(WINDOW_US)
-        .with_health(vc_obs::HealthPolicy::default());
+        .with_health();
         (s, cfg)
     }
 
@@ -1384,7 +1376,7 @@ mod health_tests {
         let (s2, cfg2) = stagnation_config();
         let audited = run(&s, cfg);
         let mut plain_cfg = cfg2;
-        plain_cfg.health = None;
+        plain_cfg.health = false;
         plain_cfg.ts_window_us = None;
         let plain = run(&s2, plain_cfg);
         assert_eq!(audited.outcomes, plain.outcomes);
@@ -1392,7 +1384,7 @@ mod health_tests {
 
     #[test]
     fn arrival_trace_profile_compiles_with_health() {
-        // HealthPolicy rides SimConfig through the arrival-process
+        // The health switch rides SimConfig through the arrival-process
         // builder path used by the CLI.
         let p = ArrivalProcess {
             rate_per_s: 1.0,
@@ -1408,7 +1400,7 @@ mod health_tests {
             PolicyMode::Individual(Box::new(OnlineHeuristic)),
             7,
         )
-        .with_health(vc_obs::HealthPolicy::default());
+        .with_health();
         // No ts window: invariant audits still run, detectors idle.
         run_recorded(&s, cfg, &rec);
         assert!(rec.events().iter().all(|e| !e.name.starts_with("alert.")));

@@ -43,7 +43,7 @@ fn cfg(count: usize, seed: u64, window_us: u64, mapreduce: bool, health: bool) -
     )
     .with_timeseries(window_us);
     if health {
-        c = c.with_health(vc_obs::HealthPolicy::default());
+        c = c.with_health();
     }
     if mapreduce {
         c = c.with_service(vc_cloudsim::sim::ServiceModel::MapReduce {

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use vc_des::{Engine, EventKind, SimTime};
 use vc_netsim::{Bottleneck, FlowClass, FlowNet, LinkClass, NetworkParams};
 use vc_obs::health::{rules, AlertSink, Severity};
-use vc_obs::{intern, AttrValue, HealthPolicy, NoopRecorder, Recorder, SpanId, TrackId};
+use vc_obs::{intern, AttrValue, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_topology::NodeId;
 
 /// Simulation inputs beyond the job itself.
@@ -229,7 +229,7 @@ struct Sim<'a, R: Recorder> {
 /// # Panics
 /// Panics on invalid configuration (zero reducers, empty cluster, …).
 pub fn simulate_job(cluster: &VirtualCluster, job: &JobConfig, params: &SimParams) -> JobMetrics {
-    simulate_job_with(cluster, job, params, &NoopRecorder, 0, 0, None, None).0
+    simulate_job_with(cluster, job, params, &NoopRecorder, 0, 0, None, false).0
 }
 
 /// What to observe while [`simulate_job_observed`] runs a job.
@@ -250,12 +250,12 @@ pub struct JobObservation<'a> {
     /// the job-local clock onto the shared timeline), returned as
     /// [`ObservedJob::rollup`] for the `ts.net.*` time-series.
     pub window_us: Option<u64>,
-    /// When set, its `invariants` flag is on and `rec` is enabled, run
-    /// the health watchdog's job-end audits: the per-link shuffle-byte integrals
-    /// must equal the engine's own shuffle accounting exactly, and the
-    /// flow network must hold no starved flows. Violations emit
-    /// `alert.*` events instead of panicking.
-    pub health: Option<&'a HealthPolicy>,
+    /// When set and `rec` is enabled, run the health watchdog's job-end
+    /// audits: the per-link shuffle-byte integrals must equal the
+    /// engine's own shuffle accounting exactly, and the flow network
+    /// must hold no starved flows. Violations emit `alert.*` events
+    /// instead of panicking.
+    pub health: bool,
 }
 
 impl<'a> JobObservation<'a> {
@@ -267,7 +267,7 @@ impl<'a> JobObservation<'a> {
             track_base: 0,
             t0_us: 0,
             window_us: None,
-            health: None,
+            health: false,
         }
     }
 }
@@ -323,7 +323,7 @@ fn simulate_job_with<R: Recorder>(
     track_base: u64,
     t0_us: u64,
     window_us: Option<u64>,
-    health: Option<&HealthPolicy>,
+    health: bool,
 ) -> (JobMetrics, Vec<(u64, f64)>, u64) {
     job.validate();
     let mut rng = StdRng::seed_from_u64(params.seed);
@@ -422,7 +422,7 @@ fn simulate_job_with<R: Recorder>(
         shuffle_finished_at: SimTime::ZERO,
         outstanding_fetch_flows: 0,
         shuffle_bottleneck_bytes: BTreeMap::new(),
-        audit: health.is_some_and(|h| h.invariants) && rec.enabled(),
+        audit: health && rec.enabled(),
         alerts_fired: 0,
     };
     let metrics = sim.run();

@@ -22,6 +22,10 @@
 //! uplink byte deltas, and gating-bottleneck shifts to *attribute* the
 //! makespan delta, turning "candidate is 12% slower" into "12% slower,
 //! 80% of it shuffle-network-wait behind rack1.up".
+//!
+//! [`paired`] summarises many seed-paired A/B runs instead of one pair:
+//! per headline metric, the median B/A ratio and the win counts, read
+//! through the same extraction and direction table as [`diff`].
 
 use crate::manifest::RunManifest;
 use crate::metrics::SnapshotView;
@@ -102,6 +106,7 @@ fn direction(name: &str) -> Direction {
         | "mr.job_runtime_us.sum"
         | "mr.job_runtime_us.max"
         | "attribution.makespan_us"
+        | "net.rack_uplink.bytes"
         | "prof.solver.solves"
         | "prof.solver.flows"
         | "prof.solver.iterations"
@@ -842,13 +847,11 @@ fn attribution_side(doc: &Value) -> AttributionSide {
     out
 }
 
-/// Align and classify two run documents. Refuses (via [`DiffError`])
-/// on missing/corrupt manifests or identity-field mismatches.
-pub fn diff(
+/// Both documents' manifests, once they pass [`check_comparable`].
+fn comparable_manifests(
     baseline: &Value,
     candidate: &Value,
-    opts: &DiffOptions,
-) -> Result<DiffReport, DiffError> {
+) -> Result<(RunManifest, RunManifest), DiffError> {
     let manifest = |doc: &Value, side: Side| -> Result<RunManifest, DiffError> {
         match RunManifest::from_document(doc) {
             Ok(Some(m)) => Ok(m),
@@ -859,6 +862,17 @@ pub fn diff(
     let base_manifest = manifest(baseline, Side::Baseline)?;
     let cand_manifest = manifest(candidate, Side::Candidate)?;
     check_comparable(&base_manifest, &cand_manifest)?;
+    Ok((base_manifest, cand_manifest))
+}
+
+/// Align and classify two run documents. Refuses (via [`DiffError`])
+/// on missing/corrupt manifests or identity-field mismatches.
+pub fn diff(
+    baseline: &Value,
+    candidate: &Value,
+    opts: &DiffOptions,
+) -> Result<DiffReport, DiffError> {
+    let (base_manifest, cand_manifest) = comparable_manifests(baseline, candidate)?;
 
     let tol = opts.tolerance_pct;
     let base_counters = num_entries(baseline, "counters");
@@ -1055,6 +1069,157 @@ pub fn diff(
     })
 }
 
+/// The metrics [`paired`] summarises, in report order.
+/// `net.rack_uplink.bytes` is the byte sum over every rack uplink.
+pub const PAIRED_METRICS: &[&str] = &[
+    "attribution.makespan_us",
+    "cloudsim.served",
+    "cloudsim.refused",
+    "cloudsim.wait_us.sum",
+    "placement.dc.sum",
+    "mr.shuffle.node_local_bytes",
+    "mr.shuffle.remote_bytes",
+    "net.rack_uplink.bytes",
+];
+
+/// One metric summarised over every seed pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedRow {
+    pub name: &'static str,
+    /// Median B/A over the pairs where A is positive (`None` if A never
+    /// is).
+    pub median_ratio: Option<f64>,
+    /// Pairs where A's value is the better one.
+    pub a_wins: usize,
+    /// Pairs where B's value is the better one.
+    pub b_wins: usize,
+    pub ties: usize,
+}
+
+/// The summary of seed-paired A/B runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairedReport {
+    /// [`comparability_warnings`] of the first pair; later seeds share
+    /// both configs, so they cannot disagree differently.
+    pub warnings: Vec<String>,
+    /// One row per [`PAIRED_METRICS`] entry that is nonzero on some side
+    /// of some pair.
+    pub rows: Vec<PairedRow>,
+}
+
+impl PairedReport {
+    pub fn to_json(&self) -> Value {
+        let row = |r: &PairedRow| {
+            let dir = match direction(r.name) {
+                Direction::HigherBetter => "higher-better",
+                _ => "lower-better",
+            };
+            Value::Object(vec![
+                ("metric".to_string(), Value::Str(r.name.to_string())),
+                ("direction".to_string(), Value::Str(dir.to_string())),
+                (
+                    "median_ratio".to_string(),
+                    r.median_ratio.map_or(Value::Null, Value::F64),
+                ),
+                ("b_wins".to_string(), Value::U64(r.b_wins as u64)),
+                ("a_wins".to_string(), Value::U64(r.a_wins as u64)),
+                ("ties".to_string(), Value::U64(r.ties as u64)),
+            ])
+        };
+        Value::Object(vec![
+            (
+                "warnings".to_string(),
+                Value::Array(self.warnings.iter().cloned().map(Value::Str).collect()),
+            ),
+            (
+                "metrics".to_string(),
+                Value::Array(self.rows.iter().map(row).collect()),
+            ),
+        ])
+    }
+}
+
+/// Every scalar [`paired`] reads from one run document, through the
+/// extraction [`diff`] aligns: counters, histogram aggregates, the
+/// attributed makespan and the rack-uplink byte sum.
+fn paired_scalars(doc: &Value) -> BTreeMap<String, f64> {
+    let mut out = num_entries(doc, "counters");
+    out.extend(histogram_entries(doc));
+    out.insert(
+        "attribution.makespan_us".to_string(),
+        attribution_side(doc).makespan_us as f64,
+    );
+    let uplink_bytes: u64 = SnapshotView(doc)
+        .links()
+        .iter()
+        .filter(|(link, _)| link.starts_with("rack") && link.ends_with(".up"))
+        .map(|(_, t)| t.bytes)
+        .sum();
+    out.insert("net.rack_uplink.bytes".to_string(), uplink_bytes as f64);
+    out
+}
+
+fn median(values: &mut [f64]) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    Some(if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    })
+}
+
+/// Summarise `(A, B)` run-document pairs, one pair per common seed:
+/// per [`PAIRED_METRICS`] entry, the median B/A ratio and which side
+/// wins each pair by the metric's [`diff`] direction. Refuses, like
+/// [`diff`], any pair whose manifests are missing, corrupt or
+/// incomparable.
+pub fn paired(pairs: &[(Value, Value)]) -> Result<PairedReport, DiffError> {
+    let mut warnings = None;
+    let mut sides = Vec::with_capacity(pairs.len());
+    for (a, b) in pairs {
+        let (ma, mb) = comparable_manifests(a, b)?;
+        warnings.get_or_insert_with(|| comparability_warnings(&ma, &mb));
+        sides.push((paired_scalars(a), paired_scalars(b)));
+    }
+    let mut rows = Vec::new();
+    for &name in PAIRED_METRICS {
+        let dir = direction(name);
+        let mut ratios = Vec::new();
+        let (mut a_wins, mut b_wins, mut ties) = (0, 0, 0);
+        let mut any_nonzero = false;
+        for (a, b) in &sides {
+            let va = a.get(name).copied().unwrap_or(0.0);
+            let vb = b.get(name).copied().unwrap_or(0.0);
+            any_nonzero |= va != 0.0 || vb != 0.0;
+            if va > 0.0 {
+                ratios.push(vb / va);
+            }
+            match classify(va, vb, dir, 0.0) {
+                Verdict::Improved => b_wins += 1,
+                Verdict::Regressed => a_wins += 1,
+                Verdict::Neutral => ties += 1,
+            }
+        }
+        if any_nonzero {
+            rows.push(PairedRow {
+                name,
+                median_ratio: median(&mut ratios),
+                a_wins,
+                b_wins,
+                ties,
+            });
+        }
+    }
+    Ok(PairedReport {
+        warnings: warnings.unwrap_or_default(),
+        rows,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1123,6 +1288,46 @@ mod tests {
         assert_eq!(r.improved(), 0);
         assert!(r.compared > 0);
         assert!(r.makespan.is_none());
+    }
+
+    #[test]
+    fn paired_reads_diff_extraction_and_directions() {
+        let directed = |n: &&str| {
+            matches!(
+                direction(n),
+                Direction::LowerBetter | Direction::HigherBetter
+            )
+        };
+        assert!(PAIRED_METRICS.iter().all(directed));
+        // Seed 1: B serves more and moves more uplink bytes; seed 2: B
+        // refuses nothing. Every other metric ties.
+        let a = doc("affinity", &[]);
+        let b1 = doc(
+            "spread",
+            &[("cloudsim.served", 12), ("net.link.rack0.up.bytes", 3000)],
+        );
+        let b2 = doc("spread", &[("cloudsim.refused", 0)]);
+        let r = paired(&[(a.clone(), b1), (a.clone(), b2.clone())]).unwrap();
+        assert!(r.warnings.is_empty(), "{:?}", r.warnings);
+        let row = |name: &str| {
+            let row = r.rows.iter().find(|row| row.name == name)?;
+            Some((row.median_ratio, row.b_wins, row.a_wins, row.ties))
+        };
+        assert_eq!(row("cloudsim.served"), Some((Some(1.1), 1, 0, 1)));
+        assert_eq!(row("cloudsim.refused"), Some((Some(0.5), 1, 0, 1)));
+        assert_eq!(row("net.rack_uplink.bytes"), Some((Some(2.0), 0, 1, 1)));
+        assert_eq!(row("attribution.makespan_us"), Some((Some(1.0), 0, 0, 2)));
+        // Zero on both sides of every pair: no row.
+        assert_eq!(row("placement.dc.sum"), None);
+        let json = r.to_json().to_string();
+        assert!(json.contains(r#""metric":"cloudsim.served","direction":"higher-better""#));
+        // Every pair is checked, not only the first.
+        let Value::Object(mut entries) = b2 else {
+            unreachable!()
+        };
+        entries.retain(|(k, _)| k != "manifest");
+        let err = paired(&[(a.clone(), a.clone()), (a, Value::Object(entries))]).unwrap_err();
+        assert!(matches!(err, DiffError::MissingManifest(Side::Candidate)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Cloud-health watchdog: severity taxonomy, [`HealthPolicy`], structured
-//! `alert.*` emission, and online anomaly detectors over windowed `ts.*`
-//! samples.
+//! Cloud-health watchdog: severity taxonomy, structured `alert.*`
+//! emission, and online anomaly detectors over windowed `ts.*` samples.
+//! The watchdog is one on/off switch; every threshold is a constant
+//! next to the rule it parameterises.
 //!
 //! The watchdog has two halves:
 //!
@@ -124,52 +125,9 @@ alert_rules!(
     (FILL_PLATEAU_REFUSALS, "fill_plateau_refusals"),
 );
 
-/// Thresholds, window counts, and enable flags for the watchdog,
-/// threaded through `SimConfig` and the CLI `--health-*` flags.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HealthPolicy {
-    /// Run invariant auditors (capacity/index/queue/shuffle accounting).
-    pub invariants: bool,
-    /// Run window anomaly detectors over `ts.*` samples.
-    pub detectors: bool,
-    /// DES-loop auditor cadence: audit after every N processed events
-    /// (0 disables the cadenced audits; the end-of-run audit still runs).
-    pub audit_every_events: u64,
-    /// `frag_growth`: fragmentation index must end at or above this.
-    pub frag_min: f64,
-    /// `frag_growth`: consecutive strictly-rising windows required.
-    pub frag_windows: usize,
-    /// `uplink_saturation`: utilization threshold in `[0, 1]`.
-    pub uplink_util: f64,
-    /// `uplink_saturation`: consecutive windows at/above threshold.
-    pub uplink_windows: usize,
-    /// `queue_stagnation`: consecutive windows with rising queue depth
-    /// and zero served requests.
-    pub queue_windows: usize,
-    /// `fill_plateau_refusals`: |fill delta| at or below this counts as
-    /// a plateau.
-    pub plateau_delta: f64,
-    /// `fill_plateau_refusals`: consecutive plateau windows with
-    /// refusals required.
-    pub plateau_windows: usize,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        Self {
-            invariants: true,
-            detectors: true,
-            audit_every_events: 64,
-            frag_min: 0.5,
-            frag_windows: 3,
-            uplink_util: 0.9,
-            uplink_windows: 2,
-            queue_windows: 3,
-            plateau_delta: 0.005,
-            plateau_windows: 2,
-        }
-    }
-}
+/// DES-loop auditor cadence: the invariant auditors run after every
+/// this many processed events, and once more at the end of the run.
+pub const AUDIT_EVERY_EVENTS: u64 = 64;
 
 /// Counts alerts and routes them to a [`Recorder`] as an `alert.<rule>`
 /// event plus an `alert.total.<severity>.<rule>` counter increment.
@@ -259,7 +217,7 @@ impl Streak {
             return false;
         }
         self.run += 1;
-        if self.run >= need.max(1) && !self.fired {
+        if self.run >= need && !self.fired {
             self.fired = true;
             return true;
         }
@@ -267,12 +225,29 @@ impl Streak {
     }
 }
 
+/// `frag_growth`: the fragmentation index must end at or above this.
+pub const FRAG_MIN: f64 = 0.5;
+/// `frag_growth`: consecutive strictly-rising windows required.
+pub const FRAG_WINDOWS: usize = 3;
+/// `uplink_saturation`: utilization threshold in `[0, 1]`.
+pub const UPLINK_UTIL: f64 = 0.9;
+/// `uplink_saturation`: consecutive windows at or above the threshold.
+pub const UPLINK_WINDOWS: usize = 2;
+/// `queue_stagnation`: consecutive windows with rising queue depth and
+/// zero served requests.
+pub const QUEUE_WINDOWS: usize = 3;
+/// `fill_plateau_refusals`: a |fill delta| at or below this counts as a
+/// plateau.
+pub const PLATEAU_DELTA: f64 = 0.005;
+/// `fill_plateau_refusals`: consecutive plateau windows with refusals
+/// required.
+pub const PLATEAU_WINDOWS: usize = 2;
+
 /// Online anomaly detector bank over windowed health samples. Pure
-/// function of the sample sequence and policy — no clocks, no
-/// randomness — so two replays of the same run fire identical alerts.
-#[derive(Debug)]
+/// function of the sample sequence — no clocks, no randomness — so two
+/// replays of the same run fire identical alerts.
+#[derive(Debug, Default)]
 pub struct HealthMonitor {
-    policy: HealthPolicy,
     frag: Streak,
     last_frag: Option<f64>,
     uplink: Streak,
@@ -283,89 +258,52 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    pub fn new(policy: HealthPolicy) -> Self {
-        Self {
-            policy,
-            frag: Streak::default(),
-            last_frag: None,
-            uplink: Streak::default(),
-            queue: Streak::default(),
-            last_queue: None,
-            plateau: Streak::default(),
-            last_fill: None,
-        }
-    }
-
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
-    }
-
     /// Feed one closed window; fires any due detector alerts through
-    /// `sink`.
+    /// `sink`. Each alert carries the window edge, the rule's context
+    /// and the streak length.
     pub fn observe<R: Recorder>(&mut self, sink: &mut AlertSink, rec: &R, w: &WindowHealthSample) {
-        if !self.policy.detectors {
-            return;
-        }
-        let p = &self.policy;
+        let mut fire = |subsystem, rule, context: &[Attr], streak: &Streak| {
+            let mut attrs = vec![("window_edge_us", AttrValue::U64(w.edge_us))];
+            attrs.extend_from_slice(context);
+            attrs.push(("windows", AttrValue::U64(streak.run as u64)));
+            sink.emit(
+                rec,
+                w.edge_us,
+                None,
+                Severity::Warn,
+                subsystem,
+                rule,
+                &attrs,
+            );
+        };
 
         // Fragmentation growth: strictly rising for N windows, ending
         // at or above the floor. NaN comparisons are false, so a NaN
         // sample breaks the streak instead of firing.
-        let frag_rising = self.last_frag.is_some_and(|prev| w.frag > prev) && w.frag >= p.frag_min;
-        if self.frag.step(frag_rising, p.frag_windows) {
-            sink.emit(
-                rec,
-                w.edge_us,
-                None,
-                Severity::Warn,
-                "cloudsim",
-                rules::FRAG_GROWTH,
-                &[
-                    ("window_edge_us", AttrValue::U64(w.edge_us)),
-                    ("value", AttrValue::F64(w.frag)),
-                    ("windows", AttrValue::U64(self.frag.run as u64)),
-                ],
-            );
+        let frag_rising = self.last_frag.is_some_and(|prev| w.frag > prev) && w.frag >= FRAG_MIN;
+        if self.frag.step(frag_rising, FRAG_WINDOWS) {
+            let context = [("value", AttrValue::F64(w.frag))];
+            fire("cloudsim", rules::FRAG_GROWTH, &context, &self.frag);
         }
         self.last_frag = Some(w.frag);
 
         // Sustained cross-rack uplink saturation.
-        let uplink_hot = w.uplink_util.is_some_and(|u| u >= p.uplink_util);
-        if self.uplink.step(uplink_hot, p.uplink_windows) {
-            sink.emit(
-                rec,
-                w.edge_us,
-                None,
-                Severity::Warn,
-                "netsim",
-                rules::UPLINK_SATURATION,
-                &[
-                    ("window_edge_us", AttrValue::U64(w.edge_us)),
-                    ("value", AttrValue::F64(w.uplink_util.unwrap_or(0.0))),
-                    ("threshold", AttrValue::F64(p.uplink_util)),
-                    ("windows", AttrValue::U64(self.uplink.run as u64)),
-                ],
-            );
+        let uplink_hot = w.uplink_util.is_some_and(|u| u >= UPLINK_UTIL);
+        if self.uplink.step(uplink_hot, UPLINK_WINDOWS) {
+            let context = [
+                ("value", AttrValue::F64(w.uplink_util.unwrap_or(0.0))),
+                ("threshold", AttrValue::F64(UPLINK_UTIL)),
+            ];
+            fire("netsim", rules::UPLINK_SATURATION, &context, &self.uplink);
         }
 
         // Queue depth trending up with nothing served: the queue grows
         // but the cloud is not draining it.
         let stagnating =
             self.last_queue.is_some_and(|prev| w.queue_depth > prev) && w.served_delta == 0.0;
-        if self.queue.step(stagnating, p.queue_windows) {
-            sink.emit(
-                rec,
-                w.edge_us,
-                None,
-                Severity::Warn,
-                "cloudsim",
-                rules::QUEUE_STAGNATION,
-                &[
-                    ("window_edge_us", AttrValue::U64(w.edge_us)),
-                    ("value", AttrValue::F64(w.queue_depth)),
-                    ("windows", AttrValue::U64(self.queue.run as u64)),
-                ],
-            );
+        if self.queue.step(stagnating, QUEUE_WINDOWS) {
+            let context = [("value", AttrValue::F64(w.queue_depth))];
+            fire("cloudsim", rules::QUEUE_STAGNATION, &context, &self.queue);
         }
         self.last_queue = Some(w.queue_depth);
 
@@ -373,22 +311,18 @@ impl HealthMonitor {
         // requests bounce — the fragmentation/packing signature.
         let plateaued = self
             .last_fill
-            .is_some_and(|prev| (w.fill - prev).abs() <= p.plateau_delta)
+            .is_some_and(|prev| (w.fill - prev).abs() <= PLATEAU_DELTA)
             && w.refused_delta > 0.0;
-        if self.plateau.step(plateaued, p.plateau_windows) {
-            sink.emit(
-                rec,
-                w.edge_us,
-                None,
-                Severity::Warn,
+        if self.plateau.step(plateaued, PLATEAU_WINDOWS) {
+            let context = [
+                ("value", AttrValue::F64(w.refused_delta)),
+                ("fill", AttrValue::F64(w.fill)),
+            ];
+            fire(
                 "cloudsim",
                 rules::FILL_PLATEAU_REFUSALS,
-                &[
-                    ("window_edge_us", AttrValue::U64(w.edge_us)),
-                    ("value", AttrValue::F64(w.refused_delta)),
-                    ("fill", AttrValue::F64(w.fill)),
-                    ("windows", AttrValue::U64(self.plateau.run as u64)),
-                ],
+                &context,
+                &self.plateau,
             );
         }
         self.last_fill = Some(w.fill);
@@ -464,7 +398,7 @@ mod tests {
     fn uplink_saturation_fires_once_per_episode() {
         let rec = MemRecorder::new();
         let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy::default());
+        let mut mon = HealthMonitor::default();
         let mut hot = window(0);
         hot.uplink_util = Some(0.95);
         let mut cold = window(0);
@@ -494,7 +428,7 @@ mod tests {
     fn frag_growth_requires_floor_and_streak() {
         let rec = MemRecorder::new();
         let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy::default());
+        let mut mon = HealthMonitor::default();
         // Rising but below the 0.5 floor: never fires.
         for (i, f) in [0.1, 0.2, 0.3, 0.4].iter().enumerate() {
             let mut w = window((i as u64 + 1) * 100);
@@ -515,7 +449,7 @@ mod tests {
     fn nan_frag_breaks_streak_instead_of_firing() {
         let rec = MemRecorder::new();
         let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy::default());
+        let mut mon = HealthMonitor::default();
         for (i, f) in [0.6, 0.7, f64::NAN, 0.8, 0.9].iter().enumerate() {
             let mut w = window((i as u64 + 1) * 100);
             w.frag = *f;
@@ -528,7 +462,7 @@ mod tests {
     fn queue_stagnation_needs_growth_without_serves() {
         let rec = MemRecorder::new();
         let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy::default());
+        let mut mon = HealthMonitor::default();
         for i in 0..4u64 {
             let mut w = window((i + 1) * 100);
             w.queue_depth = i as f64;
@@ -549,7 +483,7 @@ mod tests {
     fn plateau_with_refusals_fires() {
         let rec = MemRecorder::new();
         let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy::default());
+        let mut mon = HealthMonitor::default();
         for i in 0..3u64 {
             let mut w = window((i + 1) * 100);
             w.fill = 0.95;
@@ -558,24 +492,6 @@ mod tests {
         }
         // First window has no previous fill; the next two plateau.
         assert_eq!(sink.fired(), 1);
-    }
-
-    #[test]
-    fn detectors_disabled_stay_silent() {
-        let rec = MemRecorder::new();
-        let mut sink = AlertSink::new();
-        let mut mon = HealthMonitor::new(HealthPolicy {
-            detectors: false,
-            ..HealthPolicy::default()
-        });
-        for i in 0..5u64 {
-            let mut w = window((i + 1) * 100);
-            w.uplink_util = Some(1.0);
-            w.queue_depth = i as f64;
-            w.served_delta = 0.0;
-            mon.observe(&mut sink, &rec, &w);
-        }
-        assert_eq!(sink.fired(), 0);
     }
 
     #[test]
@@ -595,7 +511,7 @@ mod tests {
         let run = |samples: &[WindowHealthSample]| {
             let rec = MemRecorder::new();
             let mut sink = AlertSink::new();
-            let mut mon = HealthMonitor::new(HealthPolicy::default());
+            let mut mon = HealthMonitor::default();
             for w in samples {
                 mon.observe(&mut sink, &rec, w);
             }

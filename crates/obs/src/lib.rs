@@ -45,9 +45,7 @@ pub mod trace;
 
 pub use critical_path::{analyze, Category, JobAttribution, Segment, CATEGORIES};
 pub use diff::{diff, DiffError, DiffOptions, DiffReport, Verdict};
-pub use health::{
-    AlertSink, HealthMonitor, HealthPolicy, Severity, WindowHealthSample, ALERT_PREFIX,
-};
+pub use health::{AlertSink, HealthMonitor, Severity, WindowHealthSample, ALERT_PREFIX};
 pub use manifest::{Fnv64, RunManifest, MANIFEST_KEY};
 pub use metrics::{Histogram, LinkTotals, MetricsRegistry, MetricsSnapshot, SnapshotView};
 pub use prof::{Phase, PhaseTimer};
