@@ -177,13 +177,13 @@ fn cloud_config_entries(p: &Parsed) -> Result<Vec<(String, String)>, ArgError> {
 }
 
 /// The recorder a command records into: the buffering [`MemRecorder`]
-/// normally, and the bounded-memory [`StreamingRecorder`] when
-/// `--stream-out` spills the event stream to a JSONL file as it
-/// happens. A stream's artefacts (trace/metrics/series) come from
-/// replaying the flushed file, so what you export is exactly what a
-/// later `report --stream` will see.
+/// normally, and the [`StreamingRecorder`] when `--stream-out` writes the
+/// op stream to a JSONL file as it happens. A stream's artefacts
+/// (trace/metrics/series) come from replaying the file, so what you
+/// export is exactly what a later `report --stream` will see, and what
+/// an in-memory recording of the run exports.
 enum CliRecorder {
-    Mem(MemRecorder),
+    Mem(Box<MemRecorder>),
     Stream {
         rec: StreamingRecorder<BufWriter<File>>,
         path: String,
@@ -198,7 +198,7 @@ impl CliRecorder {
     /// header; `manifest_from_jsonl` extracts it).
     fn build(p: &Parsed, manifest: &RunManifest) -> Result<Self, ArgError> {
         match p.str_or("stream-out", "") {
-            "" => Ok(Self::Mem(MemRecorder::new())),
+            "" => Ok(Self::Mem(Box::default())),
             path => {
                 let mut file = File::create(path)
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
@@ -216,7 +216,7 @@ impl CliRecorder {
 
     fn as_recorder(&self) -> &dyn Recorder {
         match self {
-            Self::Mem(r) => r,
+            Self::Mem(r) => r.as_ref(),
             Self::Stream { rec, .. } => rec,
         }
     }
@@ -228,7 +228,7 @@ impl CliRecorder {
             Self::Mem(r) => Ok(r.into_dump()),
             Self::Stream { rec, path } => {
                 let io = |e: std::io::Error| ArgError::new(format!("--stream-out {path}: {e}"));
-                rec.finish().and_then(|mut w| w.flush()).map_err(io)?;
+                rec.finish().map_err(io)?;
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| ArgError::new(format!("--stream-out {path}: I/O error: {e}")))?;
                 vc_obs::replay_jsonl(&text)
@@ -619,7 +619,8 @@ fn simulate_impl(
             };
             process.generate(count, cloud.num_types(), &mut StdRng::seed_from_u64(seed))
         }
-        path => vc_cloudsim::trace::load(path).map_err(|e| ArgError::new(e.to_string()))?,
+        path => vc_cloudsim::trace::load(path)
+            .map_err(|e| ArgError::new(format!("--trace {path}: {e}")))?,
     };
     match p.str_or("save-trace", "") {
         "" => {}

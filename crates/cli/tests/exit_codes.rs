@@ -91,6 +91,32 @@ fn missing_trace_file_exits_nonzero() {
 }
 
 #[test]
+fn request_trace_past_half_the_clock_exits_one_naming_file_and_request() {
+    // A service time or an arrival near u64::MAX overflowed the sim
+    // clock in a release build (exit 101); both are refused on load.
+    for (case, arrival, service) in [
+        ("service_time", 10, u64::MAX - 1),
+        ("arrival", u64::MAX - 1, 1_000),
+    ] {
+        let (path, path_s) = tmp(&format!("affinity_vc_horizon_{case}.json"));
+        let trace = format!(
+            r#"[{{"id":0,"request":{{"counts":[1,0,0]}},"arrival":0,"service_time":1000}},
+                {{"id":1,"request":{{"counts":[1,0,0]}},"arrival":{arrival},"service_time":{service}}}]"#
+        );
+        std::fs::write(&path, trace).unwrap();
+        let out = run(&["simulate", "--service", "trace", "--trace", &path_s]);
+        std::fs::remove_file(&path).ok();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{case}: {err}");
+        assert!(err.contains(&path_s), "{case}: must name the file: {err}");
+        assert!(
+            err.contains("request 1"),
+            "{case}: must name the request: {err}"
+        );
+    }
+}
+
+#[test]
 fn corrupt_stream_line_exits_nonzero_with_line_number() {
     // A stream with a syntactically broken line must fail the replay
     // and name both the file and the offending line.

@@ -14,7 +14,20 @@ pub enum TraceError {
     Format(serde_json::Error),
     /// Ids are not dense `0..n` in order (the simulator requires it).
     BadIds,
+    /// By this request, the latest arrival plus the summed service times
+    /// exceed half of `SimTime`'s range, so the run could overflow the
+    /// clock.
+    Horizon {
+        /// The first request at which the bound is exceeded.
+        id: u64,
+    },
 }
+
+/// The latest sim time a trace may reach: half of `SimTime`'s range, the
+/// bound `simulate --rate` applies to generated arrivals. A trace's latest
+/// arrival plus the sum of its service times bounds every departure, even
+/// if every request waits for all the others.
+const HORIZON_LIMIT_US: u64 = u64::MAX / 2;
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -22,6 +35,11 @@ impl fmt::Display for TraceError {
             Self::Io(e) => write!(f, "trace I/O error: {e}"),
             Self::Format(e) => write!(f, "trace format error: {e}"),
             Self::BadIds => write!(f, "trace request ids must be dense 0..n in arrival order"),
+            Self::Horizon { id } => write!(
+                f,
+                "trace request {id}: the latest arrival plus the service times up to it \
+                 exceed {HORIZON_LIMIT_US} µs, half the simulation clock's range"
+            ),
         }
     }
 }
@@ -45,12 +63,19 @@ pub fn to_json(trace: &[CloudRequest]) -> String {
     serde_json::to_string_pretty(trace).expect("traces are plain data")
 }
 
-/// Parse a trace from JSON, validating dense ordered ids.
+/// Parse a trace from JSON, validating dense ordered ids and that the
+/// run fits in half of `SimTime`'s range.
 pub fn from_json(json: &str) -> Result<Vec<CloudRequest>, TraceError> {
     let trace: Vec<CloudRequest> = serde_json::from_str(json)?;
+    let (mut latest_arrival, mut total_service) = (0u64, 0u64);
     for (i, r) in trace.iter().enumerate() {
         if r.id != i as u64 {
             return Err(TraceError::BadIds);
+        }
+        latest_arrival = latest_arrival.max(r.arrival.as_micros());
+        total_service = total_service.saturating_add(r.service_time.as_micros());
+        if latest_arrival.saturating_add(total_service) > HORIZON_LIMIT_US {
+            return Err(TraceError::Horizon { id: r.id });
         }
     }
     Ok(trace)
@@ -73,6 +98,7 @@ mod tests {
     use crate::arrivals::ArrivalProcess;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use vc_des::SimTime;
 
     fn sample() -> Vec<CloudRequest> {
         ArrivalProcess::paper_standard().generate(5, 3, &mut StdRng::seed_from_u64(1))
@@ -144,6 +170,31 @@ mod tests {
         trace[1].id = 0;
         let json = to_json(&trace);
         assert!(matches!(from_json(&json), Err(TraceError::BadIds)));
+    }
+
+    #[test]
+    fn horizon_past_half_the_clock_rejected() {
+        let mut trace = sample();
+        trace[3].service_time = SimTime::from_micros(u64::MAX - 1);
+        let err = from_json(&to_json(&trace)).unwrap_err();
+        assert!(matches!(err, TraceError::Horizon { id: 3 }), "{err}");
+        assert!(err.to_string().contains("request 3"), "{err}");
+
+        let mut trace = sample();
+        trace[1].arrival = SimTime::from_micros(HORIZON_LIMIT_US);
+        assert!(matches!(
+            from_json(&to_json(&trace)),
+            Err(TraceError::Horizon { id: 1 })
+        ));
+
+        // Exactly at the limit is accepted.
+        let mut trace = sample();
+        for r in &mut trace {
+            r.arrival = SimTime::from_micros(0);
+            r.service_time = SimTime::from_micros(0);
+        }
+        trace[4].arrival = SimTime::from_micros(HORIZON_LIMIT_US);
+        assert_eq!(from_json(&to_json(&trace)).unwrap(), trace);
     }
 
     #[test]

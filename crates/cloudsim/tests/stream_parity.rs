@@ -1,10 +1,10 @@
 //! Streaming-vs-memory recorder parity over random simulate runs.
 //!
-//! The bounded-memory [`StreamingRecorder`] spills every recorder op to
-//! a JSONL sink as it happens; replaying that stream must reproduce the
-//! [`MemRecorder`] view of the *same* run exactly — same outcomes, same
-//! windowed `ts.*` series, same metrics (modulo the self-profiling
-//! wall-clock counters, which measure the host, not the simulation).
+//! The [`StreamingRecorder`] writes every recorder op to a JSONL sink as
+//! it happens; replaying that stream must reproduce the [`MemRecorder`]
+//! dump of the *same* run exactly — same outcomes, spans, events,
+//! series and metrics (modulo the self-profiling wall-clock metrics,
+//! which measure the host, not the simulation).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -72,9 +72,9 @@ fn strip_host_metrics(mut snap: MetricsSnapshot) -> MetricsSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For a random queue simulation, the replayed stream carries the
-    /// same simulation-derived telemetry as the in-memory recorder, and
-    /// neither recorder perturbs the simulation itself.
+    /// For a random queue simulation, the replayed stream is the
+    /// in-memory recording, and neither recorder perturbs the simulation
+    /// itself.
     #[test]
     fn stream_replay_matches_mem_over_random_runs(
         count in 3usize..12,
@@ -92,35 +92,19 @@ proptest! {
         let stream = StreamingRecorder::new(Vec::new());
         let stream_result = run_recorded(&s, cfg(count, seed, window_us, mapreduce, health), &stream);
         let bytes = stream.finish().expect("Vec sink cannot fail");
-        let merged = replay_jsonl(&String::from_utf8(bytes).expect("UTF-8 stream"))
+        let mut merged = replay_jsonl(&String::from_utf8(bytes).expect("UTF-8 stream"))
             .expect("own stream replays");
 
         prop_assert_eq!(mem_result.outcomes, stream_result.outcomes);
+        // The replayed stream is the in-memory recording, whole: same
+        // spans and events in emission order, same series (per-job link
+        // series interleave across overlapping jobs, out of sim-time
+        // order, in both), same metrics.
+        let mut mem = mem.into_dump();
+        mem.metrics = strip_host_metrics(mem.metrics);
+        merged.metrics = strip_host_metrics(merged.metrics);
         prop_assert_eq!(merged.open_spans, 0);
-        // Windowed ts.* series are emitted in sim-time order, so they
-        // must survive the stream untouched. Per-job series (link
-        // utilization) interleave across jobs in emission order while
-        // replay merges by sim time — compare those as time-sorted
-        // multisets.
-        let mem_series = mem.counter_series();
-        for (name, replayed) in &merged.counter_series {
-            let original = &mem_series[name];
-            if name.starts_with("ts.") {
-                prop_assert_eq!(original, replayed, "ts series {} reordered", name);
-            } else {
-                let mut sorted = original.clone();
-                sorted.sort_by_key(|&(t, _)| t);
-                prop_assert_eq!(&sorted, replayed, "series {} diverged", name);
-            }
-        }
-        prop_assert_eq!(mem_series.len(), merged.counter_series.len());
-        prop_assert_eq!(mem.track_names(), merged.track_names);
-        prop_assert_eq!(
-            strip_host_metrics(mem.metrics()),
-            strip_host_metrics(merged.metrics)
-        );
-        prop_assert_eq!(mem.spans().len(), merged.spans.len());
-        prop_assert_eq!(mem.events().len(), merged.events.len());
+        prop_assert_eq!(merged, mem);
     }
 
     /// Health auditing is provably read-only: with the watchdog enabled,

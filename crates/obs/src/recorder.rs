@@ -286,11 +286,11 @@ struct MemInner {
     open: BTreeMap<u64, usize>,
     metrics: MetricsRegistry,
     next_span: u64,
-    /// Per-series high-water sample timestamp: the gauge mirror of
-    /// [`Recorder::counter_sample`] only applies in-sim-time-order
-    /// samples, so the final gauge value matches a `(t_us, seq)`-sorted
-    /// replay of the same stream (`stream::replay_jsonl`) even when
-    /// overlapping jobs emit the same series at out-of-order timestamps.
+    /// Per-series high-water sample timestamp. Overlapping jobs emit the
+    /// same series out of sim-time order, and the gauge mirror of
+    /// [`Recorder::counter_sample`] reads the latest sample in sim time
+    /// (the last emitted among equal timestamps), so an older sample
+    /// emitted late does not overwrite it.
     sample_last_t: BTreeMap<&'static str, u64>,
 }
 
@@ -507,9 +507,8 @@ mod tests {
     #[test]
     fn counter_sample_gauge_is_last_in_sim_time() {
         // Overlapping jobs can emit the same series with out-of-order
-        // timestamps; the gauge mirror must settle on the sample with
-        // the largest t_us (program order breaking ties), matching a
-        // (t_us, seq)-sorted replay of the same stream.
+        // timestamps; the gauge mirror settles on the sample with the
+        // largest t_us (program order breaking ties).
         let r = MemRecorder::new();
         r.counter_sample("util", 100, 0.9);
         r.counter_sample("util", 40, 0.1); // stale: earlier sim time

@@ -1,127 +1,104 @@
-//! [`StreamingRecorder`]: a bounded-memory recorder that streams its op
-//! log to a JSONL sink instead of buffering it.
+//! [`StreamingRecorder`]: a recorder that writes its op log to a JSONL
+//! sink as it happens instead of buffering it.
 //!
-//! Million-event runs cannot hold a [`MemRecorder`] — its buffers grow
-//! with the trace. The streaming recorder keeps only a small text buffer
-//! (flushed to the sink past a threshold), so RSS stays flat no matter
-//! how long the run is. Like every recorder it is single-threaded:
-//! parallel code hands its results back to the recording thread.
+//! The recorder holds one reused line of text, so recording costs no
+//! memory that grows with the run; the sink (a `BufWriter<File>` in the
+//! CLI) decides how lines reach the disk. Like every recorder it is
+//! single-threaded: parallel code hands its results back to the
+//! recording thread.
 //!
-//! Every line carries the op's resolved timestamp (untimestamped ops
-//! inherit the recorder's high-water mark) and a sequence number, so
-//! [`replay_jsonl`] can sort by `(t_us, seq)` and replay the log into a
-//! [`TraceDump`] that equals [`MemRecorder::into_dump`] of the same run
-//! bit for bit (see `crates/obs/tests/props.rs`).
+//! The stream is the recording: [`replay_jsonl`] calls the same
+//! [`Recorder`] methods on a fresh [`MemRecorder`], line by line in file
+//! order, and returns its [`MemRecorder::into_dump`]. So a replayed
+//! stream equals the in-memory recording of the same run exactly (see
+//! `crates/obs/tests/props.rs`). A replay builds the whole dump from the
+//! whole text, so a run that replays its stream needs more memory than
+//! one recorded in memory: for 200 terasort requests (32 maps, 8
+//! reducers) `simulate --stream-out` peaks at about 48 MB, the in-memory
+//! run at about 20 MB.
 //!
-//! Format: one JSON object per line. `t`/`q` are the stamp; `o` tags
-//! the op (`c` counter_add, `g` gauge_set, `m` gauge_max, `h`
-//! histogram_record, `s` counter_sample, `tn` track_name, `e` event,
-//! `sb`/`se`/`sa` span begin/end/attr). Floats are written with Rust's
+//! Format: one JSON object per line. `o` tags the op (`c` counter_add,
+//! `g` gauge_set, `m` gauge_max, `h` histogram_record, `s`
+//! counter_sample, `tn` track_name, `e` event, `sb`/`se`/`sa` span
+//! begin/end/attr), and `t` is the sim time of the ops that take one
+//! (`s`, `e`, `sb`, `se`). Floats are written with Rust's
 //! shortest-round-trip `{}` formatting; non-finite values fall back to
 //! a `<key>b` bit-pattern field so replay is exact for every `f64`.
+//! The reader ignores fields it does not know, so older streams that
+//! stamp every line with `t` and a sequence number `q` replay the same.
 //!
 //! [`MemRecorder`]: crate::recorder::MemRecorder
 //! [`MemRecorder::into_dump`]: crate::recorder::MemRecorder::into_dump
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Mutex, OnceLock};
 
-use crate::metrics::MetricsRegistry;
-use crate::recorder::{Attr, AttrValue, EventRecord, Recorder, SpanId, SpanRecord, TrackId};
+use crate::recorder::{Attr, AttrValue, MemRecorder, Recorder, SpanId, TrackId};
 use crate::trace::TraceDump;
-
-/// Default buffer size before a flush to the sink.
-pub const DEFAULT_FLUSH_BYTES: usize = 64 * 1024;
-
-#[derive(Debug, Default)]
-struct StreamBuf {
-    text: String,
-    /// High-water timestamp, inherited by untimestamped ops.
-    last_t: u64,
-}
 
 #[derive(Debug)]
 struct Sink<W> {
     writer: W,
+    /// The line being written, reused from op to op.
+    line: String,
     /// First I/O error, surfaced by [`StreamingRecorder::finish`];
     /// later writes are dropped once set.
     error: Option<io::Error>,
 }
 
-/// Bounded-memory streaming recorder; see the module docs.
+/// Streaming recorder; see the module docs.
 #[derive(Debug)]
 pub struct StreamingRecorder<W> {
-    flush_bytes: usize,
     next_span: Cell<u64>,
-    next_seq: Cell<u64>,
-    buf: RefCell<StreamBuf>,
     sink: RefCell<Sink<W>>,
 }
 
 impl<W: Write> StreamingRecorder<W> {
     pub fn new(writer: W) -> Self {
-        Self::with_flush_bytes(writer, DEFAULT_FLUSH_BYTES)
-    }
-
-    /// A recorder flushing its buffer once it exceeds `flush_bytes`
-    /// (small values force frequent flushes in tests).
-    pub fn with_flush_bytes(writer: W, flush_bytes: usize) -> Self {
         Self {
-            flush_bytes: flush_bytes.max(1),
             next_span: Cell::new(0),
-            next_seq: Cell::new(0),
-            buf: RefCell::new(StreamBuf::default()),
             sink: RefCell::new(Sink {
                 writer,
+                line: String::new(),
                 error: None,
             }),
         }
     }
 
-    /// Append one op line. `t` is the op's own timestamp, if it has
-    /// one; `body` writes the op fields after the `t`/`q` stamp.
-    fn push(&self, t: Option<u64>, body: impl FnOnce(&mut String)) {
-        let seq = self.next_seq.get();
-        self.next_seq.set(seq + 1);
-        let mut buf = self.buf.borrow_mut();
-        let t_us = match t {
-            Some(t) => {
-                buf.last_t = buf.last_t.max(t);
-                t
-            }
-            None => buf.last_t,
-        };
-        let _ = write!(buf.text, "{{\"t\":{t_us},\"q\":{seq}");
-        body(&mut buf.text);
-        buf.text.push_str("}\n");
-        if buf.text.len() >= self.flush_bytes {
-            self.write_out(&buf.text);
-            buf.text.clear();
-        }
-    }
-
-    fn write_out(&self, text: &str) {
+    /// Write one op line: `tag`, then `t` if the op takes a time, then
+    /// the fields `body` writes.
+    fn push(&self, tag: &str, t_us: Option<u64>, body: impl FnOnce(&mut String)) {
         let mut sink = self.sink.borrow_mut();
-        if sink.error.is_some() {
+        let Sink {
+            writer,
+            line,
+            error,
+        } = &mut *sink;
+        if error.is_some() {
             return;
         }
-        if let Err(e) = sink.writer.write_all(text.as_bytes()) {
-            sink.error = Some(e);
+        line.clear();
+        let _ = write!(line, "{{\"o\":\"{tag}\"");
+        if let Some(t_us) = t_us {
+            let _ = write!(line, ",\"t\":{t_us}");
+        }
+        body(line);
+        line.push_str("}\n");
+        if let Err(e) = writer.write_all(line.as_bytes()) {
+            *error = Some(e);
         }
     }
 
-    /// Flush the remaining buffer and return the sink writer, or the
-    /// first I/O error hit at any point during recording.
+    /// Flush the sink and return its writer, or the first I/O error hit
+    /// at any point during recording.
     pub fn finish(self) -> io::Result<W> {
         let mut sink = self.sink.into_inner();
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
-        sink.writer
-            .write_all(self.buf.into_inner().text.as_bytes())?;
         sink.writer.flush()?;
         Ok(sink.writer)
     }
@@ -144,6 +121,12 @@ fn esc(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Write `,"<key>":"<s>"`, escaped.
+fn push_name(out: &mut String, key: &str, s: &str) {
+    let _ = write!(out, ",\"{key}\":");
+    esc(out, s);
 }
 
 /// Write `"<key>":<value>` for an `f64`: shortest-round-trip decimal
@@ -204,57 +187,50 @@ impl<W: Write> Recorder for StreamingRecorder<W> {
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"c\",\"n\":");
-            esc(out, name);
+        self.push("c", None, |out| {
+            push_name(out, "n", name);
             let _ = write!(out, ",\"d\":{delta}");
         });
     }
 
     fn gauge_set(&self, name: &'static str, value: f64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"g\",\"n\":");
-            esc(out, name);
+        self.push("g", None, |out| {
+            push_name(out, "n", name);
             push_f64(out, "v", value);
         });
     }
 
     fn gauge_max(&self, name: &'static str, value: f64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"m\",\"n\":");
-            esc(out, name);
+        self.push("m", None, |out| {
+            push_name(out, "n", name);
             push_f64(out, "v", value);
         });
     }
 
     fn histogram_record(&self, name: &'static str, value: u64) {
-        self.push(None, |out| {
-            out.push_str(",\"o\":\"h\",\"n\":");
-            esc(out, name);
+        self.push("h", None, |out| {
+            push_name(out, "n", name);
             let _ = write!(out, ",\"d\":{value}");
         });
     }
 
     fn counter_sample(&self, name: &'static str, t_us: u64, value: f64) {
-        self.push(Some(t_us), |out| {
-            out.push_str(",\"o\":\"s\",\"n\":");
-            esc(out, name);
+        self.push("s", Some(t_us), |out| {
+            push_name(out, "n", name);
             push_f64(out, "v", value);
         });
     }
 
     fn track_name(&self, track: TrackId, name: &str) {
-        self.push(None, |out| {
-            let _ = write!(out, ",\"o\":\"tn\",\"k\":{}", track.0);
-            out.push_str(",\"s\":");
-            esc(out, name);
+        self.push("tn", None, |out| {
+            let _ = write!(out, ",\"k\":{}", track.0);
+            push_name(out, "s", name);
         });
     }
 
     fn event(&self, name: &'static str, t_us: u64, track: Option<TrackId>, attrs: &[Attr]) {
-        self.push(Some(t_us), |out| {
-            out.push_str(",\"o\":\"e\",\"n\":");
-            esc(out, name);
+        self.push("e", Some(t_us), |out| {
+            push_name(out, "n", name);
             if let Some(track) = track {
                 let _ = write!(out, ",\"k\":{}", track.0);
             }
@@ -265,10 +241,9 @@ impl<W: Write> Recorder for StreamingRecorder<W> {
     fn span_begin(&self, track: TrackId, name: &'static str, t_us: u64, attrs: &[Attr]) -> SpanId {
         let id = self.next_span.get() + 1;
         self.next_span.set(id);
-        self.push(Some(t_us), |out| {
-            let _ = write!(out, ",\"o\":\"sb\",\"i\":{id},\"k\":{}", track.0);
-            out.push_str(",\"n\":");
-            esc(out, name);
+        self.push("sb", Some(t_us), |out| {
+            let _ = write!(out, ",\"i\":{id},\"k\":{}", track.0);
+            push_name(out, "n", name);
             push_attrs(out, attrs);
         });
         SpanId(id)
@@ -278,8 +253,8 @@ impl<W: Write> Recorder for StreamingRecorder<W> {
         if span.is_null() {
             return;
         }
-        self.push(Some(t_us), |out| {
-            let _ = write!(out, ",\"o\":\"se\",\"i\":{}", span.0);
+        self.push("se", Some(t_us), |out| {
+            let _ = write!(out, ",\"i\":{}", span.0);
         });
     }
 
@@ -287,149 +262,12 @@ impl<W: Write> Recorder for StreamingRecorder<W> {
         if span.is_null() {
             return;
         }
-        self.push(None, |out| {
-            let _ = write!(out, ",\"o\":\"sa\",\"i\":{}", span.0);
-            out.push_str(",\"n\":");
-            esc(out, key);
+        self.push("sa", None, |out| {
+            let _ = write!(out, ",\"i\":{}", span.0);
+            push_name(out, "n", key);
             push_attrs(out, &[("v", value)]);
         });
     }
-}
-
-// ---------------------------------------------------------------------------
-// replay
-// ---------------------------------------------------------------------------
-
-/// One logged recorder call. Ops that carry no timestamp of their own
-/// (counters, span attributes) inherit the recorder's most recent
-/// timestamp so the `(t_us, seq)` sort keeps them adjacent to the
-/// surrounding timeline activity.
-#[derive(Debug)]
-enum Op {
-    CounterAdd {
-        name: &'static str,
-        delta: u64,
-    },
-    GaugeSet {
-        name: &'static str,
-        value: f64,
-    },
-    GaugeMax {
-        name: &'static str,
-        value: f64,
-    },
-    HistRecord {
-        name: &'static str,
-        value: u64,
-    },
-    CounterSample {
-        name: &'static str,
-        value: f64,
-    },
-    TrackName {
-        track: u64,
-        name: String,
-    },
-    Event {
-        name: &'static str,
-        track: Option<TrackId>,
-        attrs: Vec<Attr>,
-    },
-    SpanBegin {
-        id: u64,
-        track: TrackId,
-        name: &'static str,
-        attrs: Vec<Attr>,
-    },
-    SpanEnd {
-        id: u64,
-    },
-    SpanAttr {
-        id: u64,
-        key: &'static str,
-        value: AttrValue,
-    },
-}
-
-#[derive(Debug)]
-struct StampedOp {
-    t_us: u64,
-    seq: u64,
-    op: Op,
-}
-
-/// Sort an op log by `(t_us, seq)` and replay it into a [`TraceDump`].
-///
-/// A span attribute inherits the high-water timestamp, which can lie past
-/// its span's end when an earlier op ended later in sim time, so it may
-/// sort after that end. Whether it applies is therefore decided by
-/// `seq` — recorded before the end, as [`MemRecorder`] sees it.
-///
-/// [`MemRecorder`]: crate::recorder::MemRecorder
-fn replay_ops(mut ops: Vec<StampedOp>) -> TraceDump {
-    // seq is unique, so this order is total and respects program order.
-    ops.sort_by_key(|op| (op.t_us, op.seq));
-
-    let mut out = TraceDump::default();
-    let mut metrics = MetricsRegistry::default();
-    // Span id → (index into `out.spans`, seq of its end once seen).
-    let mut span_at: HashMap<u64, (usize, Option<u64>)> = HashMap::new();
-    for StampedOp { t_us, seq, op } in ops {
-        match op {
-            Op::CounterAdd { name, delta } => metrics.counter_add(name, delta),
-            Op::GaugeSet { name, value } => metrics.gauge_set(name, value),
-            Op::GaugeMax { name, value } => metrics.gauge_max(name, value),
-            Op::HistRecord { name, value } => metrics.histogram_record(name, value),
-            Op::CounterSample { name, value } => {
-                metrics.gauge_set(name, value);
-                out.counter_series
-                    .entry(name)
-                    .or_default()
-                    .push((t_us, value));
-            }
-            Op::TrackName { track, name } => {
-                out.track_names.insert(track, name);
-            }
-            Op::Event { name, track, attrs } => out.events.push(EventRecord {
-                name,
-                t_us,
-                track,
-                attrs,
-            }),
-            Op::SpanBegin {
-                id,
-                track,
-                name,
-                attrs,
-            } => {
-                span_at.insert(id, (out.spans.len(), None));
-                out.spans.push(SpanRecord {
-                    id: SpanId(id),
-                    track,
-                    name,
-                    start_us: t_us,
-                    end_us: None,
-                    attrs,
-                });
-            }
-            Op::SpanEnd { id } => {
-                if let Some((index, end @ None)) = span_at.get_mut(&id) {
-                    *end = Some(seq);
-                    out.spans[*index].end_us = Some(t_us);
-                }
-            }
-            Op::SpanAttr { id, key, value } => {
-                if let Some(&(index, end)) = span_at.get(&id) {
-                    if end.is_none_or(|end| seq < end) {
-                        out.spans[index].attrs.push((key, value));
-                    }
-                }
-            }
-        }
-    }
-    out.open_spans = span_at.values().filter(|(_, end)| end.is_none()).count();
-    out.metrics = metrics.snapshot();
-    out
 }
 
 /// Intern a dynamically built name (a replayed op-log name, a per-link
@@ -513,12 +351,13 @@ fn parse_attrs(obj: &Value, line: usize) -> Result<Vec<Attr>, String> {
     Ok(attrs)
 }
 
-/// Replay a JSONL op stream written by [`StreamingRecorder`] into a
-/// deterministic [`TraceDump`]: ops sorted by `(t_us, seq)` and
-/// applied in that order. Any malformed, truncated, or unrecognized
-/// line is an error carrying its 1-based line number.
+/// Replay a JSONL op stream written by [`StreamingRecorder`]: each
+/// line calls its [`Recorder`] method on a fresh [`MemRecorder`], in
+/// file order, and the result is that recorder's dump. Any malformed,
+/// truncated, or unrecognized line, and a span begin whose id is not
+/// the next span id, is an error carrying its 1-based line number.
 pub fn replay_jsonl(text: &str) -> Result<TraceDump, String> {
-    let mut ops: Vec<StampedOp> = Vec::new();
+    let rec = MemRecorder::new();
     for (index, raw) in text.lines().enumerate() {
         let line = index + 1;
         if raw.trim().is_empty() {
@@ -532,62 +371,44 @@ pub fn replay_jsonl(text: &str) -> Result<TraceDump, String> {
         if obj.get("o").is_none() && obj.get(crate::manifest::MANIFEST_KEY).is_some() {
             continue;
         }
-        let t_us = get_u64(&obj, "t", line)?;
-        let seq = get_u64(&obj, "q", line)?;
-        let op = match get_str(&obj, "o", line)? {
-            "c" => Op::CounterAdd {
-                name: intern(get_str(&obj, "n", line)?),
-                delta: get_u64(&obj, "d", line)?,
-            },
-            "g" => Op::GaugeSet {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "m" => Op::GaugeMax {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "h" => Op::HistRecord {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_u64(&obj, "d", line)?,
-            },
-            "s" => Op::CounterSample {
-                name: intern(get_str(&obj, "n", line)?),
-                value: get_f64(&obj, "v", line)?,
-            },
-            "tn" => Op::TrackName {
-                track: get_u64(&obj, "k", line)?,
-                name: get_str(&obj, "s", line)?.to_string(),
-            },
-            "e" => Op::Event {
-                name: intern(get_str(&obj, "n", line)?),
-                track: obj.get("k").and_then(|v| v.as_u64()).map(TrackId),
-                attrs: parse_attrs(&obj, line)?,
-            },
-            "sb" => Op::SpanBegin {
-                id: get_u64(&obj, "i", line)?,
-                track: TrackId(get_u64(&obj, "k", line)?),
-                name: intern(get_str(&obj, "n", line)?),
-                attrs: parse_attrs(&obj, line)?,
-            },
-            "se" => Op::SpanEnd {
-                id: get_u64(&obj, "i", line)?,
-            },
-            "sa" => {
-                let id = get_u64(&obj, "i", line)?;
-                let key = intern(get_str(&obj, "n", line)?);
+        let u64_at = |key| get_u64(&obj, key, line);
+        let name = || get_str(&obj, "n", line).map(intern);
+        let value = || get_f64(&obj, "v", line);
+        match get_str(&obj, "o", line)? {
+            "c" => rec.counter_add(name()?, u64_at("d")?),
+            "g" => rec.gauge_set(name()?, value()?),
+            "m" => rec.gauge_max(name()?, value()?),
+            "h" => rec.histogram_record(name()?, u64_at("d")?),
+            "s" => rec.counter_sample(name()?, u64_at("t")?, value()?),
+            "tn" => rec.track_name(TrackId(u64_at("k")?), get_str(&obj, "s", line)?),
+            "e" => {
+                let track = obj.get("k").and_then(|v| v.as_u64()).map(TrackId);
+                rec.event(name()?, u64_at("t")?, track, &parse_attrs(&obj, line)?);
+            }
+            "sb" => {
+                let id = u64_at("i")?;
                 let attrs = parse_attrs(&obj, line)?;
-                let (_, value) = attrs
+                let next = rec.span_begin(TrackId(u64_at("k")?), name()?, u64_at("t")?, &attrs);
+                if next.0 != id {
+                    return Err(format!(
+                        "line {line}: span begin has id {id}, but the next span id is {}",
+                        next.0
+                    ));
+                }
+            }
+            "se" => rec.span_end(SpanId(u64_at("i")?), u64_at("t")?),
+            "sa" => {
+                let id = SpanId(u64_at("i")?);
+                let (_, value) = parse_attrs(&obj, line)?
                     .into_iter()
                     .next()
                     .ok_or_else(|| format!("line {line}: span attr has no value"))?;
-                Op::SpanAttr { id, key, value }
+                rec.span_attr(id, name()?, value);
             }
             other => return Err(format!("line {line}: unknown op tag `{other}`")),
-        };
-        ops.push(StampedOp { t_us, seq, op });
+        }
     }
-    Ok(replay_ops(ops))
+    Ok(rec.into_dump())
 }
 
 /// Extract the manifest JSON from a stream's header line, if the first
@@ -642,21 +463,62 @@ mod tests {
     fn replay_matches_mem_recorder() {
         let mem = MemRecorder::new();
         drive(&mem);
-        let merged = replay_jsonl(&record_stream()).unwrap();
-        let mem = mem.into_dump();
-        assert_eq!(merged.metrics, mem.metrics);
-        assert_eq!(merged.track_names, mem.track_names);
-        assert_eq!(merged.counter_series, mem.counter_series);
-        assert_eq!(merged.open_spans, 0);
-        assert_eq!(merged.spans, mem.spans);
-        assert_eq!(merged.events, mem.events);
+        assert_eq!(replay_jsonl(&record_stream()).unwrap(), mem.into_dump());
+    }
+
+    #[test]
+    fn parent_format_stream_replays_in_file_order() {
+        // Older streams stamp every line with `t` (the high-water time
+        // on untimed ops) and a sequence number `q`. Replay ignores both
+        // and applies lines in file order, so span `b` (begun at 200
+        // after `a` ended at 500) and the late `util` sample at 300 stay
+        // where they were emitted.
+        let text = concat!(
+            "{\"manifest\":{\"seed\":7}}\n",
+            "{\"t\":0,\"q\":0,\"o\":\"tn\",\"k\":3,\"s\":\"vm3@node1\"}\n",
+            "{\"t\":100,\"q\":1,\"o\":\"sb\",\"i\":1,\"k\":3,\"n\":\"map\",\"a\":[[\"task\",{\"u\":0}]]}\n",
+            "{\"t\":100,\"q\":2,\"o\":\"sa\",\"i\":1,\"n\":\"locality\",\"a\":[[\"v\",{\"s\":\"node_local\"}]]}\n",
+            "{\"t\":500,\"q\":3,\"o\":\"se\",\"i\":1}\n",
+            "{\"t\":500,\"q\":4,\"o\":\"s\",\"n\":\"util\",\"v\":0.5}\n",
+            "{\"t\":200,\"q\":5,\"o\":\"sb\",\"i\":2,\"k\":4,\"n\":\"b\",\"a\":[]}\n",
+            "{\"t\":500,\"q\":6,\"o\":\"c\",\"n\":\"mr.maps\",\"d\":2}\n",
+            "{\"t\":300,\"q\":7,\"o\":\"s\",\"n\":\"util\",\"v\":0.25}\n",
+            "{\"t\":300,\"q\":8,\"o\":\"e\",\"n\":\"admit\",\"k\":1,\"a\":[[\"id\",{\"u\":7}]]}\n",
+            "{\"t\":500,\"q\":9,\"o\":\"sa\",\"i\":2,\"n\":\"won\",\"a\":[[\"v\",{\"b\":true}]]}\n",
+            "{\"t\":400,\"q\":10,\"o\":\"se\",\"i\":2}\n",
+        );
+        let mem = MemRecorder::new();
+        mem.track_name(TrackId(3), "vm3@node1");
+        let a = mem.span_begin(TrackId(3), "map", 100, &[("task", AttrValue::U64(0))]);
+        mem.span_attr(a, "locality", AttrValue::Str("node_local"));
+        mem.span_end(a, 500);
+        mem.counter_sample("util", 500, 0.5);
+        let b = mem.span_begin(TrackId(4), "b", 200, &[]);
+        mem.counter_add("mr.maps", 2);
+        mem.counter_sample("util", 300, 0.25);
+        mem.event("admit", 300, Some(TrackId(1)), &[("id", AttrValue::U64(7))]);
+        mem.span_attr(b, "won", AttrValue::Bool(true));
+        mem.span_end(b, 400);
+        let expected = mem.into_dump();
+
+        let replayed = replay_jsonl(text).unwrap();
+        assert_eq!(replayed, expected);
+        assert_eq!(
+            replayed.counter_series["util"],
+            vec![(500, 0.5), (300, 0.25)]
+        );
+        assert_eq!(replayed.metrics.gauges["util"], 0.5);
+        assert_eq!(
+            replayed.spans[1].attrs,
+            vec![("won", AttrValue::Bool(true))]
+        );
     }
 
     #[test]
     fn span_attr_survives_an_earlier_later_ending_span() {
-        // Span `a` ends at 500, raising the high-water mark; span `b`
-        // then opens and closes at 200, so its attr (stamped 500) sorts
-        // after its own end. Replay must still attach it, as memory does.
+        // Span `a` ends at 500; span `b` then opens and closes at 200,
+        // earlier in sim time. Its attr, emitted before its end, must
+        // still attach on replay, as it does in memory.
         let rec = StreamingRecorder::new(Vec::new());
         let a = rec.span_begin(TrackId(0), "a", 100, &[]);
         rec.span_end(a, 500);
@@ -668,16 +530,6 @@ mod tests {
         let merged = replay_jsonl(&text).unwrap();
         assert_eq!(merged.open_spans, 0);
         assert_eq!(merged.spans[1].attrs, vec![("won", AttrValue::Bool(true))]);
-    }
-
-    #[test]
-    fn tiny_flush_threshold_same_replay() {
-        // Force a flush on nearly every op: the file contents must be
-        // identical to the buffered-to-the-end recording.
-        let rec = StreamingRecorder::with_flush_bytes(Vec::new(), 8);
-        drive(&rec);
-        let text = String::from_utf8(rec.finish().unwrap()).unwrap();
-        assert_eq!(text, record_stream());
     }
 
     #[test]
@@ -707,6 +559,13 @@ mod tests {
         let unknown = "{\"t\":0,\"q\":0,\"o\":\"zz\"}\n";
         let err = replay_jsonl(unknown).unwrap_err();
         assert!(err.contains("unknown op tag"), "{err}");
+
+        // A span begin must carry the id a recorder would assign next.
+        let skipped = "{\"o\":\"sb\",\"t\":0,\"i\":3,\"k\":0,\"n\":\"x\",\"a\":[]}\n";
+        let err = replay_jsonl(&format!("{good}{skipped}")).unwrap_err();
+        let line = good.lines().count() + 1;
+        assert!(err.starts_with(&format!("line {line}: ")), "{err}");
+        assert!(err.contains("next span id is 2"), "{err}");
     }
 
     #[test]
@@ -715,13 +574,10 @@ mod tests {
         let header = "{\"manifest\":{\"seed\":7,\"policy\":\"affinity\"}}\n";
         let with_header = format!("{header}{body}");
 
-        // Replay ignores the header: identical merged trace.
-        let plain = replay_jsonl(&body).unwrap();
-        let headed = replay_jsonl(&with_header).unwrap();
-        assert_eq!(plain.metrics, headed.metrics);
+        // Replay ignores the header: identical dump.
         assert_eq!(
-            format!("{:?}", plain.events),
-            format!("{:?}", headed.events)
+            replay_jsonl(&body).unwrap(),
+            replay_jsonl(&with_header).unwrap()
         );
 
         // The header is extractable; a headerless stream yields None.
@@ -742,7 +598,7 @@ mod tests {
                 Ok(())
             }
         }
-        let rec = StreamingRecorder::with_flush_bytes(FailingWriter, 1);
+        let rec = StreamingRecorder::new(FailingWriter);
         rec.counter_add("c", 1);
         let err = rec.finish().unwrap_err();
         assert_eq!(err.to_string(), "disk full");

@@ -33,7 +33,7 @@ use crate::stream::intern;
 
 /// A finished recording: what a [`MemRecorder`] buffered, or what a
 /// stream or a Chrome trace reads back as.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceDump {
     /// In begin order; span ids are `1..=len`.
     pub spans: Vec<SpanRecord>,
