@@ -24,6 +24,9 @@ pub(crate) struct SimView<'a> {
     pub live: &'a BTreeMap<u64, Allocation>,
     pub outcomes: &'a [RequestOutcome],
     pub arrivals_seen: u64,
+    /// Requests served and refused so far.
+    pub served: u64,
+    pub refused: u64,
 }
 
 /// What the MapReduce jobs started by one event leave for the probes.
@@ -190,12 +193,10 @@ impl WindowClock {
     /// The readings of the window closed at `edge_us`, `elapsed_us` wide
     /// (shorter than the cadence only for the final partial window).
     fn close(&mut self, view: &SimView, edge_us: u64, elapsed_us: u64, alerts: u64) -> Window {
-        let served = view.outcomes.iter().filter(|o| o.started.is_some()).count() as u64;
-        let refused = view.outcomes.iter().filter(|o| o.refused).count() as u64;
-        let served_delta = served.saturating_sub(self.served) as f64;
-        let refused_delta = refused.saturating_sub(self.refused) as f64;
-        self.served = served;
-        self.refused = refused;
+        let served_delta = view.served.saturating_sub(self.served) as f64;
+        let refused_delta = view.refused.saturating_sub(self.refused) as f64;
+        self.served = view.served;
+        self.refused = view.refused;
         let k = WindowSampler::window_index(self.sampler.window_us(), edge_us);
         let rack_up_bytes = self.uplink_mbps.map(|_| self.net.remove(&k).unwrap_or(0.0));
         // 1 MB/s delivers exactly 1 byte/µs, so the window's aggregate

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 use vc_des::{Engine, EventKind, SimTime};
 use vc_mapreduce::engine::SimParams;
 use vc_mapreduce::{JobConfig, JobObservation, VirtualCluster};
-use vc_model::{Allocation, ClusterState};
+use vc_model::{Allocation, ClusterState, Request};
 use vc_obs::prof::{self, PhaseTimer};
 use vc_obs::{AttrValue, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_placement::distance::distance_with_center;
@@ -351,6 +351,8 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
         rng: StdRng::seed_from_u64(seed),
         req_spans: BTreeMap::new(),
         arrivals_seen: 0,
+        served: 0,
+        refused: 0,
         jobs: JobTelemetry::default(),
     };
     if rec.enabled() {
@@ -374,10 +376,7 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
         used_integral += sim.state.used().total() as f64 * (now - last_time).as_micros() as f64;
         last_time = now;
         match event {
-            Event::Arrival(idx) => {
-                sim.queue.push_back(idx);
-                sim.arrivals_seen += 1;
-            }
+            Event::Arrival(idx) => sim.arrive(now, idx),
             Event::Departure(id) => sim.depart(now, id),
         }
         sim.serve(now);
@@ -423,6 +422,9 @@ struct Sim<'a> {
     rng: StdRng,
     req_spans: BTreeMap<u64, SpanId>,
     arrivals_seen: u64,
+    /// Requests served and refused so far.
+    served: u64,
+    refused: u64,
     /// Telemetry of the jobs the current event started.
     jobs: JobTelemetry,
 }
@@ -437,6 +439,20 @@ impl Sim<'_> {
             live: &self.live,
             outcomes: &self.outcomes,
             arrivals_seen: self.arrivals_seen,
+            served: self.served,
+            refused: self.refused,
+        }
+    }
+
+    /// Queue an arriving request, or refuse it on the spot if it exceeds
+    /// total capacity: capacity is fixed for the run, so waiting cannot
+    /// help it.
+    fn arrive(&mut self, now: SimTime, idx: usize) {
+        self.arrivals_seen += 1;
+        if self.state.fits_capacity(&self.requests[idx].request) {
+            self.queue.push_back(idx);
+        } else {
+            self.refuse(now, idx);
         }
     }
 
@@ -458,16 +474,7 @@ impl Sim<'_> {
     /// Place whatever the queue and the free capacity allow.
     fn serve(&mut self, now: SimTime) {
         let _serve_timer = PhaseTimer::start(self.rec, prof::SERVE);
-        let (rec, requests, state, outcomes) =
-            (self.rec, self.requests, &self.state, &mut self.outcomes);
-        // Drop requests that can never fit before they block the queue.
-        self.queue.retain(|&idx| {
-            let fits = state.fits_capacity(&requests[idx].request);
-            if !fits {
-                refuse(rec, &mut outcomes[idx], now);
-            }
-            fits
-        });
+        let (rec, requests) = (self.rec, self.requests);
         match self.mode {
             PolicyMode::Individual(policy) => {
                 while let Some(&idx) = self.queue.front() {
@@ -487,17 +494,25 @@ impl Sim<'_> {
                         Err(PlacementError::Unsatisfiable { .. }) => break, // FIFO blocks
                         Err(PlacementError::Refused { .. } | PlacementError::Malformed { .. }) => {
                             self.queue.pop_front();
-                            refuse(rec, &mut self.outcomes[idx], now);
+                            self.refuse(now, idx);
                         }
                     }
                 }
             }
             PolicyMode::GlobalBatch(admission, scan) => {
-                let batch: Vec<_> = self
-                    .queue
-                    .iter()
-                    .map(|&i| requests[i].request.clone())
-                    .collect();
+                // Admission walks the queue lazily and, under FIFO
+                // blocking, stops at the first request that must wait.
+                // When it settles nothing — an empty queue, or a head that
+                // exceeds `A` — placement could change nothing either
+                // (it draws no randomness), so skip it until a departure
+                // frees capacity. Otherwise hand placement only the
+                // prefix admission examined: nothing past it is settled.
+                let queued = || self.queue.iter().map(|&idx| &requests[idx].request);
+                let reach = global::get_requests(queued(), &self.state, *admission);
+                if reach.admitted.is_empty() && reach.rejected.is_empty() {
+                    return;
+                }
+                let batch: Vec<&Request> = queued().take(reach.examined).collect();
                 let placed = match global::place_queue_recorded(
                     &batch,
                     &self.state,
@@ -530,13 +545,12 @@ impl Sim<'_> {
                     self.admit(now, idx, alloc, Some(online_d));
                     settled.push(pos);
                 }
-                // The admission layer rejects malformed / over-capacity
-                // requests instead of letting them block the queue; the
-                // retain() pre-drop usually catches them first, but any
-                // that slip through leave the same way.
+                // Over-capacity requests were refused on arrival; the
+                // placement layer still rejects any request its solver
+                // cannot classify as waiting, and those leave the same way.
                 for pos in placed.rejected {
                     let idx = self.queue[pos];
-                    refuse(rec, &mut self.outcomes[idx], now);
+                    self.refuse(now, idx);
                     settled.push(pos);
                 }
                 // Remove settled entries from the queue (descending positions).
@@ -566,6 +580,7 @@ impl Sim<'_> {
             rec.histogram_record("placement.dc", d);
         }
         let (hold, job_runtime) = self.hold_time(req, &alloc, now);
+        self.served += 1;
         rec.counter_add("cloudsim.served", 1);
         rec.histogram_record("cloudsim.wait_us", (now - req.arrival).as_micros());
         rec.histogram_record("cloudsim.hold_us", hold.as_micros());
@@ -598,6 +613,20 @@ impl Sim<'_> {
         o.job_runtime = job_runtime;
         self.engine.schedule(now + hold, Event::Departure(req.id));
         self.live.insert(req.id, alloc);
+    }
+
+    /// Mark queued or arriving request `idx` refused and record it.
+    fn refuse(&mut self, now: SimTime, idx: usize) {
+        let outcome = &mut self.outcomes[idx];
+        outcome.refused = true;
+        self.refused += 1;
+        self.rec.counter_add("cloudsim.refused", 1);
+        self.rec.event(
+            "cloudsim.request_refused",
+            now.as_micros(),
+            Some(TrackId(0)),
+            &[("id", AttrValue::from(outcome.id))],
+        );
     }
 
     /// How long a freshly placed allocation holds its VMs, plus the
@@ -637,18 +666,6 @@ impl Sim<'_> {
             }
         }
     }
-}
-
-/// Mark a request refused and record it.
-fn refuse(rec: &dyn Recorder, outcome: &mut RequestOutcome, now: SimTime) {
-    outcome.refused = true;
-    rec.counter_add("cloudsim.refused", 1);
-    rec.event(
-        "cloudsim.request_refused",
-        now.as_micros(),
-        Some(TrackId(0)),
-        &[("id", AttrValue::from(outcome.id))],
-    );
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 use crate::distance::distance_with_center;
 use crate::online::{self, ScanConfig, ScanStats};
 use crate::policy::PlacementError;
+use std::borrow::Borrow;
 use vc_model::{Allocation, ClusterState, Request};
 use vc_obs::{AttrValue, NoopRecorder, Recorder};
 use vc_topology::Topology;
@@ -42,6 +43,12 @@ pub struct AdmissionDecision {
     /// [`FifoBlocking`](Admission::FifoBlocking) queue forever; now they
     /// are rejected up front so traffic behind them keeps flowing.
     pub rejected: Vec<usize>,
+    /// How many leading queue entries admission examined: up to and
+    /// including the request a [`FifoBlocking`](Admission::FifoBlocking)
+    /// walk stopped at, otherwise the whole queue. Entries past this
+    /// prefix cannot be settled this round, so a caller may hand
+    /// [`place_queue_recorded`] just the prefix.
+    pub examined: usize,
 }
 
 /// The outcome of serving a queue.
@@ -73,8 +80,11 @@ pub struct QueuePlacement {
 /// served — wrong type-vector shape, or beyond total capacity `M` — are
 /// rejected without blocking either mode: waiting cannot help them, and
 /// letting one of them block a FIFO queue livelocks everything behind it.
-pub fn get_requests(
-    queue: &[Request],
+///
+/// The walk pulls from `queue` lazily, so a blocked FIFO queue costs one
+/// comparison however long it is.
+pub fn get_requests<'q>(
+    queue: impl IntoIterator<Item = &'q Request>,
     state: &ClusterState,
     admission: Admission,
 ) -> AdmissionDecision {
@@ -82,8 +92,10 @@ pub fn get_requests(
     let mut decision = AdmissionDecision {
         admitted: Vec::new(),
         rejected: Vec::new(),
+        examined: 0,
     };
-    for (idx, request) in queue.iter().enumerate() {
+    for (idx, request) in queue.into_iter().enumerate() {
+        decision.examined = idx + 1;
         if !state.fits_capacity(request) {
             decision.rejected.push(idx);
         } else if request.le(&available) {
@@ -133,9 +145,10 @@ pub fn place_queue_with(
 /// chunk events (via [`online::place_recorded`]), the `placement.dc`
 /// histogram, seed-scan counters including aborts, the Theorem-2
 /// exchange-pass counters, and a per-batch `placement.exchange_audit`
-/// event all land on `rec`, timestamped `t_us`.
-pub fn place_queue_recorded(
-    queue: &[Request],
+/// event all land on `rec`, timestamped `t_us`. `queue` holds requests
+/// or borrows of them.
+pub fn place_queue_recorded<R: Borrow<Request>>(
+    queue: &[R],
     state: &ClusterState,
     admission: Admission,
     scan: ScanConfig,
@@ -156,20 +169,20 @@ type SolveFn<'a> =
 /// Solver-parameterised core so tests can inject a broken solver and
 /// exercise the commit-failure path (Algorithm 1 itself never
 /// over-commits).
-fn place_queue_impl(
-    queue: &[Request],
+fn place_queue_impl<R: Borrow<Request>>(
+    queue: &[R],
     state: &ClusterState,
     admission: Admission,
     rec: &dyn Recorder,
     t_us: u64,
     solver: &SolveFn<'_>,
 ) -> Result<QueuePlacement, PlacementError> {
-    let decision = get_requests(queue, state, admission);
+    let decision = get_requests(queue.iter().map(Borrow::borrow), state, admission);
     let mut rejected = decision.rejected;
     let mut working = state.clone();
     let mut served = Vec::with_capacity(decision.admitted.len());
     for &idx in &decision.admitted {
-        match solver(&queue[idx], &working) {
+        match solver(queue[idx].borrow(), &working) {
             // Seed-scan counters (scanned / pruned / aborted) are emitted
             // by the solver itself — see `online::place_recorded`.
             Ok((allocation, _stats)) => {
