@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use vc_des::{Engine, EventKind, SimTime};
-use vc_netsim::{Bottleneck, FlowClass, FlowNet, LinkClass, NetworkParams};
+use vc_netsim::{Bottleneck, FlowClass, FlowNet, LinkClass, NetworkParams, SolverMode};
 use vc_obs::health::{rules, AlertSink, Severity};
 use vc_obs::{intern, AttrValue, NoopRecorder, Recorder, SpanId, TrackId};
 use vc_topology::NodeId;
@@ -383,7 +383,7 @@ fn simulate_job_with<R: Recorder>(
         ],
     );
 
-    let mut net = FlowNet::new(cluster.topology_arc(), params.net);
+    let mut net = cluster_net(cluster, params.net);
     // Time-series link samples are trace-only; the byte/busy/peak
     // accumulators inside FlowNet run unconditionally, so recorded and
     // unrecorded runs stay bit-identical.
@@ -428,6 +428,19 @@ fn simulate_job_with<R: Recorder>(
     let metrics = sim.run();
     let rollup = sim.net.take_window_rollup();
     (metrics, rollup, sim.alerts_fired)
+}
+
+/// The job's network: only the links its cluster's nodes can touch, so
+/// building and tearing it down costs O(cluster), not O(cloud). Every
+/// flow the engine starts (HDFS reads, shuffle fetches, output writes)
+/// runs between the cluster's own nodes.
+fn cluster_net(cluster: &VirtualCluster, net: NetworkParams) -> FlowNet {
+    FlowNet::for_nodes(
+        cluster.topology_arc(),
+        net,
+        SolverMode::default(),
+        &cluster.nodes(),
+    )
 }
 
 const MB: f64 = 1_000_000.0;
@@ -506,8 +519,9 @@ impl<R: Recorder> Sim<'_, R> {
 
         // Link telemetry. The FlowNet accumulators are always on, so the
         // derived JobMetrics fields below are identical with or without a
-        // recorder; only the metric export is skipped for Noop recorders
-        // (every call is a no-op there anyway).
+        // recorder; only the metric export, whose names cost a `format!`
+        // and an `intern` each, is skipped for disabled recorders.
+        let export = self.rec.enabled();
         let mut peak_rack_uplink_utilization = 0.0f64;
         let mut rack_uplink_bytes = 0u64;
         let mut node_rx_shuffle_bytes = 0u64;
@@ -521,8 +535,8 @@ impl<R: Recorder> Sim<'_, R> {
             if info.class == LinkClass::NodeRx {
                 node_rx_shuffle_bytes += stats.shuffle_bytes;
             }
-            if stats.completed_bytes() == 0 && stats.bytes_total == 0.0 {
-                continue; // idle link: keep the snapshot small
+            if !export || (stats.completed_bytes() == 0 && stats.bytes_total == 0.0) {
+                continue; // unrecorded, or idle link: keep the snapshot small
             }
             let base = format!("net.link.{}", info.name);
             self.rec.counter_add(
@@ -548,11 +562,13 @@ impl<R: Recorder> Sim<'_, R> {
                 (stats.peak_utilization * 100.0).round() as u64,
             );
         }
-        for (label, bytes) in &self.shuffle_bottleneck_bytes {
-            self.rec.counter_add(
-                intern(&format!("net.shuffle.bottleneck_bytes.{label}")),
-                *bytes,
-            );
+        if export {
+            for (label, bytes) in &self.shuffle_bottleneck_bytes {
+                self.rec.counter_add(
+                    intern(&format!("net.shuffle.bottleneck_bytes.{label}")),
+                    *bytes,
+                );
+            }
         }
 
         // Health watchdog: job-end invariant audits. Both checks are
@@ -1374,5 +1390,29 @@ mod tests {
         let a = simulate_job(&spread_cluster(), &small_job(), &params);
         let b = simulate_job(&spread_cluster(), &small_job(), &params);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn job_net_size_follows_the_cluster_not_the_cloud() {
+        // A 48×40 cloud has 2 · (1920 + 48 + 1) = 3938 links; a job on
+        // 4 distinct nodes in 3 racks of 1 cloud needs 2 · (4 + 3 + 1).
+        let topo = Arc::new(generate::uniform(48, 40, DistanceTiers::paper_experiment()));
+        let placed = [7, 3, 45, 1900, 3, 7].map(NodeId);
+        let cluster = VirtualCluster::homogeneous(&placed, placed.len(), Arc::clone(&topo));
+        let nodes = cluster.nodes();
+        let mut racks: Vec<_> = nodes.iter().map(|&n| topo.rack_of(n)).collect();
+        racks.dedup();
+        let mut clouds: Vec<_> = nodes.iter().map(|&n| topo.cloud_of(n)).collect();
+        clouds.dedup();
+        let (k, r, c) = (nodes.len(), racks.len(), clouds.len());
+        assert_eq!((k, r, c), (4, 3, 1));
+        let net = cluster_net(&cluster, NetworkParams::default());
+        assert_eq!(net.links().len(), 2 * (k + r + c));
+        assert_eq!(net.links()[0].name, "node3.tx");
+        assert_eq!(net.links().last().unwrap().name, "cloud0.down");
+        // Every flow the job starts stays on those nodes: a flow off the
+        // set would panic.
+        let m = simulate_job(&cluster, &small_job(), &SimParams::default());
+        assert!(m.total_shuffle_bytes() > 0 && m.rack_uplink_bytes > 0);
     }
 }

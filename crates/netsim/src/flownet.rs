@@ -7,7 +7,7 @@ use crate::params::NetworkParams;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vc_des::SimTime;
-use vc_topology::{NodeId, Topology};
+use vc_topology::{CloudId, NodeId, RackId, Topology};
 
 /// Identifier of an active (or completed) flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,6 +121,12 @@ const BYTE_EPS: f64 = 1e-6;
 
 /// All active flows over one physical topology, with max-min fair rates.
 ///
+/// A net holds the links of a node set: every node for
+/// [`new`](Self::new), a virtual cluster's nodes for
+/// [`for_nodes`](Self::for_nodes). Link ids — [`LinkSample::link`],
+/// [`Bottleneck::Link`], positions in [`link_stats`](Self::link_stats) —
+/// index this net's own [`links`](Self::links).
+///
 /// Drive it from a discrete-event loop:
 ///
 /// 1. [`start_flow`](Self::start_flow) when a transfer begins;
@@ -148,6 +154,11 @@ const BYTE_EPS: f64 = 1e-6;
 pub struct FlowNet {
     topo: Arc<Topology>,
     params: NetworkParams,
+    /// The node set, and its racks and clouds, each ascending: position
+    /// in these lists is position in the local link layout.
+    nodes: Vec<NodeId>,
+    racks: Vec<RackId>,
+    clouds: Vec<CloudId>,
     capacities: Vec<f64>,
     flows: BTreeMap<u64, Flow>,
     next_id: u64,
@@ -259,8 +270,9 @@ pub struct SolverStats {
 }
 
 impl FlowNet {
-    /// Build the resource graph for `topo`: TX/RX per node, up/down per
-    /// rack, up/down per cloud.
+    /// Build the resource graph for every node of `topo`: TX/RX per node,
+    /// up/down per rack, up/down per cloud. The "every node" case of
+    /// [`for_nodes`](Self::for_nodes).
     ///
     /// # Panics
     /// Panics if `params` fails [`NetworkParams::validate`].
@@ -275,70 +287,85 @@ impl FlowNet {
     /// # Panics
     /// Panics if `params` fails [`NetworkParams::validate`].
     pub fn with_solver(topo: Arc<Topology>, params: NetworkParams, mode: SolverMode) -> Self {
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        Self::for_nodes(topo, params, mode, &nodes)
+    }
+
+    /// A net holding only the links that flows among `nodes` can touch:
+    /// those nodes' TX/RX, their racks' up/down and their clouds'
+    /// up/down. Its size, and the cost of building it, grow with the
+    /// node set, not with `topo`.
+    ///
+    /// Links are numbered like the whole-cloud net with the gaps
+    /// removed: nodes' TX/RX pairs, then racks' up/down pairs, then
+    /// clouds' up/down pairs, each group in ascending id order. Local
+    /// order is therefore monotone in whole-cloud order, so every
+    /// rate, binding, completion time and telemetry value is
+    /// bit-identical to the whole-cloud net's for the same flows. Link
+    /// names keep their global ids (`node{id}.tx`, `rack{id}.up`, …).
+    /// `nodes` may be unsorted and hold duplicates.
+    ///
+    /// # Panics
+    /// Panics if `params` fails [`NetworkParams::validate`] or a node is
+    /// not in `topo`. Starting a flow to or from a node outside `nodes`
+    /// panics too (see [`start_flow_classed`](Self::start_flow_classed)).
+    pub fn for_nodes(
+        topo: Arc<Topology>,
+        params: NetworkParams,
+        mode: SolverMode,
+        nodes: &[NodeId],
+    ) -> Self {
         params.validate();
-        let n = topo.num_nodes();
-        let r = topo.num_racks();
-        let c = topo.num_clouds();
-        let mut capacities = Vec::with_capacity(2 * (n + r + c));
-        capacities.extend(std::iter::repeat_n(params.nic_mbps, 2 * n));
-        capacities.extend(std::iter::repeat_n(params.rack_uplink_mbps, 2 * r));
-        capacities.extend(std::iter::repeat_n(params.cloud_uplink_mbps, 2 * c));
-        let mut links = Vec::with_capacity(capacities.len());
-        for i in 0..n {
-            links.push(LinkInfo {
-                name: format!("node{i}.tx"),
-                class: LinkClass::NodeTx,
-                capacity_mbps: params.nic_mbps,
-            });
-            links.push(LinkInfo {
-                name: format!("node{i}.rx"),
-                class: LinkClass::NodeRx,
-                capacity_mbps: params.nic_mbps,
-            });
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut racks: Vec<RackId> = nodes.iter().map(|&n| topo.rack_of(n)).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        let mut clouds: Vec<CloudId> = nodes.iter().map(|&n| topo.cloud_of(n)).collect();
+        clouds.sort_unstable();
+        clouds.dedup();
+        let link = |name: String, class: LinkClass, capacity_mbps: f64| LinkInfo {
+            name,
+            class,
+            capacity_mbps,
+        };
+        let mut links = Vec::with_capacity(2 * (nodes.len() + racks.len() + clouds.len()));
+        for n in &nodes {
+            let (i, nic) = (n.0, params.nic_mbps);
+            links.push(link(format!("node{i}.tx"), LinkClass::NodeTx, nic));
+            links.push(link(format!("node{i}.rx"), LinkClass::NodeRx, nic));
         }
-        for i in 0..r {
-            links.push(LinkInfo {
-                name: format!("rack{i}.up"),
-                class: LinkClass::RackUp,
-                capacity_mbps: params.rack_uplink_mbps,
-            });
-            links.push(LinkInfo {
-                name: format!("rack{i}.down"),
-                class: LinkClass::RackDown,
-                capacity_mbps: params.rack_uplink_mbps,
-            });
+        for r in &racks {
+            let (i, up) = (r.0, params.rack_uplink_mbps);
+            links.push(link(format!("rack{i}.up"), LinkClass::RackUp, up));
+            links.push(link(format!("rack{i}.down"), LinkClass::RackDown, up));
         }
-        for i in 0..c {
-            links.push(LinkInfo {
-                name: format!("cloud{i}.up"),
-                class: LinkClass::CloudUp,
-                capacity_mbps: params.cloud_uplink_mbps,
-            });
-            links.push(LinkInfo {
-                name: format!("cloud{i}.down"),
-                class: LinkClass::CloudDown,
-                capacity_mbps: params.cloud_uplink_mbps,
-            });
+        for c in &clouds {
+            let (i, wan) = (c.0, params.cloud_uplink_mbps);
+            links.push(link(format!("cloud{i}.up"), LinkClass::CloudUp, wan));
+            links.push(link(format!("cloud{i}.down"), LinkClass::CloudDown, wan));
         }
-        let stats = vec![LinkStats::default(); links.len()];
-        let last_sample = vec![(0.0, 0, false); links.len()];
-        let inc = IncrementalFairShare::new(capacities.clone());
+        let capacities: Vec<f64> = links.iter().map(|l| l.capacity_mbps).collect();
         let nr = capacities.len();
         Self {
             topo,
             params,
+            nodes,
+            racks,
+            clouds,
+            inc: IncrementalFairShare::new(capacities.clone()),
             capacities,
             flows: BTreeMap::new(),
             next_id: 0,
             clock: SimTime::ZERO,
             links,
-            stats,
+            stats: vec![LinkStats::default(); nr],
             sampling: false,
             samples: Vec::new(),
-            last_sample,
+            last_sample: vec![(0.0, 0, false); nr],
             solver_stats: SolverStats::default(),
             mode,
-            inc,
             binding_links: Vec::new(),
             binding_now: vec![false; nr],
             win_scratch: vec![Vec::new(); nr],
@@ -362,9 +389,10 @@ impl FlowNet {
         self.flows.len()
     }
 
-    /// The static catalog of physical link resources, indexed by the
+    /// The static catalog of this net's link resources, indexed by the
     /// resource ids used in [`LinkSample::link`] and
-    /// [`Bottleneck::Link`].
+    /// [`Bottleneck::Link`]. Only the links of this net's node set are
+    /// listed (see [`for_nodes`](Self::for_nodes)).
     pub fn links(&self) -> &[LinkInfo] {
         &self.links
     }
@@ -414,33 +442,47 @@ impl FlowNet {
         }
     }
 
-    fn tx(&self, node: NodeId) -> usize {
-        2 * node.index()
+    /// Local position of `node` in this net's node set: its TX link is
+    /// `2 * pos`, its RX link `2 * pos + 1`.
+    ///
+    /// # Panics
+    /// Panics if `node` is not in the set.
+    fn node_pos(&self, node: NodeId) -> usize {
+        self.nodes
+            .binary_search(&node)
+            .unwrap_or_else(|_| panic!("node {} is not in this FlowNet's node set", node.0))
     }
-    fn rx(&self, node: NodeId) -> usize {
-        2 * node.index() + 1
+
+    /// Local index of `rack`'s up link; its down link follows it.
+    fn rack_up(&self, rack: RackId) -> usize {
+        let pos = self
+            .racks
+            .binary_search(&rack)
+            .expect("rack of a member node");
+        2 * (self.nodes.len() + pos)
     }
-    fn rack_up(&self, rack: vc_topology::RackId) -> usize {
-        2 * self.topo.num_nodes() + 2 * rack.index()
-    }
-    fn rack_down(&self, rack: vc_topology::RackId) -> usize {
-        2 * self.topo.num_nodes() + 2 * rack.index() + 1
-    }
-    fn cloud_up(&self, cloud: vc_topology::CloudId) -> usize {
-        2 * (self.topo.num_nodes() + self.topo.num_racks()) + 2 * cloud.index()
-    }
-    fn cloud_down(&self, cloud: vc_topology::CloudId) -> usize {
-        2 * (self.topo.num_nodes() + self.topo.num_racks()) + 2 * cloud.index() + 1
+
+    /// Local index of `cloud`'s up link; its down link follows it.
+    fn cloud_up(&self, cloud: CloudId) -> usize {
+        let pos = self
+            .clouds
+            .binary_search(&cloud)
+            .expect("cloud of a member node");
+        2 * (self.nodes.len() + self.racks.len() + pos)
     }
 
     /// The path (resources, one-way latency, per-flow rate ceiling)
     /// between nodes. The ceiling models the TCP window/RTT limit of one
     /// connection at that distance tier.
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is not in this net's node set.
     fn path(&self, src: NodeId, dst: NodeId) -> (Vec<usize>, u64, f64) {
+        let (s, d) = (self.node_pos(src), self.node_pos(dst));
         if src == dst {
             return (vec![], 0, self.params.intra_node_mbps);
         }
-        let mut res = vec![self.tx(src), self.rx(dst)];
+        let mut res = vec![2 * s, 2 * d + 1];
         let latency;
         let flow_cap;
         if self.topo.same_rack(src, dst) {
@@ -448,13 +490,13 @@ impl FlowNet {
             flow_cap = self.params.same_rack_flow_mbps;
         } else {
             res.push(self.rack_up(self.topo.rack_of(src)));
-            res.push(self.rack_down(self.topo.rack_of(dst)));
+            res.push(self.rack_up(self.topo.rack_of(dst)) + 1);
             if self.topo.same_cloud(src, dst) {
                 latency = self.params.cross_rack_latency_us;
                 flow_cap = self.params.cross_rack_flow_mbps;
             } else {
                 res.push(self.cloud_up(self.topo.cloud_of(src)));
-                res.push(self.cloud_down(self.topo.cloud_of(dst)));
+                res.push(self.cloud_up(self.topo.cloud_of(dst)) + 1);
                 latency = self.params.cross_cloud_latency_us;
                 flow_cap = self.params.cross_cloud_flow_mbps;
             }
@@ -469,7 +511,8 @@ impl FlowNet {
     /// bytes to a traffic class.
     ///
     /// # Panics
-    /// Panics if `now` precedes the net's clock.
+    /// Panics if `now` precedes the net's clock, or if `src` or `dst` is
+    /// not in this net's node set (a caller bug).
     pub fn start_flow(
         &mut self,
         now: SimTime,
@@ -486,7 +529,9 @@ impl FlowNet {
     /// under `class` when the flow completes.
     ///
     /// # Panics
-    /// Panics if `now` precedes the net's clock.
+    /// Panics if `now` precedes the net's clock, or if `src` or `dst` is
+    /// not in this net's node set (a caller bug): the panic message names
+    /// the node.
     pub fn start_flow_classed(
         &mut self,
         now: SimTime,
@@ -733,6 +778,9 @@ impl FlowNet {
     /// a zero-capacity (failed) link — returns [`SimTime::MAX`] as the
     /// "never" sentinel rather than overflowing; don't add an offset to
     /// it (`SimTime` addition panics on overflow by design).
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is not in this net's node set.
     pub fn isolated_transfer_time(&self, src: NodeId, dst: NodeId, bytes: u64) -> SimTime {
         let (resources, latency_us, rate_cap) = self.path(src, dst);
         if bytes == 0 {
@@ -1529,6 +1577,96 @@ mod tests {
             assert_eq!(dead.peak_utilization, 0.0, "{mode:?}");
             assert_eq!(dead.peak_active_flows, 1, "{mode:?}");
         }
+    }
+
+    /// 2 clouds × 2 racks × 2 nodes; the net holds nodes 6, 1 and 3
+    /// (given unsorted, with a duplicate): racks 0, 1, 3 and both clouds.
+    fn subset_net() -> FlowNet {
+        let topo = Arc::new(generate::multi_cloud(
+            2,
+            2,
+            2,
+            DistanceTiers::new(1, 2, 8).unwrap(),
+        ));
+        let nodes = [6, 1, 3, 1].map(NodeId);
+        FlowNet::for_nodes(
+            topo,
+            NetworkParams::default(),
+            SolverMode::default(),
+            &nodes,
+        )
+    }
+
+    #[test]
+    fn subset_links_are_ascending_with_global_names() {
+        let n = subset_net();
+        let names: Vec<&str> = n.links().iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "node1.tx",
+                "node1.rx",
+                "node3.tx",
+                "node3.rx",
+                "node6.tx",
+                "node6.rx",
+                "rack0.up",
+                "rack0.down",
+                "rack1.up",
+                "rack1.down",
+                "rack3.up",
+                "rack3.down",
+                "cloud0.up",
+                "cloud0.down",
+                "cloud1.up",
+                "cloud1.down",
+            ]
+        );
+        assert_eq!(n.links()[9].class, LinkClass::RackDown);
+        assert_eq!(n.links()[14].class, LinkClass::CloudUp);
+        // Every node of the cloud is the `new` case: 8 nodes, 4 racks, 2 clouds.
+        let whole = FlowNet::new(Arc::clone(&n.topo), NetworkParams::default());
+        assert_eq!(whole.links().len(), 2 * (8 + 4 + 2));
+    }
+
+    #[test]
+    fn subset_path_uses_local_indices() {
+        let mut n = subset_net();
+        // node1 (rack 0, cloud 0) → node6 (rack 3, cloud 1).
+        n.start_flow(SimTime::ZERO, NodeId(1), NodeId(6), 1_000_000, 0);
+        run_to_completion(&mut n);
+        let busy: Vec<&str> = n
+            .links()
+            .iter()
+            .zip(n.link_stats())
+            .filter(|(_, s)| s.completed_bytes() > 0)
+            .map(|(l, _)| l.name.as_str())
+            .collect();
+        assert_eq!(
+            busy,
+            [
+                "node1.tx",
+                "node6.rx",
+                "rack0.up",
+                "rack3.down",
+                "cloud0.up",
+                "cloud1.down"
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not in this FlowNet's node set")]
+    fn flow_to_a_node_outside_the_set_panics() {
+        let mut n = subset_net();
+        n.start_flow(SimTime::ZERO, NodeId(1), NodeId(2), 1_000, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 is not in this FlowNet's node set")]
+    fn flow_from_a_node_outside_the_set_panics() {
+        let mut n = subset_net();
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(0), 1_000, 0);
     }
 
     #[test]

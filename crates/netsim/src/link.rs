@@ -3,7 +3,10 @@
 //! maintains.
 //!
 //! Resource indices follow the `FlowNet` layout: per-node TX/RX pairs,
-//! then per-rack up/down pairs, then per-cloud up/down pairs. All
+//! then per-rack up/down pairs, then per-cloud up/down pairs, each group
+//! ascending by id and holding only the net's own node set and its racks
+//! and clouds. Indices are local to one net; link names carry the global
+//! ids. All
 //! accumulators are *always on* (they cost a few adds per advance), so
 //! results are identical whether or not a recorder is attached; only the
 //! time-series [`LinkSample`] buffer is gated behind
@@ -142,7 +145,8 @@ impl LinkStats {
 pub struct LinkSample {
     /// Simulation time of the recomputation, µs.
     pub t_us: u64,
-    /// Resource index into [`FlowNet::links`](crate::FlowNet::links).
+    /// Resource index into the emitting net's own
+    /// [`FlowNet::links`](crate::FlowNet::links), not a global link id.
     pub link: usize,
     /// Instantaneous utilization, Σ flow rate / capacity ∈ [0, 1].
     pub utilization: f64,
@@ -157,8 +161,8 @@ pub struct LinkSample {
 /// recomputation before it finished — the flow's bottleneck attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
-    /// Frozen by the physical link with this resource index (see
-    /// [`FlowNet::links`](crate::FlowNet::links)).
+    /// Frozen by the physical link with this resource index, an index
+    /// into the net's own [`FlowNet::links`](crate::FlowNet::links).
     Link(usize),
     /// Frozen by its own per-connection rate ceiling (TCP window/RTT
     /// tier or same-node memory bandwidth), not by any shared link.

@@ -7,13 +7,20 @@
 //! (byte integrals, busy time, peaks, binding events), and utilization
 //! samples. Also asserts the incremental solver's effort counters are
 //! deterministic across reruns of the same sequence (they feed the
-//! `prof.solver.*` CI regression gate).
+//! `prof.solver.*` CI regression gate), and that a net over a node
+//! subset ([`FlowNet::for_nodes`]) is indistinguishable from the
+//! whole-cloud net for flows among that subset.
+//!
+//! Links are compared by name, not by index: a subset net numbers its
+//! links locally, while names carry the global ids.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vc_des::SimTime;
-use vc_netsim::{FlowClass, FlowId, FlowNet, NetworkParams, SolverMode, SolverStats};
-use vc_topology::{generate, DistanceTiers, NodeId};
+use vc_netsim::{
+    Bottleneck, FlowClass, FlowId, FlowNet, LinkStats, NetworkParams, SolverMode, SolverStats,
+};
+use vc_topology::{generate, DistanceTiers, NodeId, Topology};
 
 /// One scripted step: advance time by `dt_us`, then either start a flow
 /// or drain completions.
@@ -83,8 +90,25 @@ fn mk_net(mode: SolverMode, dead_uplink: bool) -> FlowNet {
     net
 }
 
+/// The nodes of [`mk_net`]'s topology.
+fn mk_nodes() -> Vec<NodeId> {
+    (0..8).map(NodeId).collect()
+}
+
+/// A bottleneck as a comparable label: the link's name, or the variant.
+fn bottleneck_name(net: &FlowNet, b: Bottleneck) -> String {
+    match b {
+        Bottleneck::Link(r) => net.links()[r].name.clone(),
+        other => format!("{other:?}"),
+    }
+}
+
 /// Everything observable about a net, with rates as raw bits so the
-/// comparison is exact (not `f64` partial-eq semantics).
+/// comparison is exact (not `f64` partial-eq semantics). Links are
+/// listed by name, in link order, and only once they leave their
+/// all-zero initial state, so nets over different node sets compare
+/// equal exactly when their shared links agree and every other link is
+/// idle.
 fn observe(net: &FlowNet) -> impl std::fmt::Debug + PartialEq {
     let flows: Vec<_> = net
         .active_flow_snapshot()
@@ -95,15 +119,18 @@ fn observe(net: &FlowNet) -> impl std::fmt::Debug + PartialEq {
                 f.token,
                 f.rate.to_bits(),
                 f.remaining_bytes.to_bits(),
-                f.bottleneck,
+                bottleneck_name(net, f.bottleneck),
             )
         })
         .collect();
     let links: Vec<_> = net
-        .link_stats()
+        .links()
         .iter()
-        .map(|s| {
+        .zip(net.link_stats())
+        .filter(|(_, s)| **s != LinkStats::default())
+        .map(|(l, s)| {
             (
+                l.name.clone(),
                 s.bytes_total.to_bits(),
                 s.busy_us.to_bits(),
                 s.peak_utilization.to_bits(),
@@ -124,13 +151,26 @@ fn observe(net: &FlowNet) -> impl std::fmt::Debug + PartialEq {
 /// one that must occur at identical steps in both solver modes).
 const STARVATION_PANIC: u64 = u64::MAX;
 
+/// One completed flow: token, bytes, class and bottleneck label.
+type Done = (u64, u64, FlowClass, String);
+
 /// `take_completed` with the starvation debug assertion folded into the
 /// observable outcome: the assertion runs *after* all state mutation,
 /// so the net stays consistent and the panic becomes a comparable
 /// marker. Any other panic is re-raised.
-fn take(net: &mut FlowNet, now: SimTime) -> Vec<u64> {
+fn take(net: &mut FlowNet, now: SimTime) -> Vec<Done> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.take_completed(now))) {
-        Ok(done) => done.into_iter().map(|c| c.token).collect(),
+        Ok(done) => done
+            .into_iter()
+            .map(|c| {
+                (
+                    c.token,
+                    c.bytes,
+                    c.class,
+                    bottleneck_name(net, c.bottleneck),
+                )
+            })
+            .collect(),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()
@@ -141,20 +181,23 @@ fn take(net: &mut FlowNet, now: SimTime) -> Vec<u64> {
                 msg.contains("starved at rate 0"),
                 "unexpected panic in take_completed: {msg}"
             );
-            vec![STARVATION_PANIC]
+            vec![(STARVATION_PANIC, 0, FlowClass::Other, String::new())]
         }
     }
 }
 
 /// Run the scripted sequence against one net, returning each take's
-/// completions (or starvation-panic marker). The caller compares these
-/// (and per-step observations) across solver modes.
+/// completions (or starvation-panic marker). Flow endpoints are the
+/// script's node numbers taken modulo `nodes.len()` as indices into
+/// `nodes`. The caller compares these (and per-step observations)
+/// across nets.
 fn drive(
     net: &mut FlowNet,
     script: &[Op],
+    nodes: &[NodeId],
     observations: &mut Vec<String>,
-) -> Vec<(SimTime, Vec<u64>)> {
-    let nodes = 8u32;
+) -> Vec<(SimTime, Vec<Done>)> {
+    let node = |i: u32| nodes[i as usize % nodes.len()];
     let mut now = SimTime::ZERO;
     let mut token = 0u64;
     let mut takes = Vec::new();
@@ -169,8 +212,8 @@ fn drive(
                 token += 1;
                 net.start_flow_classed(
                     now,
-                    NodeId(src % nodes),
-                    NodeId(dst % nodes),
+                    node(*src),
+                    node(*dst),
                     kilobytes * 1_000,
                     token,
                     classes(*class_sel),
@@ -220,8 +263,8 @@ proptest! {
         let mut inc = mk_net(SolverMode::Incremental, false);
         let mut obs_batch = Vec::new();
         let mut obs_inc = Vec::new();
-        let takes_batch = drive(&mut batch, &script, &mut obs_batch);
-        let takes_inc = drive(&mut inc, &script, &mut obs_inc);
+        let takes_batch = drive(&mut batch, &script, &mk_nodes(), &mut obs_batch);
+        let takes_inc = drive(&mut inc, &script, &mk_nodes(), &mut obs_inc);
         prop_assert_eq!(takes_batch, takes_inc);
         for (step, (b, i)) in obs_batch.iter().zip(&obs_inc).enumerate() {
             prop_assert_eq!(b, i, "observation diverged at step {}", step);
@@ -255,8 +298,8 @@ proptest! {
         let mut inc = mk_net(SolverMode::Incremental, true);
         let mut obs_batch = Vec::new();
         let mut obs_inc = Vec::new();
-        let takes_batch = drive(&mut batch, &script, &mut obs_batch);
-        let takes_inc = drive(&mut inc, &script, &mut obs_inc);
+        let takes_batch = drive(&mut batch, &script, &mk_nodes(), &mut obs_batch);
+        let takes_inc = drive(&mut inc, &script, &mk_nodes(), &mut obs_inc);
         prop_assert_eq!(takes_batch, takes_inc);
         for (step, (b, i)) in obs_batch.iter().zip(&obs_inc).enumerate() {
             prop_assert_eq!(b, i, "observation diverged at step {}", step);
@@ -273,10 +316,115 @@ proptest! {
         let run = || {
             let mut net = mk_net(SolverMode::Incremental, false);
             let mut obs = Vec::new();
-            drive(&mut net, &script, &mut obs);
+            drive(&mut net, &script, &mk_nodes(), &mut obs);
             deterministic(net.solver_stats())
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+/// Small random topologies: one cloud of uniform racks, or several
+/// clouds (so cross-cloud paths and cloud links are exercised).
+fn topologies() -> impl Strategy<Value = Topology> {
+    (any::<bool>(), 1usize..4, 1usize..5, 1usize..6).prop_map(|(multi, clouds, racks, nodes)| {
+        if multi {
+            let tiers = DistanceTiers::new(1, 2, 8).unwrap();
+            generate::multi_cloud(clouds + 1, racks.min(2), nodes.min(3), tiers)
+        } else {
+            generate::uniform(racks, nodes, DistanceTiers::default())
+        }
+    })
+}
+
+/// Utilization samples keyed by link name, with `f64`s as raw bits.
+fn named_samples(net: &mut FlowNet) -> Vec<(u64, String, u64, u32, bool)> {
+    net.drain_link_samples()
+        .into_iter()
+        .map(|s| {
+            (
+                s.t_us,
+                net.links()[s.link].name.clone(),
+                s.utilization.to_bits(),
+                s.active_flows,
+                s.binding,
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    /// A net over a node subset is indistinguishable from the
+    /// whole-cloud net for flows among that subset, under both solver
+    /// modes: the same completions (token, time, bytes, class,
+    /// bottleneck) and, at every step, bit-identical rates, link
+    /// telemetry by name and starvation; the same samples by name,
+    /// deterministic solver effort and window rollup; and every
+    /// whole-cloud link outside the subset stays idle.
+    #[test]
+    fn subset_net_matches_whole_cloud_net(
+        topo in topologies(),
+        mask in proptest::collection::vec(any::<bool>(), 24),
+        script in ops(),
+        dead_uplink in any::<bool>(),
+        window_us in 1u64..2_000_000,
+    ) {
+        let topo = Arc::new(topo);
+        let mut subset: Vec<NodeId> = topo.node_ids().filter(|n| mask[n.index()]).collect();
+        if subset.is_empty() {
+            subset.push(NodeId(0));
+        }
+        // `for_nodes` takes its set in any order and with repeats.
+        let mut given = subset.clone();
+        given.reverse();
+        given.push(subset[0]);
+        let params = NetworkParams {
+            rack_uplink_mbps: if dead_uplink { 0.0 } else { 60.0 },
+            ..NetworkParams::default()
+        };
+        for mode in [SolverMode::Batch, SolverMode::Incremental] {
+            let mut whole = FlowNet::with_solver(Arc::clone(&topo), params, mode);
+            let mut part = FlowNet::for_nodes(Arc::clone(&topo), params, mode, &given);
+            for net in [&mut whole, &mut part] {
+                net.set_sampling(true);
+                net.set_window_rollup(window_us, 7_000);
+            }
+            let mut obs_whole = Vec::new();
+            let mut obs_part = Vec::new();
+            let takes_whole = drive(&mut whole, &script, &subset, &mut obs_whole);
+            let takes_part = drive(&mut part, &script, &subset, &mut obs_part);
+            prop_assert_eq!(takes_whole, takes_part, "{:?}", mode);
+            prop_assert_eq!(obs_whole.len(), obs_part.len());
+            for (step, (w, p)) in obs_whole.iter().zip(&obs_part).enumerate() {
+                prop_assert_eq!(w, p, "{:?}: observation diverged at step {}", mode, step);
+            }
+            prop_assert_eq!(named_samples(&mut whole), named_samples(&mut part));
+            prop_assert_eq!(
+                deterministic(whole.solver_stats()),
+                deterministic(part.solver_stats())
+            );
+            let bits = |roll: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+                roll.into_iter().map(|(w, b)| (w, b.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(whole.take_window_rollup()), bits(part.take_window_rollup()));
+
+            let mut racks: Vec<_> = subset.iter().map(|&n| topo.rack_of(n)).collect();
+            racks.sort_unstable();
+            racks.dedup();
+            let mut clouds: Vec<_> = subset.iter().map(|&n| topo.cloud_of(n)).collect();
+            clouds.sort_unstable();
+            clouds.dedup();
+            prop_assert_eq!(
+                part.links().len(),
+                2 * (subset.len() + racks.len() + clouds.len())
+            );
+            for (link, stats) in whole.links().iter().zip(whole.link_stats()) {
+                let pos = part.links().iter().position(|l| l.name == link.name);
+                match pos {
+                    Some(i) => prop_assert_eq!(stats, &part.link_stats()[i]),
+                    None => prop_assert_eq!(stats, &LinkStats::default(), "{} not idle", link.name),
+                }
+            }
+        }
     }
 }
 
