@@ -6,7 +6,7 @@
 ///
 /// # Panics
 /// Panics on negative/NaN values or `width == 0`.
-pub fn bars(items: &[(String, f64)], width: usize) -> String {
+fn bars(items: &[(String, f64)], width: usize) -> String {
     assert!(width > 0, "chart width must be positive");
     for (label, v) in items {
         assert!(v.is_finite() && *v >= 0.0, "bad value {v} for {label}");

@@ -33,7 +33,7 @@ pub fn paper_requests(seed: u64, profile: RequestProfile, count: usize) -> Vec<R
 /// # Panics
 /// Panics if the counts exceed the topology (10 nodes/rack — same-rack VMs
 /// beyond 9 nodes stack on the same nodes, which is allowed).
-pub fn cluster_with_spread(
+fn cluster_with_spread(
     topo: Arc<Topology>,
     on_master: usize,
     same_rack: usize,

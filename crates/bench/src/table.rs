@@ -1,11 +1,11 @@
 //! Minimal fixed-width text-table printer for experiment output.
 
 /// Render a table: header row, separator, data rows; columns padded to the
-/// widest cell. Returns the string (callers print it).
+/// widest cell.
 ///
 /// # Panics
 /// Panics if any row's length differs from the header's.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), headers.len(), "row width must match header");
     }

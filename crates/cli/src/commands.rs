@@ -30,12 +30,22 @@ fn build_cloud(p: &Parsed) -> Result<ClusterState, ArgError> {
     if racks == 0 || nodes == 0 {
         return Err(ArgError::new("--racks and --nodes must be positive"));
     }
+    // The placement index keeps per-node, per-rack and per-type totals in
+    // u32: the largest is capacity × max(nodes in the cloud, VM types).
+    let catalog = Arc::new(VmCatalog::ec2_table1());
+    let largest = (racks as u128 * nodes as u128).max(catalog.len() as u128);
+    if u128::from(capacity) * largest > u128::from(u32::MAX) {
+        return Err(ArgError::new(format!(
+            "--capacity {capacity} is too large: the cloud's VM totals must fit in {}, \
+             and {capacity} × {largest} does not",
+            u32::MAX
+        )));
+    }
     let topo = Arc::new(generate::uniform(
         racks,
         nodes,
         DistanceTiers::paper_experiment(),
     ));
-    let catalog = Arc::new(VmCatalog::ec2_table1());
     Ok(ClusterState::uniform_capacity(topo, catalog, capacity))
 }
 
@@ -195,7 +205,7 @@ impl CliRecorder {
     /// memory otherwise. A stream opens with the run manifest as a
     /// JSONL header line, so a flushed file identifies its run even
     /// when no other artefact was exported (`replay_jsonl` skips the
-    /// header; `manifest_from_jsonl` extracts it).
+    /// header).
     fn build(p: &Parsed, manifest: &RunManifest) -> Result<Self, ArgError> {
         match p.str_or("stream-out", "") {
             "" => Ok(Self::Mem(Box::default())),
@@ -562,7 +572,7 @@ pub fn simulate_job(p: &Parsed) -> Result<String, ArgError> {
     ))
 }
 
-/// `affinity-vc simulate` (alias `run`) — the end-to-end pipeline:
+/// `affinity-vc simulate` — the end-to-end pipeline:
 /// request queue → affinity-aware placement → MapReduce jobs on the
 /// placed virtual clusters, with the whole run recorded so
 /// `--trace-out`/`--metrics-out` capture every layer at once.

@@ -35,7 +35,7 @@ pub fn run(argv: &[String]) -> Result<String, ArgError> {
     match command.as_str() {
         "place" => commands::place(&parsed),
         "simulate-job" => commands::simulate_job(&parsed),
-        "simulate" | "run" => commands::simulate(&parsed),
+        "simulate" => commands::simulate(&parsed),
         "report" => commands::report(&parsed),
         "compare" => commands::compare(&parsed),
         "derive-distance" => commands::derive_distance(&parsed),
@@ -57,7 +57,7 @@ USAGE:
 COMMANDS:
     place             place one VM request on a simulated cloud
     simulate-job      run a MapReduce job on a virtual cluster
-    simulate          request queue + placement + MapReduce (alias: run)
+    simulate          request queue + placement + MapReduce
     report            analyse a recorded trace: critical path + placement audit
     diff              compare two recorded runs: metric deltas + attribution
     compare           paired multi-seed A/B re-run of two configs
@@ -459,10 +459,12 @@ mod obs_cli_tests {
     }
 
     #[test]
-    fn run_is_an_alias_for_simulate() {
+    fn simulate_has_no_run_alias() {
         let a = call(&["simulate", "--requests", "3", "--service", "trace"]).unwrap();
-        let b = call(&["run", "--requests", "3", "--service", "trace"]).unwrap();
+        let b = call(&["simulate", "--requests", "3", "--service", "trace"]).unwrap();
         assert_eq!(a, b);
+        let err = call(&["run", "--requests", "3", "--service", "trace"]).unwrap_err();
+        assert!(err.to_string().contains("unknown command `run`"), "{err}");
     }
 
     #[test]

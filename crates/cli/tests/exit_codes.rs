@@ -432,6 +432,27 @@ fn out_of_range_rate_and_straggler_prob_exit_one_naming_flag() {
 }
 
 #[test]
+fn oversized_capacity_exits_one_naming_flag() {
+    // capacity × max(nodes in the cloud, VM types) must fit in u32: the
+    // placement index sums per node, per rack and per type in u32.
+    for line in [
+        "simulate --capacity 143165577 --service trace --requests 3",
+        "simulate --capacity 4294967295 --service trace --requests 3",
+        "place --capacity 4294967295 --request 1,1,1",
+        "place --racks 1 --nodes 1 --capacity 1431655766 --request 1,1,1",
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{line}: {err}");
+        assert!(err.contains("--capacity"), "{line}: {err}");
+    }
+    // The largest capacity the default 3 × 10-node cloud holds still runs.
+    let out = run(&["place", "--capacity", "143165576", "--request", "1,1,1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn report_metrics_without_counters_exits_one_naming_file() {
     // Read as a snapshot, a document without a `counters` object prints
     // all-zero sections and a passing consistency line.

@@ -35,7 +35,7 @@ impl ServiceTime {
     ///
     /// # Panics
     /// Panics if a uniform range is inverted or an exponential mean is 0.
-    pub fn sample(&self, rng: &mut impl Rng) -> SimTime {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> SimTime {
         match *self {
             Self::Fixed(t) => t,
             Self::UniformMs(lo, hi) => {
@@ -70,14 +70,6 @@ impl ArrivalProcess {
             rate_per_s: 0.5,
             profile: RequestProfile::standard(),
             service: ServiceTime::UniformMs(10_000, 60_000),
-        }
-    }
-
-    /// The "relatively small number of VMs" scenario of Fig. 6.
-    pub fn paper_small() -> Self {
-        Self {
-            profile: RequestProfile::small(),
-            ..Self::paper_standard()
         }
     }
 
@@ -159,8 +151,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let gen =
-            |seed| ArrivalProcess::paper_small().generate(10, 3, &mut StdRng::seed_from_u64(seed));
+        let gen = |seed| {
+            ArrivalProcess::paper_standard().generate(10, 3, &mut StdRng::seed_from_u64(seed))
+        };
         assert_eq!(gen(9), gen(9));
         assert_ne!(gen(9), gen(10));
     }

@@ -10,14 +10,15 @@
 //!
 //! * [`arrivals`] — request/arrival/service-time generation;
 //! * [`sim`] — the event loop and per-request outcomes;
-//! * [`batch`] — rayon-parallel execution of many seeds for
-//!   confidence-interval sweeps.
+//! * [`trace`] — saving and loading request traces.
+//!
+//! Everything here is single-threaded: a run is deterministic in its
+//! seed, and sweeps over seeds or parameters are sequential loops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod batch;
 mod probe;
 pub mod sim;
 pub mod trace;

@@ -286,7 +286,7 @@ pub fn run(state: &ClusterState, config: SimConfig) -> SimResult {
 /// free pool is shredded across racks. Defined as 0 — never NaN — on the
 /// degenerate clouds: fully allocated (no free slots anywhere) and empty
 /// (zero total capacity) both have `total_free == 0`.
-pub fn fragmentation_index(state: &ClusterState, topo: &Topology) -> f64 {
+pub(crate) fn fragmentation_index(state: &ClusterState, topo: &Topology) -> f64 {
     let idx = state.index();
     let mut total_free = 0u64;
     let mut max_rack_free = 0u64;
@@ -1421,85 +1421,5 @@ mod health_tests {
         // No ts window: invariant audits still run, detectors idle.
         run_recorded(&s, cfg, &rec);
         assert!(rec.events().iter().all(|e| !e.name.starts_with("alert.")));
-    }
-}
-
-/// Provider revenue for a completed simulation: Σ over served requests of
-/// the pro-rated holding cost (micro-dollars). Pass the same trace the
-/// simulation ran on.
-///
-/// # Panics
-/// Panics if `trace` and `outcomes` are not the same run (lengths differ).
-pub fn total_revenue(
-    trace: &[CloudRequest],
-    outcomes: &[RequestOutcome],
-    prices: &vc_model::PriceList,
-) -> u64 {
-    assert_eq!(trace.len(), outcomes.len(), "trace/outcome mismatch");
-    trace
-        .iter()
-        .zip(outcomes)
-        .filter_map(|(req, o)| {
-            let (start, end) = (o.started?, o.finished?);
-            Some(prices.cost(&req.request, end - start))
-        })
-        .sum()
-}
-
-#[cfg(test)]
-mod revenue_tests {
-    use super::*;
-    use crate::arrivals::CloudRequest;
-    use std::sync::Arc;
-    use vc_model::{PriceList, Request, VmCatalog};
-    use vc_placement::online::OnlineHeuristic;
-    use vc_topology::{generate, DistanceTiers};
-
-    #[test]
-    fn revenue_matches_holding_costs() {
-        let topo = Arc::new(generate::uniform(1, 2, DistanceTiers::paper_experiment()));
-        let cat = Arc::new(VmCatalog::ec2_table1());
-        let s = ClusterState::uniform_capacity(topo, cat, 2);
-        let trace = vec![CloudRequest {
-            id: 0,
-            request: Request::from_counts(vec![1, 0, 0]),
-            arrival: SimTime::ZERO,
-            service_time: SimTime::from_secs(3600),
-        }];
-        let result = run(
-            &s,
-            SimConfig::new(
-                trace.clone(),
-                PolicyMode::Individual(Box::new(OnlineHeuristic)),
-                0,
-            ),
-        );
-        let revenue = total_revenue(&trace, &result.outcomes, &PriceList::ec2_2012());
-        assert_eq!(revenue, 80_000); // one small instance for one hour
-    }
-
-    #[test]
-    fn refused_requests_earn_nothing() {
-        let topo = Arc::new(generate::uniform(1, 2, DistanceTiers::paper_experiment()));
-        let cat = Arc::new(VmCatalog::ec2_table1());
-        let s = ClusterState::uniform_capacity(topo, cat, 1);
-        let trace = vec![CloudRequest {
-            id: 0,
-            request: Request::from_counts(vec![50, 0, 0]),
-            arrival: SimTime::ZERO,
-            service_time: SimTime::from_secs(3600),
-        }];
-        let result = run(
-            &s,
-            SimConfig::new(
-                trace.clone(),
-                PolicyMode::Individual(Box::new(OnlineHeuristic)),
-                0,
-            ),
-        );
-        assert_eq!(
-            total_revenue(&trace, &result.outcomes, &PriceList::ec2_2012()),
-            0
-        );
     }
 }

@@ -59,13 +59,13 @@ impl From<serde_json::Error> for TraceError {
 }
 
 /// Serialise a trace to pretty JSON.
-pub fn to_json(trace: &[CloudRequest]) -> String {
+pub(crate) fn to_json(trace: &[CloudRequest]) -> String {
     serde_json::to_string_pretty(trace).expect("traces are plain data")
 }
 
 /// Parse a trace from JSON, validating dense ordered ids and that the
 /// run fits in half of `SimTime`'s range.
-pub fn from_json(json: &str) -> Result<Vec<CloudRequest>, TraceError> {
+pub(crate) fn from_json(json: &str) -> Result<Vec<CloudRequest>, TraceError> {
     let trace: Vec<CloudRequest> = serde_json::from_str(json)?;
     let (mut latest_arrival, mut total_service) = (0u64, 0u64);
     for (i, r) in trace.iter().enumerate() {

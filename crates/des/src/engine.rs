@@ -142,26 +142,6 @@ impl<E> Engine<E> {
         rec.histogram_record("des.heap_depth", self.heap.len() as u64);
         Some((at, event))
     }
-
-    /// Timestamp of the earliest pending event, if any, without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop every pending event (e.g. on simulation abort).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +177,7 @@ mod tests {
         e.schedule(SimTime::from_micros(100), ());
         e.pop().unwrap();
         e.schedule_after(SimTime::from_micros(50), ());
-        assert_eq!(e.peek_time(), Some(SimTime::from_micros(150)));
+        assert_eq!(e.pop().map(|(at, ())| at), Some(SimTime::from_micros(150)));
     }
 
     #[test]
@@ -207,18 +187,6 @@ mod tests {
         e.schedule(SimTime::from_micros(10), ());
         e.pop().unwrap();
         e.schedule(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    fn len_empty_clear() {
-        let mut e: Engine<u8> = Engine::default();
-        assert!(e.is_empty());
-        e.schedule(SimTime::from_micros(1), 1);
-        e.schedule(SimTime::from_micros(2), 2);
-        assert_eq!(e.len(), 2);
-        e.clear();
-        assert!(e.is_empty());
-        assert_eq!(e.pop(), None);
     }
 
     // The test events name their own kind.

@@ -73,23 +73,11 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Fractional milliseconds (lossy for very large times).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction (`0` floor), for elapsed-time calculations
     /// where clock skew is acceptable.
     #[inline]
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: Self) -> Option<Self> {
-        self.0.checked_add(rhs.0).map(Self)
     }
 }
 
@@ -135,7 +123,7 @@ impl fmt::Display for SimTime {
         if self.0 >= 1_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())
         } else if self.0 >= 1_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
+            write!(f, "{:.3}ms", self.0 as f64 / 1e3)
         } else {
             write!(f, "{}µs", self.0)
         }

@@ -49,9 +49,9 @@ pub use problem::{Cmp, Problem, Sense, VarId, VarKind};
 pub use solution::Solution;
 
 /// Tolerance below which a value is considered integral.
-pub const INT_TOL: f64 = 1e-6;
+pub(crate) const INT_TOL: f64 = 1e-6;
 /// Tolerance for feasibility / optimality comparisons.
-pub const EPS: f64 = 1e-9;
+pub(crate) const EPS: f64 = 1e-9;
 
 #[cfg(test)]
 mod tests {

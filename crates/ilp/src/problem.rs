@@ -10,7 +10,7 @@ pub struct VarId(pub(crate) usize);
 impl VarId {
     /// The dense index of this variable.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -90,11 +90,6 @@ impl Problem {
         }
     }
 
-    /// Objective direction.
-    pub fn sense(&self) -> Sense {
-        self.sense
-    }
-
     /// Add a continuous variable with bounds `[lower, upper]` and objective
     /// coefficient `cost`.
     ///
@@ -154,18 +149,8 @@ impl Problem {
         self.constraints.push(Constraint { terms, cmp, rhs });
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Whether any variable is integer.
-    pub fn has_integers(&self) -> bool {
+    fn has_integers(&self) -> bool {
         self.vars.iter().any(|v| v.kind == VarKind::Integer)
     }
 
@@ -186,7 +171,7 @@ impl Problem {
     }
 
     /// Solve with an explicit branch-and-bound node budget.
-    pub fn solve_with_node_limit(&self, node_limit: usize) -> Result<Solution, SolveError> {
+    pub(crate) fn solve_with_node_limit(&self, node_limit: usize) -> Result<Solution, SolveError> {
         if self.has_integers() {
             branch_bound::solve_mip(self, node_limit)
         } else {
@@ -210,10 +195,10 @@ mod tests {
         let x = p.add_var(0.0, 1.0, 1.0);
         let y = p.add_int_var(0.0, 1.0, 1.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 1.0);
-        assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.num_constraints(), 1);
+        assert_eq!(p.vars.len(), 2);
+        assert_eq!(p.constraints.len(), 1);
         assert!(p.has_integers());
-        assert_eq!(p.sense(), Sense::Minimize);
+        assert_eq!(p.sense, Sense::Minimize);
     }
 
     #[test]

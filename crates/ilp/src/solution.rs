@@ -55,12 +55,6 @@ impl Solution {
         r as i64
     }
 
-    /// All values, indexed by variable.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Snap the listed variables to exact integers (post-B&B cleanup) and
     /// return the adjusted solution. The objective is kept as computed.
     pub(crate) fn snap_integers(mut self, int_vars: &[usize]) -> Self {
@@ -83,7 +77,7 @@ mod tests {
         let s = Solution::new(vec![1.0, 2.5], 4.5);
         assert_eq!(s.objective(), 4.5);
         assert_eq!(s.value(VarId(1)), 2.5);
-        assert_eq!(s.values(), &[1.0, 2.5]);
+        assert_eq!(s.values, [1.0, 2.5]);
         assert_eq!(s.int_value(VarId(0)), 1);
     }
 

@@ -6,21 +6,19 @@ use vc_topology::{NodeId, Topology};
 
 /// Identifier of a VM within one [`VirtualCluster`] (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VmId(pub u32);
+pub(crate) struct VmId(pub u32);
 
 impl VmId {
     /// The raw index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
 
 /// One provisioned VM.
 #[derive(Debug, Clone)]
-pub struct Vm {
-    /// Dense id within the cluster.
-    pub id: VmId,
+pub(crate) struct Vm {
     /// Physical node hosting this VM.
     pub node: NodeId,
     /// Concurrent map slots.
@@ -63,11 +61,9 @@ impl VirtualCluster {
         );
         let vms = placements
             .iter()
-            .enumerate()
-            .map(|(i, &(node, ty))| {
+            .map(|&(node, ty)| {
                 let t = catalog.get(ty);
                 Vm {
-                    id: VmId(i as u32),
                     node,
                     map_slots: t.map_slots,
                     reduce_slots: t.reduce_slots,
@@ -92,7 +88,6 @@ impl VirtualCluster {
         assert!(!nodes.is_empty() && count > 0, "cluster must be non-empty");
         let vms = (0..count)
             .map(|i| Vm {
-                id: VmId(i as u32),
                 node: nodes[i % nodes.len()],
                 map_slots: 1,
                 reduce_slots: 1,
@@ -109,7 +104,7 @@ impl VirtualCluster {
 
     /// The VMs, in id order.
     #[inline]
-    pub fn vms(&self) -> &[Vm] {
+    pub(crate) fn vms(&self) -> &[Vm] {
         &self.vms
     }
 
@@ -118,7 +113,7 @@ impl VirtualCluster {
     /// # Panics
     /// Panics if out of range.
     #[inline]
-    pub fn vm(&self, id: VmId) -> &Vm {
+    pub(crate) fn vm(&self, id: VmId) -> &Vm {
         &self.vms[id.index()]
     }
 
@@ -142,32 +137,22 @@ impl VirtualCluster {
 
     /// The physical topology.
     #[inline]
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// Shared handle to the topology.
     #[inline]
-    pub fn topology_arc(&self) -> Arc<Topology> {
+    pub(crate) fn topology_arc(&self) -> Arc<Topology> {
         Arc::clone(&self.topology)
     }
 
     /// Distinct physical nodes hosting VMs, in id order.
-    pub fn nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.vms.iter().map(|vm| vm.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
-    }
-
-    /// Total map slots across the cluster.
-    pub fn total_map_slots(&self) -> u32 {
-        self.vms.iter().map(|v| v.map_slots).sum()
-    }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> u32 {
-        self.vms.iter().map(|v| v.reduce_slots).sum()
     }
 
     /// The paper's **cluster affinity** metric for this cluster: the sum
@@ -213,7 +198,10 @@ mod tests {
         assert_eq!(vc.master(), NodeId(0));
         assert_eq!(vc.nodes(), vec![NodeId(0), NodeId(1)]);
         // small: 1 slot @25; medium: 2 slots @25 each; large: 4 slots.
-        assert_eq!(vc.total_map_slots(), 1 + 1 + 2 + 4);
+        assert_eq!(
+            vc.vms.iter().map(|v| v.map_slots).sum::<u32>(),
+            1 + 1 + 2 + 4
+        );
         let large = vc.vms().iter().find(|v| v.map_slots == 4).unwrap();
         assert!((large.slot_mb_per_s - 25.0).abs() < 1e-9);
     }
@@ -230,7 +218,7 @@ mod tests {
     fn homogeneous_cycles_nodes() {
         let vc = VirtualCluster::homogeneous(&[NodeId(0), NodeId(1)], 5, topo());
         assert_eq!(vc.vm(VmId(4)).node, NodeId(0));
-        assert_eq!(vc.total_reduce_slots(), 5);
+        assert_eq!(vc.vms.iter().map(|v| v.reduce_slots).sum::<u32>(), 5);
         assert!(!vc.is_empty());
     }
 

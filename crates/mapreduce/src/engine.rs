@@ -329,7 +329,7 @@ fn simulate_job_with<R: Recorder>(
     let mut rng = StdRng::seed_from_u64(params.seed);
     let num_maps = job.num_maps();
     let sizes: Vec<f64> = (0..num_maps).map(|i| job.split_size_mb(i)).collect();
-    let layout = HdfsLayout::place(cluster, &sizes, job.replication, &mut rng);
+    let layout = HdfsLayout::place(cluster, sizes.len(), job.replication, &mut rng);
 
     use rand::Rng as _;
     let maps = sizes

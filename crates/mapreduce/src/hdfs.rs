@@ -22,10 +22,6 @@ pub struct BlockId(pub u32);
 /// One HDFS block and the nodes holding its replicas.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Dense id (= map task index).
-    pub id: BlockId,
-    /// Block size, MB.
-    pub size_mb: f64,
     /// Hosting nodes, primary first; distinct.
     pub replicas: Vec<NodeId>,
 }
@@ -37,14 +33,14 @@ pub struct HdfsLayout {
 }
 
 impl HdfsLayout {
-    /// Place `sizes.len()` blocks over the cluster with the given
+    /// Place `num_blocks` blocks over the cluster with the given
     /// replication factor. Deterministic for a given RNG state.
     ///
     /// # Panics
     /// Panics if `replication == 0` or the cluster is empty.
-    pub fn place(
+    pub(crate) fn place(
         cluster: &VirtualCluster,
-        sizes: &[f64],
+        num_blocks: usize,
         replication: u32,
         rng: &mut impl Rng,
     ) -> Self {
@@ -58,10 +54,8 @@ impl HdfsLayout {
         let mut writers = nodes.clone();
         writers.shuffle(rng);
 
-        let blocks = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size_mb)| {
+        let blocks = (0..num_blocks)
+            .map(|i| {
                 let primary = writers[i % writers.len()];
                 let mut replicas = vec![primary];
                 // Second replica: different rack if possible.
@@ -104,20 +98,10 @@ impl HdfsLayout {
                         replicas.push(n);
                     }
                 }
-                Block {
-                    id: BlockId(i as u32),
-                    size_mb,
-                    replicas,
-                }
+                Block { replicas }
             })
             .collect();
         Self { blocks }
-    }
-
-    /// All blocks in id order.
-    #[inline]
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
     }
 
     /// Look up one block.
@@ -125,29 +109,22 @@ impl HdfsLayout {
     /// # Panics
     /// Panics if out of range.
     #[inline]
-    pub fn block(&self, id: BlockId) -> &Block {
+    fn block(&self, id: BlockId) -> &Block {
         &self.blocks[id.0 as usize]
     }
 
-    /// Number of blocks.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the layout is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Whether any replica of `block` lives on `node`.
-    pub fn is_local(&self, block: BlockId, node: NodeId) -> bool {
+    pub(crate) fn is_local(&self, block: BlockId, node: NodeId) -> bool {
         self.block(block).replicas.contains(&node)
     }
 
     /// Whether any replica of `block` shares a rack with `node`.
-    pub fn is_rack_local(&self, block: BlockId, node: NodeId, cluster: &VirtualCluster) -> bool {
+    pub(crate) fn is_rack_local(
+        &self,
+        block: BlockId,
+        node: NodeId,
+        cluster: &VirtualCluster,
+    ) -> bool {
         self.block(block)
             .replicas
             .iter()
@@ -156,7 +133,7 @@ impl HdfsLayout {
 
     /// The replica of `block` nearest to `node` (smallest distance, ties
     /// to the smaller node id).
-    pub fn nearest_replica(
+    pub(crate) fn nearest_replica(
         &self,
         block: BlockId,
         node: NodeId,
@@ -189,9 +166,9 @@ mod tests {
     fn replicas_distinct_and_count() {
         let c = cluster();
         let mut rng = StdRng::seed_from_u64(1);
-        let layout = HdfsLayout::place(&c, &[64.0; 16], 3, &mut rng);
-        assert_eq!(layout.len(), 16);
-        for b in layout.blocks() {
+        let layout = HdfsLayout::place(&c, 16, 3, &mut rng);
+        assert_eq!(layout.blocks.len(), 16);
+        for b in &layout.blocks {
             assert_eq!(b.replicas.len(), 3);
             let mut sorted = b.replicas.clone();
             sorted.sort_unstable();
@@ -204,8 +181,8 @@ mod tests {
     fn second_replica_off_rack() {
         let c = cluster();
         let mut rng = StdRng::seed_from_u64(2);
-        let layout = HdfsLayout::place(&c, &[64.0; 8], 3, &mut rng);
-        for b in layout.blocks() {
+        let layout = HdfsLayout::place(&c, 8, 3, &mut rng);
+        for b in &layout.blocks {
             assert!(
                 !c.topology().same_rack(b.replicas[0], b.replicas[1]),
                 "second replica must be off-rack when possible"
@@ -218,7 +195,7 @@ mod tests {
         let topo = Arc::new(generate::uniform(1, 3, DistanceTiers::paper_experiment()));
         let c = VirtualCluster::homogeneous(&[NodeId(0), NodeId(1), NodeId(2)], 3, topo);
         let mut rng = StdRng::seed_from_u64(3);
-        let layout = HdfsLayout::place(&c, &[64.0], 3, &mut rng);
+        let layout = HdfsLayout::place(&c, 1, 3, &mut rng);
         assert_eq!(layout.block(BlockId(0)).replicas.len(), 3);
     }
 
@@ -227,7 +204,7 @@ mod tests {
         let topo = Arc::new(generate::uniform(1, 2, DistanceTiers::paper_experiment()));
         let c = VirtualCluster::homogeneous(&[NodeId(0), NodeId(1)], 2, topo);
         let mut rng = StdRng::seed_from_u64(4);
-        let layout = HdfsLayout::place(&c, &[64.0], 3, &mut rng);
+        let layout = HdfsLayout::place(&c, 1, 3, &mut rng);
         assert_eq!(layout.block(BlockId(0)).replicas.len(), 2);
     }
 
@@ -235,7 +212,7 @@ mod tests {
     fn locality_queries() {
         let c = cluster();
         let mut rng = StdRng::seed_from_u64(5);
-        let layout = HdfsLayout::place(&c, &[64.0], 1, &mut rng);
+        let layout = HdfsLayout::place(&c, 1, 1, &mut rng);
         let primary = layout.block(BlockId(0)).replicas[0];
         assert!(layout.is_local(BlockId(0), primary));
         assert!(layout.is_rack_local(BlockId(0), primary, &c));
@@ -246,10 +223,10 @@ mod tests {
     fn writers_balanced() {
         let c = cluster();
         let mut rng = StdRng::seed_from_u64(6);
-        let layout = HdfsLayout::place(&c, &[64.0; 16], 1, &mut rng);
+        let layout = HdfsLayout::place(&c, 16, 1, &mut rng);
         // 16 blocks over 4 nodes round-robin -> exactly 4 primaries each.
         let mut counts = std::collections::HashMap::new();
-        for b in layout.blocks() {
+        for b in &layout.blocks {
             *counts.entry(b.replicas[0]).or_insert(0u32) += 1;
         }
         for &c in counts.values() {
@@ -260,9 +237,9 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let c = cluster();
-        let a = HdfsLayout::place(&c, &[64.0; 8], 3, &mut StdRng::seed_from_u64(7));
-        let b = HdfsLayout::place(&c, &[64.0; 8], 3, &mut StdRng::seed_from_u64(7));
-        for (x, y) in a.blocks().iter().zip(b.blocks()) {
+        let a = HdfsLayout::place(&c, 8, 3, &mut StdRng::seed_from_u64(7));
+        let b = HdfsLayout::place(&c, 8, 3, &mut StdRng::seed_from_u64(7));
+        for (x, y) in a.blocks.iter().zip(&b.blocks) {
             assert_eq!(x.replicas, y.replicas);
         }
     }

@@ -31,18 +31,6 @@ impl JobConfig {
         }
     }
 
-    /// A job with the given workload and input, Hadoop-default split and
-    /// replication.
-    pub fn new(workload: Workload, input_mb: f64, num_reducers: u32) -> Self {
-        Self {
-            workload,
-            input_mb,
-            split_mb: 64.0,
-            num_reducers,
-            replication: 3,
-        }
-    }
-
     /// Number of map tasks: one per (possibly partial) split.
     ///
     /// # Panics
@@ -53,7 +41,7 @@ impl JobConfig {
     }
 
     /// Input size of map task `index` (the last split may be partial).
-    pub fn split_size_mb(&self, index: u32) -> f64 {
+    pub(crate) fn split_size_mb(&self, index: u32) -> f64 {
         let full = self.num_maps().saturating_sub(1);
         if index < full {
             self.split_mb
@@ -72,7 +60,7 @@ impl JobConfig {
     /// # Panics
     /// Panics if sizes are non-positive/non-finite, there are no
     /// reducers, or replication is zero.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.workload.validate();
         assert!(
             self.input_mb.is_finite() && self.input_mb > 0.0,

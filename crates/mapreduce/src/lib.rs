@@ -7,7 +7,7 @@
 //! `vc-netsim` flow network:
 //!
 //! 1. **DFS → map** — input blocks live in a simulated HDFS
-//!    ([`hdfs`]) with rack-aware replication across the cluster's VMs;
+//!    (`hdfs`) with rack-aware replication across the cluster's VMs;
 //!    map tasks read locally when the slot-scheduler ([`scheduler`])
 //!    achieves data locality, otherwise over the network;
 //! 2. **map → reduce** — the shuffle: every reducer fetches its partition
@@ -23,15 +23,14 @@
 
 pub mod cluster;
 pub mod engine;
-pub mod hdfs;
+mod hdfs;
 pub mod job;
 pub mod metrics;
 pub mod scheduler;
 pub mod workloads;
 
-pub use cluster::{VirtualCluster, Vm, VmId};
+pub use cluster::VirtualCluster;
 pub use engine::{simulate_job, simulate_job_observed, JobObservation, ObservedJob};
-pub use hdfs::{Block, BlockId, HdfsLayout};
 pub use job::JobConfig;
 pub use metrics::{JobMetrics, Locality};
 pub use workloads::Workload;

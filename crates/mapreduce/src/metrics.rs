@@ -16,7 +16,7 @@ pub enum Locality {
 
 impl Locality {
     /// Stable label used in traces and metrics.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Locality::NodeLocal => "node_local",
             Locality::RackLocal => "rack_local",
@@ -100,15 +100,6 @@ impl JobMetrics {
             self.remote_shuffle_bytes as f64 / total as f64
         }
     }
-
-    /// Fraction of map tasks that were data-local.
-    pub fn data_locality_fraction(&self) -> f64 {
-        if self.num_maps == 0 {
-            0.0
-        } else {
-            f64::from(self.data_local_maps) / f64::from(self.num_maps)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +133,6 @@ mod tests {
         assert_eq!(m.non_data_local_maps(), 8);
         assert_eq!(m.total_shuffle_bytes(), 100);
         assert!((m.non_local_shuffle_fraction() - 0.9).abs() < 1e-12);
-        assert!((m.data_locality_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]

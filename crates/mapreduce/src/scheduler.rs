@@ -29,25 +29,20 @@ pub enum SchedulerPolicy {
 
 /// Pending-map-task pool with locality-aware dispatch.
 #[derive(Debug, Clone)]
-pub struct MapScheduler {
+pub(crate) struct MapScheduler {
     pending: BTreeSet<u32>,
 }
 
 impl MapScheduler {
     /// All `num_maps` tasks pending.
-    pub fn new(num_maps: u32) -> Self {
+    pub(crate) fn new(num_maps: u32) -> Self {
         Self {
             pending: (0..num_maps).collect(),
         }
     }
 
-    /// Number of tasks not yet dispatched.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether every task has been dispatched.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -55,7 +50,7 @@ impl MapScheduler {
     /// drained. The returned [`Locality`] describes where the chosen
     /// task's data actually is relative to `vm` (for FIFO dispatch this
     /// is whatever the draw happened to be).
-    pub fn pick_for_with(
+    pub(crate) fn pick_for_with(
         &mut self,
         policy: SchedulerPolicy,
         vm: &Vm,
@@ -84,7 +79,7 @@ impl MapScheduler {
     ///
     /// Preference: node-local < rack-local < remote; lowest task id
     /// within a class (FIFO).
-    pub fn pick_for(
+    fn pick_for(
         &mut self,
         vm: &Vm,
         layout: &HdfsLayout,
@@ -129,7 +124,7 @@ mod tests {
         let cluster =
             VirtualCluster::homogeneous(&[NodeId(0), NodeId(1), NodeId(3), NodeId(4)], 4, topo);
         let mut rng = StdRng::seed_from_u64(1);
-        let layout = HdfsLayout::place(&cluster, &[64.0; 8], 2, &mut rng);
+        let layout = HdfsLayout::place(&cluster, 8, 2, &mut rng);
         (cluster, layout)
     }
 
@@ -224,8 +219,8 @@ mod tests {
     fn pending_counts_down() {
         let (cluster, layout) = setup();
         let mut sched = MapScheduler::new(3);
-        assert_eq!(sched.pending(), 3);
+        assert_eq!(sched.pending.len(), 3);
         sched.pick_for(&cluster.vms()[0], &layout, &cluster);
-        assert_eq!(sched.pending(), 2);
+        assert_eq!(sched.pending.len(), 2);
     }
 }

@@ -82,7 +82,7 @@ impl Workload {
     ///
     /// # Panics
     /// Panics on negative or non-finite parameters.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, v) in [
             ("map_selectivity", self.map_selectivity),
             ("reduce_selectivity", self.reduce_selectivity),

@@ -12,7 +12,7 @@ pub struct VmTypeId(pub u32);
 impl VmTypeId {
     /// The raw index as a `usize`, for matrix offsets.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -131,13 +131,6 @@ impl VmCatalog {
         ])
     }
 
-    /// A single-type catalogue, convenient for tests and homogeneous sims.
-    pub fn single(name: &str) -> Self {
-        let mut t = Self::ec2_table1().types.swap_remove(0);
-        t.name = name.into();
-        Self::new(vec![t])
-    }
-
     /// Number of VM types (`m` in the paper).
     #[inline]
     pub fn len(&self) -> usize {
@@ -159,20 +152,10 @@ impl VmCatalog {
         &self.types[id.index()]
     }
 
-    /// Look up a type by name.
-    pub fn by_name(&self, name: &str) -> Option<&VmType> {
-        self.types.iter().find(|t| t.name == name)
-    }
-
     /// All types in id order.
     #[inline]
     pub fn types(&self) -> &[VmType] {
         &self.types
-    }
-
-    /// Iterator over all type ids, `0..m`.
-    pub fn type_ids(&self) -> impl ExactSizeIterator<Item = VmTypeId> + Clone {
-        (0..self.types.len() as u32).map(VmTypeId)
     }
 }
 
@@ -184,12 +167,14 @@ mod tests {
     fn table1_values() {
         let c = VmCatalog::ec2_table1();
         assert_eq!(c.len(), 3);
-        let small = c.by_name("small").unwrap();
+        let small = c.get(VmTypeId(0));
+        assert_eq!(small.name, "small");
         assert_eq!(small.memory_mb, 1740);
         assert_eq!(small.compute_units, 1);
         assert_eq!(small.storage_gb, 160);
         assert_eq!(small.platform_bits, 32);
-        let large = c.by_name("large").unwrap();
+        let large = c.get(VmTypeId(2));
+        assert_eq!(large.name, "large");
         assert_eq!(large.compute_units, 4);
         assert_eq!(large.storage_gb, 850);
         assert_eq!(large.platform_bits, 64);
@@ -205,11 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn by_name_missing() {
-        assert!(VmCatalog::ec2_table1().by_name("xlarge").is_none());
-    }
-
-    #[test]
     fn new_reassigns_ids() {
         let mut types = VmCatalog::ec2_table1().types().to_vec();
         types.reverse();
@@ -222,14 +202,6 @@ mod tests {
     #[should_panic(expected = "at least one VM type")]
     fn empty_catalogue_rejected() {
         let _ = VmCatalog::new(vec![]);
-    }
-
-    #[test]
-    fn single_catalogue() {
-        let c = VmCatalog::single("only");
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
-        assert_eq!(c.get(VmTypeId(0)).name, "only");
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl ClusterState {
         &self.catalog
     }
 
-    /// Shared handle to the catalogue.
-    #[inline]
-    pub fn catalog_arc(&self) -> Arc<VmCatalog> {
-        Arc::clone(&self.catalog)
-    }
-
     /// Number of physical nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {

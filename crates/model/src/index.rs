@@ -46,7 +46,7 @@ pub struct PlacementIndex {
 
 impl PlacementIndex {
     /// Build the index from scratch for a remaining matrix.
-    pub fn build(topology: &Topology, remaining: &ResourceMatrix) -> Self {
+    pub(crate) fn build(topology: &Topology, remaining: &ResourceMatrix) -> Self {
         let n = topology.num_nodes();
         let m = remaining.num_types();
         let num_racks = topology.num_racks();
@@ -60,8 +60,9 @@ impl PlacementIndex {
             node_rack[i] = rack;
             let row = remaining.row(node);
             for (j, &v) in row.iter().enumerate() {
-                node_free[i] += v;
-                rack_free[rack * m + j] += v;
+                node_free[i] = node_free[i].checked_add(v).expect("availability overflow");
+                let r = &mut rack_free[rack * m + j];
+                *r = r.checked_add(v).expect("availability overflow");
                 avail[j] = avail[j].checked_add(v).expect("availability overflow");
             }
         }
@@ -99,12 +100,6 @@ impl PlacementIndex {
         }
     }
 
-    /// Free total `Σ_j L_ij` for one node.
-    #[inline]
-    pub fn node_free_total(&self, node: NodeId) -> u32 {
-        self.node_free[node.index()]
-    }
-
     /// Per-type free counts for one rack (`m` entries).
     #[inline]
     pub fn rack_free(&self, rack: RackId) -> &[u32] {
@@ -140,7 +135,7 @@ impl PlacementIndex {
 
     /// Per-type availability vector `A` (`A_j = Σ_i L_ij`).
     #[inline]
-    pub fn availability(&self) -> &[u32] {
+    pub(crate) fn availability(&self) -> &[u32] {
         &self.avail
     }
 
@@ -228,7 +223,8 @@ impl PlacementIndex {
 
     /// Panic unless every aggregate matches a from-scratch recomputation.
     /// Test support for the incremental-maintenance invariants.
-    pub fn assert_consistent(&self, topology: &Topology, remaining: &ResourceMatrix) {
+    #[cfg(test)]
+    pub(crate) fn assert_consistent(&self, topology: &Topology, remaining: &ResourceMatrix) {
         let fresh = Self::build(topology, remaining);
         assert_eq!(self.node_free, fresh.node_free, "node_free drifted");
         assert_eq!(self.rack_free, fresh.rack_free, "rack_free drifted");
@@ -263,12 +259,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "availability overflow")]
+    fn build_panics_when_a_node_total_overflows() {
+        // One node, three types: each per-type total fits in u32, but the
+        // node's total (3 × 1431655766) does not.
+        let t = generate::uniform(1, 1, DistanceTiers::default());
+        PlacementIndex::build(&t, &ResourceMatrix::from_rows(&[vec![1_431_655_766; 3]]));
+    }
+
+    #[test]
     fn build_aggregates_match_matrix() {
         let t = topo();
         let l = remaining();
         let idx = PlacementIndex::build(&t, &l);
-        assert_eq!(idx.node_free_total(NodeId(0)), 3);
-        assert_eq!(idx.node_free_total(NodeId(3)), 0);
+        assert_eq!(idx.node_free[0], 3);
+        assert_eq!(idx.node_free[3], 0);
         assert_eq!(idx.rack_free(RackId(0)), &[3, 4, 2]);
         assert_eq!(idx.rack_free(RackId(1)), &[5, 2, 0]);
         assert_eq!(idx.availability(), &[8, 6, 2]);
@@ -363,6 +368,6 @@ mod tests {
         }
         idx.replace_row(NodeId(4), &old, &[0, 0, 0]);
         idx.assert_consistent(&t, &l);
-        assert_eq!(idx.node_free_total(NodeId(4)), 0);
+        assert_eq!(idx.node_free[4], 0);
     }
 }

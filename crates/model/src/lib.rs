@@ -25,7 +25,6 @@ mod cluster;
 mod error;
 mod index;
 mod matrix;
-pub mod pricing;
 mod request;
 pub mod workload;
 
@@ -35,5 +34,4 @@ pub use cluster::ClusterState;
 pub use error::ModelError;
 pub use index::PlacementIndex;
 pub use matrix::ResourceMatrix;
-pub use pricing::PriceList;
 pub use request::Request;

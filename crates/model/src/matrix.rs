@@ -172,21 +172,11 @@ impl ResourceMatrix {
     ///
     /// # Panics
     /// Panics if dimensions differ or any entry would underflow.
-    pub fn checked_sub_assign(&mut self, other: &Self) {
+    pub(crate) fn checked_sub_assign(&mut self, other: &Self) {
         assert_eq!((self.n, self.m), (other.n, other.m), "dimension mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a = a.checked_sub(b).expect("VM count underflow");
         }
-    }
-
-    /// Elementwise difference `self − other` (the paper's `L = M − C`).
-    ///
-    /// # Panics
-    /// Panics if dimensions differ or any entry would underflow.
-    pub fn saturating_diff(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.checked_sub_assign(other);
-        out
     }
 
     /// Nodes hosting at least one VM, in id order.
@@ -283,7 +273,8 @@ mod tests {
         let m = sample();
         let mut c = ResourceMatrix::zeros(3, 3);
         c.set(NodeId(0), VmTypeId(0), 1);
-        let l = m.saturating_diff(&c);
+        let mut l = m.clone();
+        l.checked_sub_assign(&c);
         assert_eq!(l.get(NodeId(0), VmTypeId(0)), 1);
         assert_eq!(l.get(NodeId(0), VmTypeId(1)), 2);
     }

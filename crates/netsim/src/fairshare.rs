@@ -21,7 +21,8 @@ pub struct FairShare {
     pub iterations: u64,
 }
 
-/// Compute the max-min fair rate for each flow.
+/// Compute the max-min fair rate for each flow, and each flow's binding
+/// resource — the link whose saturation froze the flow's rate.
 ///
 /// * `capacities[r]` — capacity of resource `r` (MB/s);
 /// * `flow_resources[f]` — the resource indices flow `f` traverses (a
@@ -32,18 +33,6 @@ pub struct FairShare {
 /// per-flow fair share among its unfrozen flows, freeze those flows at
 /// that rate, deduct their consumption everywhere, and continue until all
 /// flows are frozen. `O(R · F · path)` — fine at simulator scale.
-///
-/// # Panics
-/// Panics if a flow references an out-of-range resource or a capacity is
-/// negative/NaN.
-pub fn max_min_fair_share(capacities: &[f64], flow_resources: &[Vec<usize>]) -> Vec<f64> {
-    max_min_fair_share_detailed(capacities, flow_resources).rates
-}
-
-/// Like [`max_min_fair_share`], but also reports each flow's binding
-/// resource — the link whose saturation froze the flow's rate. The rates
-/// are bit-identical to the plain variant (it is a thin wrapper over
-/// this one).
 ///
 /// # Panics
 /// Panics if a flow references an out-of-range resource or a capacity is
@@ -125,13 +114,13 @@ mod tests {
 
     #[test]
     fn single_flow_gets_bottleneck() {
-        let rates = max_min_fair_share(&[100.0, 40.0], &[vec![0, 1]]);
+        let rates = max_min_fair_share_detailed(&[100.0, 40.0], &[vec![0, 1]]).rates;
         assert_close(rates[0], 40.0);
     }
 
     #[test]
     fn equal_split_on_shared_link() {
-        let rates = max_min_fair_share(&[90.0], &[vec![0], vec![0], vec![0]]);
+        let rates = max_min_fair_share_detailed(&[90.0], &[vec![0], vec![0], vec![0]]).rates;
         for r in rates {
             assert_close(r, 30.0);
         }
@@ -141,7 +130,8 @@ mod tests {
     fn classic_three_flow_example() {
         // Link A (cap 10) shared by f0, f1; link B (cap 30) shared by f1, f2.
         // f0 = 5, f1 = 5 (bottleneck A), f2 = 25 (leftover of B).
-        let rates = max_min_fair_share(&[10.0, 30.0], &[vec![0], vec![0, 1], vec![1]]);
+        let rates =
+            max_min_fair_share_detailed(&[10.0, 30.0], &[vec![0], vec![0, 1], vec![1]]).rates;
         assert_close(rates[0], 5.0);
         assert_close(rates[1], 5.0);
         assert_close(rates[2], 25.0);
@@ -149,14 +139,14 @@ mod tests {
 
     #[test]
     fn unconstrained_flow_infinite() {
-        let rates = max_min_fair_share(&[10.0], &[vec![], vec![0]]);
+        let rates = max_min_fair_share_detailed(&[10.0], &[vec![], vec![0]]).rates;
         assert!(rates[0].is_infinite());
         assert_close(rates[1], 10.0);
     }
 
     #[test]
     fn no_flows() {
-        assert!(max_min_fair_share(&[5.0], &[]).is_empty());
+        assert!(max_min_fair_share_detailed(&[5.0], &[]).rates.is_empty());
     }
 
     #[test]
@@ -164,7 +154,7 @@ mod tests {
         // randomised-ish structured case, checked exactly
         let caps = [50.0, 20.0, 80.0];
         let flows = vec![vec![0, 1], vec![1], vec![0, 2], vec![2], vec![0, 1, 2]];
-        let rates = max_min_fair_share(&caps, &flows);
+        let rates = max_min_fair_share_detailed(&caps, &flows).rates;
         for r in 0..caps.len() {
             let used: f64 = flows
                 .iter()
@@ -182,7 +172,7 @@ mod tests {
         // alone must violate some resource.
         let caps = [50.0, 20.0];
         let flows = vec![vec![0], vec![0, 1], vec![1]];
-        let rates = max_min_fair_share(&caps, &flows);
+        let rates = max_min_fair_share_detailed(&caps, &flows).rates;
         for (f, fr) in flows.iter().enumerate() {
             let saturated = fr.iter().any(|&r| {
                 let used: f64 = flows
@@ -200,18 +190,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_resource_index_panics() {
-        let _ = max_min_fair_share(&[1.0], &[vec![3]]);
+        let _ = max_min_fair_share_detailed(&[1.0], &[vec![3]]);
     }
 
     #[test]
     #[should_panic(expected = "invalid capacity")]
     fn nan_capacity_panics() {
-        let _ = max_min_fair_share(&[f64::NAN], &[vec![0]]);
+        let _ = max_min_fair_share_detailed(&[f64::NAN], &[vec![0]]);
     }
 
     #[test]
     fn zero_capacity_freezes_at_zero() {
-        let rates = max_min_fair_share(&[0.0], &[vec![0]]);
+        let rates = max_min_fair_share_detailed(&[0.0], &[vec![0]]).rates;
         assert_close(rates[0], 0.0);
     }
 
@@ -247,14 +237,6 @@ mod tests {
         let fs = max_min_fair_share_detailed(&[90.0], &[vec![0], vec![0], vec![0]]);
         assert_eq!(fs.iterations, 1);
     }
-
-    #[test]
-    fn detailed_matches_plain_variant() {
-        let caps = [50.0, 20.0, 80.0];
-        let flows = vec![vec![0, 1], vec![1], vec![0, 2], vec![2], vec![0, 1, 2]];
-        let fs = max_min_fair_share_detailed(&caps, &flows);
-        assert_eq!(fs.rates, max_min_fair_share(&caps, &flows));
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +262,7 @@ mod proptests {
         /// capacity (up to fp tolerance).
         #[test]
         fn rates_never_oversubscribe((caps, flows) in instances()) {
-            let rates = max_min_fair_share(&caps, &flows);
+            let rates = max_min_fair_share_detailed(&caps, &flows).rates;
             for (r, &cap) in caps.iter().enumerate() {
                 let used: f64 = flows
                     .iter()
@@ -328,14 +310,6 @@ mod proptests {
                     r, f, used, caps[r]
                 );
             }
-        }
-
-        /// The detailed variant's rates are bit-identical to the plain
-        /// wrapper (it *is* the implementation).
-        #[test]
-        fn detailed_and_plain_agree((caps, flows) in instances()) {
-            let fs = max_min_fair_share_detailed(&caps, &flows);
-            prop_assert_eq!(fs.rates, max_min_fair_share(&caps, &flows));
         }
 
         /// Each progressive-filling round saturates a distinct resource

@@ -29,8 +29,7 @@ pub enum SolverMode {
     Batch,
     /// Delta-update: re-solve only the connected component of links
     /// whose flow membership changed, with persistent per-link flow
-    /// sets and reusable scratch (see
-    /// [`IncrementalFairShare`](crate::IncrementalFairShare)).
+    /// sets and reusable scratch (the crate's `incremental` module).
     #[default]
     Incremental,
 }
@@ -372,16 +371,6 @@ impl FlowNet {
             win_touched: Vec::new(),
             win_rollup: None,
         }
-    }
-
-    /// The solver mode this net was constructed with.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
-    }
-
-    /// The simulated clock of the last [`advance`](Self::advance).
-    pub fn clock(&self) -> SimTime {
-        self.clock
     }
 
     /// Number of in-flight flows.

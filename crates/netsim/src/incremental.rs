@@ -85,20 +85,6 @@ struct SolvedFlow {
 /// Keys are caller-chosen `u64`s; all ordering-sensitive steps (freeze
 /// order inside a round, ceiling tie-breaks) use ascending key order,
 /// matching a batch solver that iterates flows in ascending key order.
-///
-/// ```
-/// use vc_netsim::{Bottleneck, IncrementalFairShare};
-/// let mut s = IncrementalFairShare::new(vec![10.0, 30.0]);
-/// s.insert(0, &[0], f64::INFINITY);
-/// s.insert(1, &[0, 1], f64::INFINITY);
-/// s.insert(2, &[1], f64::INFINITY);
-/// assert_eq!(s.rate(1), Some(5.0)); // classic 3-flow example
-/// assert_eq!(s.rate(2), Some(25.0));
-/// assert_eq!(s.binding(2), Some(Bottleneck::Link(1)));
-/// s.remove_batch(&[1]);
-/// assert_eq!(s.rate(0), Some(10.0)); // component re-solved
-/// assert_eq!(s.rate(2), Some(30.0));
-/// ```
 #[derive(Debug)]
 pub struct IncrementalFairShare {
     capacities: Vec<f64>,
@@ -110,8 +96,6 @@ pub struct IncrementalFairShare {
     /// Per resource: `(key, slot)` of active flows through it,
     /// ascending by key.
     link_flows: Vec<Vec<(u64, u32)>>,
-    /// Number of resources currently carrying ≥ 1 flow.
-    active_links: u64,
     epoch: u64,
     // ---- last-solve outputs ----
     /// Slots of the last component, ascending by key after the solve.
@@ -146,7 +130,6 @@ impl IncrementalFairShare {
             slab: Vec::new(),
             free_slots: Vec::new(),
             link_flows: vec![Vec::new(); nr],
-            active_links: 0,
             epoch: 0,
             comp_flows: Vec::new(),
             comp_links: Vec::new(),
@@ -160,27 +143,14 @@ impl IncrementalFairShare {
         }
     }
 
-    /// Number of physical resources.
-    pub fn num_resources(&self) -> usize {
-        self.capacities.len()
-    }
-
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Number of resources currently carrying at least one flow.
-    pub fn active_links(&self) -> u64 {
-        self.active_links
-    }
-
     /// Current rate of flow `key`, or `None` if unknown.
+    #[cfg(test)]
     pub fn rate(&self, key: u64) -> Option<f64> {
         self.index.get(&key).map(|&s| self.slab[s as usize].rate)
     }
 
     /// Current binding attribution of flow `key`, or `None` if unknown.
+    #[cfg(test)]
     pub fn binding(&self, key: u64) -> Option<Bottleneck> {
         self.index.get(&key).map(|&s| self.slab[s as usize].binding)
     }
@@ -200,11 +170,6 @@ impl IncrementalFairShare {
     /// of removed flows. Ascending; deduplicated.
     pub fn touched_links(&self) -> &[usize] {
         &self.touched_links
-    }
-
-    /// Active flow keys through resource `r`, ascending.
-    pub fn link_active_flows(&self, r: usize) -> impl Iterator<Item = u64> + '_ {
-        self.link_flows[r].iter().map(|&(k, _)| k)
     }
 
     /// Fold resource `r`'s current state: (Σ member rates in key order,
@@ -267,9 +232,6 @@ impl IncrementalFairShare {
         }
         for &r in path {
             let lf = &mut self.link_flows[r];
-            if lf.is_empty() {
-                self.active_links += 1;
-            }
             let pos = lf.binary_search_by_key(&key, |e| e.0).unwrap_err();
             lf.insert(pos, (key, slot));
             if !self.in_comp_link[r] {
@@ -306,9 +268,6 @@ impl IncrementalFairShare {
                     .binary_search_by_key(&key, |e| e.0)
                     .expect("flow missing from link set");
                 lf.remove(pos);
-                if lf.is_empty() {
-                    self.active_links -= 1;
-                }
                 if !self.in_touched[r] {
                     self.in_touched[r] = true;
                     self.touched_links.push(r);
@@ -566,6 +525,20 @@ mod tests {
     }
 
     #[test]
+    fn classic_three_flow_example() {
+        let mut s = IncrementalFairShare::new(vec![10.0, 30.0]);
+        s.insert(0, &[0], f64::INFINITY);
+        s.insert(1, &[0, 1], f64::INFINITY);
+        s.insert(2, &[1], f64::INFINITY);
+        assert_eq!(s.rate(1), Some(5.0));
+        assert_eq!(s.rate(2), Some(25.0));
+        assert_eq!(s.binding(2), Some(Bottleneck::Link(1)));
+        s.remove_batch(&[1]);
+        assert_eq!(s.rate(0), Some(10.0)); // component re-solved
+        assert_eq!(s.rate(2), Some(30.0));
+    }
+
+    #[test]
     fn insert_matches_batch_classic() {
         let caps = vec![10.0, 30.0];
         let mut s = IncrementalFairShare::new(caps.clone());
@@ -603,7 +576,7 @@ mod tests {
         // Nothing left to solve, but both links changed state.
         assert_eq!(report.flows_solved, 0);
         assert_eq!(s.touched_links(), &[0, 1]);
-        assert_eq!(s.active_links(), 0);
+        assert!(s.link_flows.iter().all(Vec::is_empty));
         assert_eq!(s.observe_link(0), (0.0, 0, false));
     }
 

@@ -38,8 +38,7 @@ mod link;
 pub mod measure;
 mod params;
 
-pub use fairshare::{max_min_fair_share, max_min_fair_share_detailed, FairShare};
+pub use fairshare::{max_min_fair_share_detailed, FairShare};
 pub use flownet::{CompletedFlow, FlowId, FlowNet, FlowSnapshot, SolverMode, SolverStats};
-pub use incremental::{IncrementalFairShare, SolveReport};
 pub use link::{Bottleneck, FlowClass, LinkClass, LinkInfo, LinkSample, LinkStats};
 pub use params::NetworkParams;

@@ -30,19 +30,6 @@ pub enum FlowClass {
     Other,
 }
 
-impl FlowClass {
-    /// Stable lowercase label (`map-read`, `shuffle`, `output-write`,
-    /// `other`).
-    pub fn label(self) -> &'static str {
-        match self {
-            FlowClass::MapRead => "map-read",
-            FlowClass::Shuffle => "shuffle",
-            FlowClass::OutputWrite => "output-write",
-            FlowClass::Other => "other",
-        }
-    }
-}
-
 /// Which layer of the physical topology a link resource belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
@@ -119,16 +106,6 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
-    /// Exact completed bytes for one traffic class.
-    pub fn class_bytes(&self, class: FlowClass) -> u64 {
-        match class {
-            FlowClass::MapRead => self.map_read_bytes,
-            FlowClass::Shuffle => self.shuffle_bytes,
-            FlowClass::OutputWrite => self.output_bytes,
-            FlowClass::Other => self.other_bytes,
-        }
-    }
-
     /// Sum of the exact per-class byte counters.
     pub fn completed_bytes(&self) -> u64 {
         self.shuffle_bytes + self.map_read_bytes + self.output_bytes + self.other_bytes

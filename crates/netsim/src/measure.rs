@@ -15,7 +15,7 @@ use vc_topology::{DistanceMatrix, NodeId, Topology};
 
 /// One-way latency between two nodes under `params`, as the flow network
 /// would impose on a zero-byte transfer.
-pub fn probe_latency(topo: &Topology, params: &NetworkParams, a: NodeId, b: NodeId) -> SimTime {
+fn probe_latency(topo: &Topology, params: &NetworkParams, a: NodeId, b: NodeId) -> SimTime {
     if a == b {
         return SimTime::ZERO;
     }

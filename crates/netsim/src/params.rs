@@ -89,7 +89,7 @@ impl NetworkParams {
     /// # Panics
     /// Panics on non-finite or negative capacities, and on non-positive
     /// or non-finite per-flow ceilings.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, v) in [
             ("nic_mbps", self.nic_mbps),
             ("rack_uplink_mbps", self.rack_uplink_mbps),

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vc_des::SimTime;
-use vc_netsim::{max_min_fair_share, FlowNet, NetworkParams};
+use vc_netsim::{max_min_fair_share_detailed, FlowNet, NetworkParams};
 use vc_topology::{generate, DistanceTiers, NodeId};
 
 fn flows_and_caps() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>)> {
@@ -27,7 +27,7 @@ proptest! {
     /// somewhere (Pareto efficiency of max-min fairness).
     #[test]
     fn fair_share_feasible_and_pareto((caps, flows) in flows_and_caps()) {
-        let rates = max_min_fair_share(&caps, &flows);
+        let rates = max_min_fair_share_detailed(&caps, &flows).rates;
         prop_assert_eq!(rates.len(), flows.len());
         for (r, &cap) in caps.iter().enumerate() {
             let used: f64 = flows
@@ -58,11 +58,11 @@ proptest! {
     #[test]
     fn fair_share_monotone_in_capacity((caps, flows) in flows_and_caps(), which in 0usize..6, bump in 1u32..100) {
         prop_assume!(!flows.is_empty());
-        let rates = max_min_fair_share(&caps, &flows);
+        let rates = max_min_fair_share_detailed(&caps, &flows).rates;
         let mut bigger = caps.clone();
         let idx = which % caps.len();
         bigger[idx] += f64::from(bump);
-        let rates2 = max_min_fair_share(&bigger, &flows);
+        let rates2 = max_min_fair_share_detailed(&bigger, &flows).rates;
         // The *minimum* rate cannot decrease (max-min lexicographic optimality).
         let min1 = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         let min2 = rates2.iter().cloned().fold(f64::INFINITY, f64::min);

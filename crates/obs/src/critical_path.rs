@@ -55,7 +55,7 @@ pub enum Category {
 }
 
 /// All categories in reporting order.
-pub const CATEGORIES: [Category; 6] = [
+pub(crate) const CATEGORIES: [Category; 6] = [
     Category::Map,
     Category::StragglerSlack,
     Category::ShuffleSerialisation,
@@ -65,7 +65,7 @@ pub const CATEGORIES: [Category; 6] = [
 ];
 
 impl Category {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Category::Map => "map",
             Category::StragglerSlack => "straggler-slack",

@@ -171,13 +171,8 @@ pub struct Delta {
 }
 
 impl Delta {
-    pub fn delta(&self) -> f64 {
+    pub(crate) fn delta(&self) -> f64 {
         self.candidate - self.baseline
-    }
-
-    /// Candidate/baseline ratio (`None` when the baseline is zero).
-    pub fn ratio(&self) -> Option<f64> {
-        (self.baseline != 0.0).then(|| self.candidate / self.baseline)
     }
 
     fn to_json(&self) -> Value {
@@ -210,7 +205,7 @@ pub struct SeriesDelta {
 }
 
 impl SeriesDelta {
-    pub fn mean_delta(&self) -> f64 {
+    fn mean_delta(&self) -> f64 {
         self.mean_candidate - self.mean_baseline
     }
 
@@ -279,7 +274,7 @@ impl LinkDelta {
     }
 
     /// Rack uplinks are the cross-rack bottleneck the paper optimises.
-    pub fn is_uplink(&self) -> bool {
+    fn is_uplink(&self) -> bool {
         self.link.ends_with(".up")
     }
 
@@ -349,7 +344,7 @@ pub enum Side {
 }
 
 impl Side {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Side::Baseline => "baseline",
             Side::Candidate => "candidate",
@@ -402,7 +397,7 @@ impl fmt::Display for DiffError {
 
 /// Hard comparability gate: identity fields that must match before any
 /// metric alignment is meaningful.
-pub fn check_comparable(baseline: &RunManifest, candidate: &RunManifest) -> Result<(), DiffError> {
+fn check_comparable(baseline: &RunManifest, candidate: &RunManifest) -> Result<(), DiffError> {
     let checks: [(&'static str, String, String); 3] = [
         (
             "schema_version",
@@ -564,16 +559,6 @@ impl DiffReport {
             + self.links.len()
             + self.alerts.len()
             + usize::from(self.makespan.is_some())
-    }
-
-    /// Changes on non-advisory metrics (what an identity self-diff must
-    /// report as zero).
-    pub fn changed_deterministic(&self) -> usize {
-        self.changed()
-            - self
-                .gated_deltas()
-                .filter(|d| d.advisory && d.verdict == Verdict::Neutral)
-                .count()
     }
 
     /// Names of regressed metrics, for gate messages.
@@ -1071,7 +1056,7 @@ pub fn diff(
 
 /// The metrics [`paired`] summarises, in report order.
 /// `net.rack_uplink.bytes` is the byte sum over every rack uplink.
-pub const PAIRED_METRICS: &[&str] = &[
+const PAIRED_METRICS: &[&str] = &[
     "attribution.makespan_us",
     "cloudsim.served",
     "cloudsim.refused",
@@ -1338,7 +1323,6 @@ mod tests {
         assert_eq!(r.regressed(), 0, "{:?}", r.regressed_names());
         assert_eq!(r.improved(), 0);
         assert_eq!(r.changed(), 1);
-        assert_eq!(r.changed_deterministic(), 0);
         assert!(r.counters[0].advisory);
     }
 

@@ -27,9 +27,9 @@
 use crate::recorder::{Attr, AttrValue, Recorder, TrackId};
 
 /// Name prefix shared by every alert event (`alert.<rule>`).
-pub const ALERT_PREFIX: &str = "alert.";
+pub(crate) const ALERT_PREFIX: &str = "alert.";
 /// Name prefix for per-(severity, rule) alert counters.
-pub const ALERT_TOTAL_PREFIX: &str = "alert.total.";
+pub(crate) const ALERT_TOTAL_PREFIX: &str = "alert.total.";
 /// Windowed series counting alerts fired per closed window.
 pub const TS_ALERTS_DELTA: &str = "ts.health.alerts.delta";
 
@@ -49,7 +49,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warn => "warn",
@@ -86,11 +86,12 @@ macro_rules! alert_rules {
             $(pub const $const_name: &str = $rule;)*
         }
 
-        /// Every known rule name, for docs and exhaustive tests.
-        pub const ALL_RULES: &[&str] = &[$($rule),*];
+        /// Every known rule name, for exhaustive tests.
+        #[cfg(test)]
+        const ALL_RULES: &[&str] = &[$($rule),*];
 
         /// Static `alert.<rule>` event name for a known rule.
-        pub fn alert_event_name(rule: &str) -> &'static str {
+        fn alert_event_name(rule: &str) -> &'static str {
             match rule {
                 $($rule => concat!("alert.", $rule),)*
                 _ => "alert.unknown",
@@ -226,22 +227,22 @@ impl Streak {
 }
 
 /// `frag_growth`: the fragmentation index must end at or above this.
-pub const FRAG_MIN: f64 = 0.5;
+const FRAG_MIN: f64 = 0.5;
 /// `frag_growth`: consecutive strictly-rising windows required.
-pub const FRAG_WINDOWS: usize = 3;
+const FRAG_WINDOWS: usize = 3;
 /// `uplink_saturation`: utilization threshold in `[0, 1]`.
-pub const UPLINK_UTIL: f64 = 0.9;
+const UPLINK_UTIL: f64 = 0.9;
 /// `uplink_saturation`: consecutive windows at or above the threshold.
-pub const UPLINK_WINDOWS: usize = 2;
+const UPLINK_WINDOWS: usize = 2;
 /// `queue_stagnation`: consecutive windows with rising queue depth and
 /// zero served requests.
-pub const QUEUE_WINDOWS: usize = 3;
+const QUEUE_WINDOWS: usize = 3;
 /// `fill_plateau_refusals`: a |fill delta| at or below this counts as a
 /// plateau.
-pub const PLATEAU_DELTA: f64 = 0.005;
+const PLATEAU_DELTA: f64 = 0.005;
 /// `fill_plateau_refusals`: consecutive plateau windows with refusals
 /// required.
-pub const PLATEAU_WINDOWS: usize = 2;
+const PLATEAU_WINDOWS: usize = 2;
 
 /// Online anomaly detector bank over windowed health samples. Pure
 /// function of the sample sequence — no clocks, no randomness — so two

@@ -43,16 +43,16 @@ pub mod stream;
 pub mod timeseries;
 pub mod trace;
 
-pub use critical_path::{analyze, Category, JobAttribution, Segment, CATEGORIES};
+pub use critical_path::{analyze, Category, JobAttribution, Segment};
 pub use diff::{diff, DiffError, DiffOptions, DiffReport, Verdict};
-pub use health::{AlertSink, HealthMonitor, Severity, WindowHealthSample, ALERT_PREFIX};
+pub use health::{AlertSink, HealthMonitor, Severity, WindowHealthSample};
 pub use manifest::{Fnv64, RunManifest, MANIFEST_KEY};
-pub use metrics::{Histogram, LinkTotals, MetricsRegistry, MetricsSnapshot, SnapshotView};
+pub use metrics::{Histogram, MetricsSnapshot};
 pub use prof::{Phase, PhaseTimer};
-pub use prom::{to_prometheus, to_prometheus_windowed};
+pub use prom::to_prometheus_windowed;
 pub use recorder::{
     AttrValue, EventRecord, MemRecorder, NoopRecorder, Recorder, SpanId, SpanRecord, TrackId,
 };
-pub use stream::{intern, manifest_from_jsonl, replay_jsonl, StreamingRecorder};
-pub use timeseries::{TimeSeriesSet, WindowSampler, TS_PREFIX};
+pub use stream::{intern, replay_jsonl, StreamingRecorder};
+pub use timeseries::{TimeSeriesSet, WindowSampler};
 pub use trace::{chrome_trace, TraceDump};

@@ -21,7 +21,7 @@ pub const MANIFEST_KEY: &str = "manifest";
 
 /// Current manifest schema version. Bump on incompatible field changes;
 /// [`crate::diff`] refuses to compare across versions.
-pub const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: u64 = 1;
 
 /// Incremental FNV-1a 64-bit hasher — the workspace's dependency-free
 /// digest for topology, workload, and artifact fingerprints. Not
@@ -43,7 +43,7 @@ impl Fnv64 {
         Fnv64(Self::OFFSET)
     }
 
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
@@ -65,11 +65,6 @@ impl Fnv64 {
     pub fn finish(&self) -> String {
         format!("{:016x}", self.0)
     }
-}
-
-/// Digest a whole string in one call.
-pub fn digest_str(s: &str) -> String {
-    Fnv64::new().write_str(s).finish()
 }
 
 /// The identity of one recorded `simulate*` run.
@@ -137,17 +132,9 @@ impl RunManifest {
         }
     }
 
-    /// One config knob by key.
-    pub fn config_get(&self, key: &str) -> Option<&str> {
-        self.config
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Digest over every identifying field — stable across re-runs of
     /// the same configuration and seed.
-    pub fn digest(&self) -> String {
+    pub(crate) fn digest(&self) -> String {
         let mut h = Fnv64::new();
         h.write_u64(self.schema_version)
             .write_str(&self.crate_version)
@@ -198,7 +185,7 @@ impl RunManifest {
 
     /// Parse a manifest back out of its JSON form. Errors name the
     /// missing or malformed field so callers can point at it.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
+    pub(crate) fn from_json(v: &Value) -> Result<Self, String> {
         let str_field = |name: &str| -> Result<String, String> {
             v.get(name)
                 .and_then(Value::as_str)
@@ -245,7 +232,7 @@ impl RunManifest {
     /// Extract and parse the manifest embedded in a run document (the
     /// [`MANIFEST_KEY`] key of a metrics JSON). `Ok(None)` when the
     /// document has no manifest at all.
-    pub fn from_document(doc: &Value) -> Result<Option<Self>, String> {
+    pub(crate) fn from_document(doc: &Value) -> Result<Option<Self>, String> {
         match doc.get(MANIFEST_KEY) {
             None => Ok(None),
             Some(v) => Self::from_json(v).map(Some),
@@ -296,6 +283,7 @@ mod tests {
 
     #[test]
     fn fnv_is_stable_and_length_prefixed() {
+        let digest_str = |s: &str| Fnv64::new().write_str(s).finish();
         assert_eq!(digest_str("abc"), digest_str("abc"));
         assert_ne!(digest_str("abc"), digest_str("abd"));
         let mut a = Fnv64::new();
@@ -343,7 +331,7 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.config_get("a"), Some("1"));
+        assert_eq!(a.config[0], ("a".to_string(), "1".to_string()));
     }
 
     #[test]

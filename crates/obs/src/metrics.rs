@@ -57,11 +57,7 @@ impl Histogram {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -89,17 +85,13 @@ impl Histogram {
 
 /// Mutable registry of named metrics. Owned by a recorder during a run.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
@@ -123,18 +115,6 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
@@ -154,13 +134,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Full-fidelity JSON document; round-trips through [`Self::from_json`].
+    /// Full-fidelity JSON document.
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::to_value(self)
-    }
-
-    pub fn from_json(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        <Self as serde::Deserialize>::from_value(v)
     }
 
     pub fn to_json_string(&self) -> String {
@@ -207,14 +183,14 @@ impl MetricsSnapshot {
 /// [`MetricsSnapshot::to_json`] writes, or a run document extending it.
 /// Missing sections and entries read as absent.
 #[derive(Clone, Copy, Debug)]
-pub struct SnapshotView<'a>(pub &'a serde_json::Value);
+pub(crate) struct SnapshotView<'a>(pub &'a serde_json::Value);
 
 /// One link's telemetry, reassembled from the `net.link.<link>.<field>`
 /// counters and `net.link.<link>.peak_util` gauge. In queue runs the
 /// counters sum (and `peak_util` maxes) over every job that crossed
 /// the link.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct LinkTotals {
+pub(crate) struct LinkTotals {
     pub bytes: u64,
     pub shuffle_bytes: u64,
     pub busy_us: u64,
@@ -225,7 +201,7 @@ pub struct LinkTotals {
 impl<'a> SnapshotView<'a> {
     /// The `(name, value)` entries of `counters`, `gauges` or
     /// `histograms`.
-    pub fn section(self, key: &str) -> &'a [(String, serde_json::Value)] {
+    pub(crate) fn section(self, key: &str) -> &'a [(String, serde_json::Value)] {
         self.0
             .get(key)
             .and_then(serde_json::Value::as_object)
@@ -240,19 +216,19 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// One counter, 0 when absent.
-    pub fn counter(self, name: &str) -> u64 {
+    pub(crate) fn counter(self, name: &str) -> u64 {
         self.find("counters", name)
             .and_then(serde_json::Value::as_u64)
             .unwrap_or(0)
     }
 
-    pub fn gauge(self, name: &str) -> Option<f64> {
+    pub(crate) fn gauge(self, name: &str) -> Option<f64> {
         self.find("gauges", name)
             .and_then(serde_json::Value::as_f64)
     }
 
     /// Every link with `net.link.*` telemetry, keyed by link name.
-    pub fn links(self) -> BTreeMap<String, LinkTotals> {
+    pub(crate) fn links(self) -> BTreeMap<String, LinkTotals> {
         let mut links: BTreeMap<String, LinkTotals> = BTreeMap::new();
         let split = |name: &'a str| name.strip_prefix("net.link.")?.rsplit_once('.');
         for (name, value) in self.section("counters") {
@@ -316,7 +292,7 @@ mod tests {
         // `min: u64::MAX` in JSON/CSV snapshots.
         let h = Histogram::default();
         assert_eq!(h.min, 0);
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.histograms.insert("empty".to_string(), h);
         let snap = reg.snapshot();
         assert!(!snap.to_json_string().contains(&u64::MAX.to_string()));
@@ -331,7 +307,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_roundtrip() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("des.events", 42);
         reg.gauge_set("queue.depth", 3.5);
         reg.histogram_record("latency_us", 1234);
@@ -344,7 +320,7 @@ mod tests {
 
     #[test]
     fn csv_has_all_rows() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("a", 1);
         reg.gauge_set("b", 2.0);
         reg.histogram_record("c", 3);
@@ -358,7 +334,7 @@ mod tests {
 
     #[test]
     fn snapshot_view_reads_counters_gauges_and_links() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("net.link.rack0.up.bytes", 10);
         reg.counter_add("net.link.rack0.up.shuffle_bytes", 4);
         reg.counter_add("net.link.rack0.up.busy_us", 7);

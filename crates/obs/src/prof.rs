@@ -68,7 +68,7 @@ pub const INDEX_COMMIT: Phase = phase!("index_commit");
 pub const MR_JOB: Phase = phase!("mr_job");
 
 /// All phases, for docs/tests and the report surface.
-pub const PHASES: &[Phase] = &[
+pub(crate) const PHASES: &[Phase] = &[
     CLOUDSIM_RUN,
     SERVE,
     MR_SERVICE,
@@ -81,7 +81,7 @@ pub const PHASES: &[Phase] = &[
 ];
 
 /// Gauge name for peak resident set size (kB), exported once per run.
-pub const RSS_PEAK_KB: &str = "prof.rss_peak_kb";
+const RSS_PEAK_KB: &str = "prof.rss_peak_kb";
 
 /// RAII wall-clock guard for one phase invocation.
 ///
@@ -121,7 +121,7 @@ impl<R: Recorder + ?Sized> Drop for PhaseTimer<'_, R> {
 /// Parse the `VmHWM` (peak RSS, kB) field out of a `/proc/<pid>/status`
 /// document. `None` when the field is absent or malformed — callers
 /// must skip the gauge rather than record 0.
-pub fn parse_vm_hwm(status: &str) -> Option<u64> {
+fn parse_vm_hwm(status: &str) -> Option<u64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {
             return rest

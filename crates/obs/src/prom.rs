@@ -15,7 +15,7 @@
 use crate::metrics::MetricsSnapshot;
 
 /// Sanitize a dotted metric name to a legal Prometheus metric name.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
@@ -40,12 +40,8 @@ fn bucket_upper_bound(i: u32) -> u64 {
     }
 }
 
-/// Encode a snapshot in the Prometheus text exposition format.
-pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
-    to_prometheus_windowed(snap, 0, &crate::timeseries::TimeSeriesSet::default())
-}
-
-/// Encode a snapshot plus windowed `ts.*` time-series. Each windowed
+/// Encode a snapshot plus windowed `ts.*` time-series in the Prometheus
+/// text exposition format. Each windowed
 /// sample exports as `name{window="K",t_us="E"} v`, where `K` is the
 /// window index for the edge `E` (see
 /// [`WindowSampler::window_index`](crate::timeseries::WindowSampler::window_index)).
@@ -150,13 +146,13 @@ mod tests {
 
     #[test]
     fn encodes_all_kinds() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("des.events_processed", 42);
         reg.gauge_set("prof.rss_peak_kb", 1024.0);
         reg.histogram_record("mr.job_runtime_us", 0);
         reg.histogram_record("mr.job_runtime_us", 5);
         reg.histogram_record("mr.job_runtime_us", 5);
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus_windowed(&reg.snapshot(), 0, &Default::default());
         assert!(text.contains("# TYPE des_events_processed counter\ndes_events_processed 42\n"));
         assert!(text.contains("# TYPE prof_rss_peak_kb gauge\nprof_rss_peak_kb 1024\n"));
         assert!(text.contains("# TYPE mr_job_runtime_us histogram\n"));
@@ -172,11 +168,11 @@ mod tests {
 
     #[test]
     fn alert_total_counters_export_as_labelled_family() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("alert.total.critical.capacity_accounting", 1);
         reg.counter_add("alert.total.warn.uplink_saturation", 3);
         reg.counter_add("des.events_processed", 7);
-        let text = to_prometheus(&reg.snapshot());
+        let text = to_prometheus_windowed(&reg.snapshot(), 0, &Default::default());
         assert_eq!(
             text.matches("# TYPE alert_total counter\n").count(),
             1,
@@ -197,13 +193,16 @@ mod tests {
 
     #[test]
     fn empty_snapshot_encodes_empty() {
-        let reg = MetricsRegistry::new();
-        assert_eq!(to_prometheus(&reg.snapshot()), "");
+        let reg = MetricsRegistry::default();
+        assert_eq!(
+            to_prometheus_windowed(&reg.snapshot(), 0, &Default::default()),
+            ""
+        );
     }
 
     #[test]
     fn windowed_series_export_with_labels() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsRegistry::default();
         reg.counter_add("des.events_processed", 7);
         // counter_sample mirrors the last ts.* value into a plain gauge;
         // the windowed exporter must skip that gauge in favor of the

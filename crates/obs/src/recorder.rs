@@ -23,7 +23,7 @@ pub struct SpanId(pub u64);
 impl SpanId {
     pub const NULL: SpanId = SpanId(0);
 
-    pub fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         self.0 == 0
     }
 }
@@ -59,7 +59,7 @@ impl AttrValue {
     }
 
     /// Any numeric variant as an `f64`, like `serde_json::Value::as_f64`.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match *self {
             AttrValue::U64(v) => Some(v as f64),
             AttrValue::I64(v) => Some(v as f64),
@@ -70,7 +70,7 @@ impl AttrValue {
 
     /// The JSON form every export writes (non-finite floats become
     /// `null`).
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             AttrValue::U64(x) => Value::U64(*x),
             AttrValue::I64(x) => Value::I64(*x),
@@ -271,7 +271,7 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&AttrValue> {
         find_attr(&self.attrs, key)
     }
 }
@@ -317,10 +317,6 @@ impl MemRecorder {
     /// Number of spans begun but not yet ended.
     pub fn open_span_count(&self) -> usize {
         self.inner.borrow().open.len()
-    }
-
-    pub fn track_names(&self) -> BTreeMap<u64, String> {
-        self.inner.borrow().trace.track_names.clone()
     }
 
     pub fn counter_series(&self) -> BTreeMap<&'static str, Vec<(u64, f64)>> {
@@ -481,7 +477,7 @@ mod tests {
         assert_eq!(spans[0].end_us, Some(250));
         assert_eq!(spans[0].attrs.len(), 2);
         assert_eq!(r.events().len(), 1);
-        assert_eq!(r.track_names()[&3], "vm3@node1");
+        assert_eq!(r.inner.borrow().trace.track_names[&3], "vm3@node1");
     }
 
     #[test]

@@ -411,17 +411,6 @@ pub fn replay_jsonl(text: &str) -> Result<TraceDump, String> {
     Ok(rec.into_dump())
 }
 
-/// Extract the manifest JSON from a stream's header line, if the first
-/// non-empty line is a `{"manifest": {...}}` header written by the CLI.
-pub fn manifest_from_jsonl(text: &str) -> Option<Value> {
-    let first = text.lines().find(|l| !l.trim().is_empty())?;
-    let obj: Value = serde_json::from_str(first).ok()?;
-    if obj.get("o").is_some() {
-        return None;
-    }
-    obj.get(crate::manifest::MANIFEST_KEY).cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_header_is_skipped_and_extractable() {
+    fn manifest_header_is_skipped() {
         let body = record_stream();
         let header = "{\"manifest\":{\"seed\":7,\"policy\":\"affinity\"}}\n";
         let with_header = format!("{header}{body}");
@@ -579,11 +568,6 @@ mod tests {
             replay_jsonl(&body).unwrap(),
             replay_jsonl(&with_header).unwrap()
         );
-
-        // The header is extractable; a headerless stream yields None.
-        let m = manifest_from_jsonl(&with_header).unwrap();
-        assert_eq!(m.get("seed").and_then(|v| v.as_u64()), Some(7));
-        assert!(manifest_from_jsonl(&body).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use serde_json::Value;
 
 /// Name prefix that marks a counter series as a windowed time-series.
-pub const TS_PREFIX: &str = "ts.";
+pub(crate) const TS_PREFIX: &str = "ts.";
 
 /// Deterministic fixed-width window clock over sim time.
 ///
@@ -119,7 +119,7 @@ impl TimeSeriesSet {
     }
 
     /// Read [`Self::to_json`]'s shape back, skipping malformed points.
-    pub fn from_json(doc: &Value) -> Self {
+    pub(crate) fn from_json(doc: &Value) -> Self {
         let mut series = BTreeMap::new();
         for (name, points) in doc.as_object().into_iter().flatten() {
             let points = points
@@ -150,7 +150,7 @@ impl TimeSeriesSet {
     }
 
     /// Number of distinct closed windows.
-    pub fn window_count(&self) -> usize {
+    pub(crate) fn window_count(&self) -> usize {
         self.edges().len()
     }
 

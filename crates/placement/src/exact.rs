@@ -68,16 +68,6 @@ pub fn solve(request: &Request, state: &ClusterState) -> Result<Allocation, Plac
         })
 }
 
-/// The optimal distance value `SD(R)` alone.
-pub fn shortest_distance(request: &Request, state: &ClusterState) -> Result<u64, PlacementError> {
-    let alloc = solve(request, state)?;
-    Ok(distance_with_center(
-        alloc.matrix(),
-        state.topology(),
-        alloc.center(),
-    ))
-}
-
 /// Exhaustively enumerate all feasible allocations and return one with
 /// minimal `DC` (recomputing the optimal centre for each).
 ///
@@ -208,7 +198,10 @@ mod tests {
         assert!(alloc.satisfies(&req));
         assert_eq!(alloc.span(), 1);
         assert_eq!(alloc.center(), NodeId(1));
-        assert_eq!(shortest_distance(&req, &state).unwrap(), 0);
+        assert_eq!(
+            distance_with_center(alloc.matrix(), state.topology(), alloc.center()),
+            0
+        );
     }
 
     #[test]

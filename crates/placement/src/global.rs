@@ -292,7 +292,7 @@ fn place_queue_impl<R: Borrow<Request>>(
     })
 }
 
-/// What a [`suboptimize_stats`] run did.
+/// What one run of Algorithm 2's exchange step (step 3) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
     /// Total distance reduction.
@@ -303,7 +303,7 @@ pub struct ExchangeStats {
     pub passes: u64,
 }
 
-/// Step 3 of Algorithm 2: repeatedly apply [`transfer`] to every pair of
+/// Step 3 of Algorithm 2: repeatedly apply `transfer` to every pair of
 /// allocations with distinct centres until a full pass makes no progress.
 /// Returns the total distance reduction.
 pub fn suboptimize(allocations: &mut [&mut Allocation], topo: &Topology) -> u64 {
@@ -311,7 +311,7 @@ pub fn suboptimize(allocations: &mut [&mut Allocation], topo: &Topology) -> u64 
 }
 
 /// [`suboptimize`], also reporting how many swaps and passes it took.
-pub fn suboptimize_stats(allocations: &mut [&mut Allocation], topo: &Topology) -> ExchangeStats {
+fn suboptimize_stats(allocations: &mut [&mut Allocation], topo: &Topology) -> ExchangeStats {
     let mut stats = ExchangeStats::default();
     loop {
         let mut pass_saved = 0u64;
@@ -320,7 +320,7 @@ pub fn suboptimize_stats(allocations: &mut [&mut Allocation], topo: &Topology) -
             for j in (i + 1)..allocations.len() {
                 if allocations[i].center() != allocations[j].center() {
                     let (left, right) = allocations.split_at_mut(j);
-                    let (saved, swaps) = transfer_counted(left[i], right[0], topo);
+                    let (saved, swaps) = transfer(left[i], right[0], topo);
                     pass_saved += saved;
                     stats.swaps += swaps;
                 }
@@ -335,7 +335,7 @@ pub fn suboptimize_stats(allocations: &mut [&mut Allocation], topo: &Topology) -
 
 /// The paper's `transfer` operation: apply every improving Theorem-2 swap
 /// between clusters `a` and `b`, in both directions, until none remains.
-/// Returns the distance reduction achieved.
+/// Returns the distance reduction achieved and the swaps applied.
 ///
 /// A swap moves one VM of type `r` of cluster `a` **off** `b`'s centre
 /// `N_y` onto a node `N_k` currently hosting one of `b`'s type-`r` VMs,
@@ -343,12 +343,7 @@ pub fn suboptimize_stats(allocations: &mut [&mut Allocation], topo: &Topology) -
 /// exactly when `D[x][y] + D[y][k] > D[x][k]` (`N_x` = `a`'s centre), and
 /// is capacity-neutral because the per-node, per-type totals of `a + b`
 /// are unchanged.
-pub fn transfer(a: &mut Allocation, b: &mut Allocation, topo: &Topology) -> u64 {
-    transfer_counted(a, b, topo).0
-}
-
-/// [`transfer`], also counting the swaps applied.
-fn transfer_counted(a: &mut Allocation, b: &mut Allocation, topo: &Topology) -> (u64, u64) {
+fn transfer(a: &mut Allocation, b: &mut Allocation, topo: &Topology) -> (u64, u64) {
     let (mut saved, mut swaps) = (0u64, 0u64);
     loop {
         let (s1, n1) = transfer_one(a, b, topo);
@@ -593,7 +588,7 @@ mod tests {
         );
         let before = distance_with_center(a.matrix(), &topo, a.center())
             + distance_with_center(b.matrix(), &topo, b.center());
-        let saved = transfer(&mut a, &mut b, &topo);
+        let saved = transfer(&mut a, &mut b, &topo).0;
         let after = distance_with_center(a.matrix(), &topo, a.center())
             + distance_with_center(b.matrix(), &topo, b.center());
         assert_eq!(before - after, saved);
@@ -650,7 +645,7 @@ mod tests {
         );
         let mut b = a.clone();
         let before = (a.clone(), b.clone());
-        assert_eq!(transfer(&mut a, &mut b, &topo), 0);
+        assert_eq!(transfer(&mut a, &mut b, &topo).0, 0);
         assert_eq!((a, b), before);
     }
 

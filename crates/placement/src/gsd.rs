@@ -16,7 +16,7 @@
 //! * keep the best tuple.
 //!
 //! Complexity is `O(nᵖ · ILP(p·n·m))`: use only where `nᵖ` is small
-//! (tests, ablations); [`work_estimate`] lets callers check first.
+//! (tests, ablations); [`solve`] panics past 10⁵ centre tuples.
 
 // Index-based loops mirror the textbook matrix formulations here.
 #![allow(clippy::needless_range_loop)]
@@ -38,7 +38,7 @@ pub struct GsdSolution {
 }
 
 /// Number of centre tuples the enumeration would visit: `n^p`.
-pub fn work_estimate(num_nodes: usize, num_requests: usize) -> u128 {
+fn work_estimate(num_nodes: usize, num_requests: usize) -> u128 {
     (num_nodes as u128).saturating_pow(num_requests as u32)
 }
 
@@ -184,7 +184,8 @@ mod tests {
         let s = state(&[vec![2, 1], vec![1, 1], vec![2, 0], vec![0, 2]], &[2, 2]);
         let req = Request::from_counts(vec![3, 1]);
         let gsd = solve(std::slice::from_ref(&req), &s).unwrap();
-        let sd = exact::shortest_distance(&req, &s).unwrap();
+        let opt = exact::solve(&req, &s).unwrap();
+        let sd = distance_with_center(opt.matrix(), s.topology(), opt.center());
         assert_eq!(gsd.total_distance, sd);
         assert!(gsd.allocations[0].satisfies(&req));
     }

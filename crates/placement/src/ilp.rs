@@ -80,48 +80,6 @@ pub fn solve(request: &Request, state: &ClusterState) -> Result<Allocation, Plac
         })
 }
 
-/// Measure the greedy-vs-ILP optimality gap on one request: place it with
-/// **Algorithm 1** (the online greedy) and with the exact ILP, and record
-/// the distance difference on `rec` (`placement.ilp_gap` histogram plus a
-/// `placement.gap_measured` event at `t_us`). Returns
-/// `(greedy DC, ilp DC)`; the gap is their non-negative difference.
-///
-/// This runs `n` ILPs, so it is a diagnostic probe, not a hot-path hook —
-/// call it from experiments or ablations, not inside the queue loop.
-pub fn greedy_gap_recorded(
-    request: &Request,
-    state: &ClusterState,
-    rec: &dyn vc_obs::Recorder,
-    t_us: u64,
-) -> Result<(u64, u64), PlacementError> {
-    let topo = state.topology();
-    let greedy = crate::online::place(request, state)?;
-    let ilp = solve(request, state)?;
-    let dg = distance_with_center(greedy.matrix(), topo, greedy.center());
-    let di = distance_with_center(ilp.matrix(), topo, ilp.center());
-    let gap = dg.saturating_sub(di);
-    rec.histogram_record("placement.ilp_gap", gap);
-    rec.event(
-        "placement.gap_measured",
-        t_us,
-        None,
-        &[
-            ("greedy_dc", vc_obs::AttrValue::from(dg)),
-            ("ilp_dc", vc_obs::AttrValue::from(di)),
-            ("gap", vc_obs::AttrValue::from(gap)),
-            (
-                "greedy_center",
-                vc_obs::AttrValue::from(u64::from(greedy.center().0)),
-            ),
-            (
-                "ilp_center",
-                vc_obs::AttrValue::from(u64::from(ilp.center().0)),
-            ),
-        ],
-    );
-    Ok((dg, di))
-}
-
 /// [`PlacementPolicy`] wrapper around the ILP solver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IlpSd;
@@ -192,33 +150,5 @@ mod tests {
     #[test]
     fn policy_name() {
         assert_eq!(IlpSd.name(), "ilp-sd");
-    }
-
-    #[test]
-    fn gap_probe_records_nonnegative_gap() {
-        use vc_obs::MemRecorder;
-        let s = state(
-            &[vec![2, 1, 0], vec![1, 0, 1], vec![0, 2, 1], vec![1, 1, 0]],
-            &[2, 2],
-        );
-        let rec = MemRecorder::new();
-        let (dg, di) =
-            greedy_gap_recorded(&Request::from_counts(vec![3, 2, 1]), &s, &rec, 7).unwrap();
-        assert!(dg >= di, "greedy can never beat the exact optimum");
-        let snap = rec.metrics();
-        assert_eq!(snap.histograms["placement.ilp_gap"].count, 1);
-        let events = rec.events();
-        let e = events
-            .iter()
-            .find(|e| e.name == "placement.gap_measured")
-            .unwrap();
-        assert_eq!(e.t_us, 7);
-        let gap = e
-            .attrs
-            .iter()
-            .find(|(k, _)| *k == "gap")
-            .and_then(|(_, v)| v.as_u64())
-            .unwrap();
-        assert_eq!(gap, dg - di);
     }
 }

@@ -182,38 +182,8 @@ impl ScanAudit {
     /// How far the chosen allocation sits above the admissible global
     /// lower bound. 0 means the scan proved the result optimal *for this
     /// seed-greedy family*; larger gaps flag requests worth exchanging.
-    pub fn bound_gap(&self) -> u64 {
+    fn bound_gap(&self) -> u64 {
         self.distance.saturating_sub(self.lower_bound)
-    }
-
-    /// JSON object mirroring the `placement.scan_audit` event attributes.
-    pub fn to_json(&self) -> serde::Value {
-        use serde::Value;
-        Value::Object(vec![
-            ("center".to_string(), Value::U64(self.center.0 as u64)),
-            ("dc".to_string(), Value::U64(self.distance)),
-            ("lower_bound".to_string(), Value::U64(self.lower_bound)),
-            ("bound_gap".to_string(), Value::U64(self.bound_gap())),
-            ("workers".to_string(), Value::U64(self.workers)),
-            (
-                "seeds_total".to_string(),
-                Value::U64(self.stats.seeds_total),
-            ),
-            (
-                "seeds_scanned".to_string(),
-                Value::U64(self.stats.seeds_scanned),
-            ),
-            (
-                "seeds_pruned".to_string(),
-                Value::U64(self.stats.seeds_pruned),
-            ),
-            (
-                "seeds_aborted".to_string(),
-                Value::U64(self.stats.seeds_aborted),
-            ),
-            ("seeds_tied".to_string(), Value::U64(self.stats.seeds_tied)),
-            ("fast_path".to_string(), Value::Bool(self.stats.fast_path)),
-        ])
     }
 
     /// Emit this audit through `rec` as a `placement.scan_audit` event.
@@ -291,7 +261,7 @@ pub fn place_with(
 /// * one `placement.scan_audit` event per request (see [`ScanAudit`]).
 ///
 /// `t_us` stamps the emitted events (simulation time of the decision).
-pub fn place_recorded(
+pub(crate) fn place_recorded(
     request: &Request,
     state: &ClusterState,
     config: ScanConfig,

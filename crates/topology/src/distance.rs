@@ -17,66 +17,7 @@ pub struct DistanceMatrix {
     data: Vec<u32>,
 }
 
-/// Error returned by [`DistanceMatrix::from_rows`] on malformed input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistanceMatrixError {
-    /// Row count or a row length differs from `n`.
-    NotSquare {
-        /// Expected dimension.
-        expected: usize,
-        /// Found dimension.
-        found: usize,
-    },
-    /// `D[i][i] != 0` for some `i`.
-    NonZeroDiagonal(usize),
-    /// `D[i][j] != D[j][i]` for some pair.
-    Asymmetric(usize, usize),
-}
-
-impl std::fmt::Display for DistanceMatrixError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotSquare { expected, found } => {
-                write!(
-                    f,
-                    "distance matrix is not square: expected {expected}, found {found}"
-                )
-            }
-            Self::NonZeroDiagonal(i) => write!(f, "D[{i}][{i}] must be 0"),
-            Self::Asymmetric(i, j) => write!(f, "D[{i}][{j}] != D[{j}][{i}]"),
-        }
-    }
-}
-
-impl std::error::Error for DistanceMatrixError {}
-
 impl DistanceMatrix {
-    /// Build from explicit rows, validating squareness, zero diagonal, and
-    /// symmetry.
-    pub fn from_rows(rows: &[Vec<u32>]) -> Result<Self, DistanceMatrixError> {
-        let n = rows.len();
-        for row in rows {
-            if row.len() != n {
-                return Err(DistanceMatrixError::NotSquare {
-                    expected: n,
-                    found: row.len(),
-                });
-            }
-        }
-        for i in 0..n {
-            if rows[i][i] != 0 {
-                return Err(DistanceMatrixError::NonZeroDiagonal(i));
-            }
-            for j in (i + 1)..n {
-                if rows[i][j] != rows[j][i] {
-                    return Err(DistanceMatrixError::Asymmetric(i, j));
-                }
-            }
-        }
-        let data = rows.iter().flat_map(|r| r.iter().copied()).collect();
-        Ok(Self { n, data })
-    }
-
     /// Build by evaluating `f(i, j)` for every ordered pair, symmetrised by
     /// construction: only `i ≤ j` is evaluated and mirrored.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u32) -> Self {
@@ -93,14 +34,8 @@ impl DistanceMatrix {
 
     /// Matrix dimension (number of nodes).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the matrix is empty (zero nodes).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Distance between nodes `a` and `b`.
@@ -134,32 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_rows_valid() {
-        let m = DistanceMatrix::from_rows(&[vec![0, 1], vec![1, 0]]).unwrap();
-        assert_eq!(m.get(NodeId(0), NodeId(1)), 1);
-        assert_eq!(m.len(), 2);
-        assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        let err = DistanceMatrix::from_rows(&[vec![0, 1], vec![1]]).unwrap_err();
-        assert!(matches!(err, DistanceMatrixError::NotSquare { .. }));
-    }
-
-    #[test]
-    fn from_rows_rejects_nonzero_diagonal() {
-        let err = DistanceMatrix::from_rows(&[vec![1]]).unwrap_err();
-        assert_eq!(err, DistanceMatrixError::NonZeroDiagonal(0));
-    }
-
-    #[test]
-    fn from_rows_rejects_asymmetry() {
-        let err = DistanceMatrix::from_rows(&[vec![0, 1], vec![2, 0]]).unwrap_err();
-        assert_eq!(err, DistanceMatrixError::Asymmetric(0, 1));
-    }
-
-    #[test]
     fn from_fn_symmetric_zero_diagonal() {
         let m = DistanceMatrix::from_fn(4, |i, j| (i + j) as u32);
         for i in 0..4 {
@@ -188,18 +97,5 @@ mod tests {
     fn get_out_of_range_panics() {
         let m = DistanceMatrix::from_fn(2, |_, _| 1);
         let _ = m.get(NodeId(5), NodeId(0));
-    }
-
-    #[test]
-    fn error_display() {
-        let e = DistanceMatrixError::Asymmetric(1, 2);
-        assert_eq!(e.to_string(), "D[1][2] != D[2][1]");
-        let e = DistanceMatrixError::NonZeroDiagonal(3);
-        assert!(e.to_string().contains("D[3][3]"));
-        let e = DistanceMatrixError::NotSquare {
-            expected: 2,
-            found: 1,
-        };
-        assert!(e.to_string().contains("not square"));
     }
 }

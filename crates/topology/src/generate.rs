@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn multi_cloud_shape() {
         let t = multi_cloud(3, 2, 4, DistanceTiers::new(1, 2, 6).unwrap());
-        assert_eq!(t.num_clouds(), 3);
+        assert_eq!(t.clouds.len(), 3);
         assert_eq!(t.num_racks(), 6);
         assert_eq!(t.num_nodes(), 24);
         assert_eq!(t.distance(NodeId(0), NodeId(23)), 6);

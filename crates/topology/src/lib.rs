@@ -67,7 +67,7 @@ pub struct Rack {
 
 /// A cloud (datacenter / availability zone) containing racks.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Cloud {
+pub(crate) struct Cloud {
     /// Dense index of this cloud.
     pub id: CloudId,
     /// Racks in this cloud, in id order.
@@ -102,12 +102,6 @@ impl Topology {
         self.racks.len()
     }
 
-    /// Number of clouds.
-    #[inline]
-    pub fn num_clouds(&self) -> usize {
-        self.clouds.len()
-    }
-
     /// The latency tiers this topology was built with.
     #[inline]
     pub fn tiers(&self) -> DistanceTiers {
@@ -124,30 +118,6 @@ impl Topology {
     #[inline]
     pub fn racks(&self) -> &[Rack] {
         &self.racks
-    }
-
-    /// All clouds in id order.
-    #[inline]
-    pub fn clouds(&self) -> &[Cloud] {
-        &self.clouds
-    }
-
-    /// Look up a node.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
-    /// Look up a rack.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    #[inline]
-    pub fn rack(&self, id: RackId) -> &Rack {
-        &self.racks[id.index()]
     }
 
     /// Rack containing `node`.
@@ -266,7 +236,7 @@ mod tests {
         let t = small();
         assert_eq!(t.num_nodes(), 6);
         assert_eq!(t.num_racks(), 2);
-        assert_eq!(t.num_clouds(), 1);
+        assert_eq!(t.clouds.len(), 1);
     }
 
     #[test]
@@ -331,9 +301,13 @@ mod tests {
             b.add_node(r);
         }
         // d(0,2) = 10 > d(0,1) + d(1,2) = 2: violates the triangle inequality.
-        b.with_distance_matrix(
-            DistanceMatrix::from_rows(&[vec![0, 1, 10], vec![1, 0, 1], vec![10, 1, 0]]).unwrap(),
-        );
+        b.with_distance_matrix(DistanceMatrix::from_fn(3, |i, j| {
+            if (i, j) == (0, 2) {
+                10
+            } else {
+                1
+            }
+        }));
         assert!(!b.build().is_metric());
     }
 
@@ -342,7 +316,7 @@ mod tests {
         let tiers = DistanceTiers::new(1, 2, 8).unwrap();
         let t = generate::multi_cloud(2, 2, 2, tiers);
         assert_eq!(t.num_nodes(), 8);
-        assert_eq!(t.num_clouds(), 2);
+        assert_eq!(t.clouds.len(), 2);
         // nodes 0..4 in cloud 0, 4..8 in cloud 1
         assert_eq!(t.distance(NodeId(0), NodeId(7)), 8);
         assert_eq!(t.distance(NodeId(0), NodeId(3)), 2);
