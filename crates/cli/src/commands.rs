@@ -1247,28 +1247,20 @@ pub fn derive_distance(p: &Parsed) -> Result<String, ArgError> {
             "--racks, --nodes and --unit-us must be positive",
         ));
     }
-    let topo = generate::uniform(racks, nodes, DistanceTiers::paper_experiment());
-    let matrix = vc_netsim::measure::derive_distance_matrix(
-        &topo,
-        &NetworkParams::default(),
-        SimTime::from_micros(unit),
-    );
+    let tiers =
+        vc_netsim::measure::derive_tiers(&NetworkParams::default(), SimTime::from_micros(unit));
+    let topo = &generate::uniform(racks, nodes, tiers);
+    let row = |a: NodeId| topo.node_ids().map(move |b| topo.distance(a, b));
     if p.switch("json") {
-        let rows: Vec<Vec<u32>> = (0..topo.num_nodes())
-            .map(|i| matrix.row(NodeId::from_index(i)).to_vec())
-            .collect();
+        let rows: Vec<Vec<u32>> = topo.node_ids().map(|a| row(a).collect()).collect();
         return Ok(serde_json::json!({ "unit_us": unit, "matrix": rows }).to_string());
     }
     let mut out = format!(
         "distance matrix from measured latency ({} nodes, unit {unit}µs):\n",
         topo.num_nodes()
     );
-    for i in 0..topo.num_nodes() {
-        let row: Vec<String> = matrix
-            .row(NodeId::from_index(i))
-            .iter()
-            .map(u32::to_string)
-            .collect();
+    for a in topo.node_ids() {
+        let row: Vec<String> = row(a).map(|d| d.to_string()).collect();
         out.push_str(&row.join(" "));
         out.push('\n');
     }

@@ -13,7 +13,7 @@
 //! up to date as [`ClusterState::allocate`](crate::ClusterState::allocate)
 //! and [`ClusterState::release`](crate::ClusterState::release) run, so the
 //! scan reads them in `O(1)`. It also caches two static per-node facts
-//! about the distance matrix — the cheapest same-rack hop and the cheapest
+//! about the distance tiers — the cheapest same-rack hop and the cheapest
 //! cross-rack hop — which drive the admissible lower bound used to prune
 //! seeds that cannot beat the incumbent.
 
@@ -34,11 +34,12 @@ pub struct PlacementIndex {
     rack_free: Vec<u32>,
     /// Per-rack members sorted by (free total descending, id ascending).
     rack_candidates: Vec<Vec<NodeId>>,
-    /// Cheapest same-rack hop per node (`u32::MAX` when the node has no
-    /// rack peer). Static: depends only on the topology.
+    /// Cheapest same-rack hop per node: `d1` when the node's rack holds
+    /// another node, else `u32::MAX`. Static: depends only on the topology.
     min_rack_dist: Vec<u32>,
-    /// Cheapest cross-rack hop per node (`u32::MAX` when the whole cloud
-    /// is one rack). Static: depends only on the topology.
+    /// Cheapest hop to a node in another rack: the smaller of `d2` (another
+    /// populated rack in the node's cloud) and `d3` (any node in another
+    /// cloud), or `u32::MAX` when there is neither. Static.
     min_cross_dist: Vec<u32>,
     /// Per-type availability `A_j = Σ_i L_ij`.
     avail: Vec<u32>,
@@ -66,25 +67,33 @@ impl PlacementIndex {
                 avail[j] = avail[j].checked_add(v).expect("availability overflow");
             }
         }
+        // Distances are tiers, so the minima follow from counts: per cloud,
+        // its nodes and its racks that hold any node.
+        let tiers = topology.tiers();
+        let racks = topology.racks();
+        let num_clouds = racks.iter().map(|r| r.cloud.index() + 1).max().unwrap_or(0);
+        let mut cloud_nodes = vec![0usize; num_clouds];
+        let mut cloud_racks = vec![0usize; num_clouds];
+        for r in racks.iter().filter(|r| !r.nodes.is_empty()) {
+            cloud_nodes[r.cloud.index()] += r.nodes.len();
+            cloud_racks[r.cloud.index()] += 1;
+        }
         let mut min_rack_dist = vec![u32::MAX; n];
         let mut min_cross_dist = vec![u32::MAX; n];
         for i in 0..n {
-            let a = NodeId::from_index(i);
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let b = NodeId::from_index(j);
-                let d = topology.distance(a, b);
-                if node_rack[i] == node_rack[j] {
-                    min_rack_dist[i] = min_rack_dist[i].min(d);
-                } else {
-                    min_cross_dist[i] = min_cross_dist[i].min(d);
-                }
+            let rack = &racks[node_rack[i]];
+            let c = rack.cloud.index();
+            if rack.nodes.len() > 1 {
+                min_rack_dist[i] = tiers.same_rack;
+            }
+            if cloud_racks[c] > 1 {
+                min_cross_dist[i] = tiers.cross_rack;
+            }
+            if cloud_nodes[c] < n {
+                min_cross_dist[i] = min_cross_dist[i].min(tiers.cross_cloud);
             }
         }
-        let mut rack_candidates: Vec<Vec<NodeId>> =
-            topology.racks().iter().map(|r| r.nodes.clone()).collect();
+        let mut rack_candidates: Vec<Vec<NodeId>> = racks.iter().map(|r| r.nodes.clone()).collect();
         for members in &mut rack_candidates {
             members.sort_by_key(|&i| (std::cmp::Reverse(node_free[i.index()]), i));
         }
@@ -125,8 +134,8 @@ impl PlacementIndex {
         (d != u32::MAX).then_some(d)
     }
 
-    /// Cheapest cross-rack hop from `node`, or `None` if the whole cloud
-    /// is a single rack.
+    /// Cheapest cross-rack hop from `node`, or `None` if every other node
+    /// shares its rack.
     #[inline]
     pub fn min_cross_rack_distance(&self, node: NodeId) -> Option<u32> {
         let d = self.min_cross_dist[node.index()];

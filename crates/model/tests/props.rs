@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vc_model::{Allocation, ClusterState, Request, ResourceMatrix, VmCatalog, VmTypeId};
-use vc_topology::{generate, DistanceTiers, NodeId};
+use vc_topology::{generate, DistanceTiers, NodeId, TopologyBuilder};
 
 fn request(m: usize) -> impl Strategy<Value = Request> {
     proptest::collection::vec(0u32..8, m).prop_map(Request::from_counts)
@@ -114,6 +114,39 @@ proptest! {
         prop_assert_eq!(placements.len() as u64, total);
         for (node, ty) in placements {
             prop_assert!(matrix.get(node, ty) > 0);
+        }
+    }
+
+    #[test]
+    fn index_distance_minima_match_brute_force(
+        clouds in 1usize..4,
+        rack_clouds in proptest::collection::vec(0usize..3, 1..7),
+        node_racks in proptest::collection::vec(0usize..8, 1..16),
+        (d1, d2, d3) in (1u32..5, 1u32..5, 1u32..5),
+    ) {
+        // Racks land in random clouds and nodes in random racks, so clouds
+        // and racks are uneven, some racks are empty or hold one node, and
+        // some clouds have one rack or none. The tiers are any triple,
+        // collapsed or out of order.
+        let tiers = DistanceTiers { same_rack: d1, cross_rack: d2, cross_cloud: d3 };
+        let mut b = TopologyBuilder::new(tiers);
+        let cloud_ids: Vec<_> = (0..clouds).map(|c| b.add_cloud(format!("c{c}"))).collect();
+        let racks: Vec<_> = rack_clouds.iter().map(|&c| b.add_rack(cloud_ids[c % clouds])).collect();
+        for &r in &node_racks {
+            b.add_node(racks[r % racks.len()]);
+        }
+        let topo = Arc::new(b.build());
+        let s = ClusterState::uniform_capacity(Arc::clone(&topo), Arc::new(VmCatalog::ec2_table1()), 1);
+        // Reference: the n² minimum over every other node.
+        for a in topo.node_ids() {
+            let min = |same: bool| {
+                topo.node_ids()
+                    .filter(|&x| x != a && topo.same_rack(a, x) == same)
+                    .map(|x| topo.distance(a, x))
+                    .min()
+            };
+            prop_assert_eq!(s.index().min_same_rack_distance(a), min(true));
+            prop_assert_eq!(s.index().min_cross_rack_distance(a), min(false));
         }
     }
 }

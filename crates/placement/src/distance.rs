@@ -27,12 +27,8 @@ pub fn distance_with_center(matrix: &ResourceMatrix, topo: &Topology, center: No
         topo.num_nodes(),
         "allocation and topology node counts disagree"
     );
-    let row = topo.distance_matrix().row(center);
-    (0..matrix.num_nodes())
-        .map(|i| {
-            let node = NodeId::from_index(i);
-            u64::from(matrix.node_total(node)) * u64::from(row[i])
-        })
+    topo.node_ids()
+        .map(|i| u64::from(matrix.node_total(i)) * u64::from(topo.distance(center, i)))
         .sum()
 }
 

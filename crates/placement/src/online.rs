@@ -484,8 +484,9 @@ fn seed_lower_bound(
             u64::from(d1) * near + u64::from(d2) * (out_total - near)
         }
         // Same-rack hops costing more than cross-rack ones only happen
-        // with explicit distance matrices; assume every outstanding VM
-        // travels at the cheaper cross-rack hop — still admissible.
+        // with tiers set without `DistanceTiers::new`'s ordering check;
+        // assume every outstanding VM travels at the cheaper cross-rack
+        // hop — still admissible.
         (Some(_), Some(d2)) => u64::from(d2) * out_total,
     }
 }

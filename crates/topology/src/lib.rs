@@ -12,8 +12,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — an immutable hierarchy of clouds → racks → nodes with a
-//!   dense precomputed [`DistanceMatrix`];
+//! * [`Topology`] — an immutable hierarchy of clouds → racks → nodes whose
+//!   [`distance`](Topology::distance) is computed from the two nodes' rack
+//!   and cloud ids, so no `n × n` matrix is ever stored;
 //! * [`TopologyBuilder`] — incremental construction;
 //! * [`generate`] — canned generators (uniform racks, heterogeneous racks,
 //!   multi-cloud) including the paper's simulation configuration of
@@ -27,20 +28,16 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod distance;
 pub mod generate;
 mod ids;
 mod tiers;
 
 pub use builder::TopologyBuilder;
-pub use distance::DistanceMatrix;
 pub use ids::{CloudId, NodeId, RackId};
 pub use tiers::DistanceTiers;
 
-use serde::{Deserialize, Serialize};
-
 /// A physical machine that can host virtual machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Dense index of this node.
     pub id: NodeId,
@@ -53,7 +50,7 @@ pub struct Node {
 }
 
 /// A rack of physical nodes behind a shared top-of-rack switch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rack {
     /// Dense index of this rack.
     pub id: RackId,
@@ -66,7 +63,7 @@ pub struct Rack {
 }
 
 /// A cloud (datacenter / availability zone) containing racks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Cloud {
     /// Dense index of this cloud.
     pub id: CloudId,
@@ -76,17 +73,18 @@ pub(crate) struct Cloud {
     pub name: String,
 }
 
-/// An immutable physical topology: the node/rack/cloud hierarchy plus the
-/// precomputed inter-node distance matrix.
+/// An immutable physical topology: the node/rack/cloud hierarchy and the
+/// latency tiers its distances are computed from.
 ///
 /// Construct via [`TopologyBuilder`] or the helpers in [`generate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     nodes: Vec<Node>,
     racks: Vec<Rack>,
     clouds: Vec<Cloud>,
+    /// `d1`/`d2`/`d3`. [`distance`](Self::distance) picks one by comparing
+    /// the two nodes' rack and cloud ids, so no `n × n` matrix is stored.
     tiers: DistanceTiers,
-    distance: DistanceMatrix,
 }
 
 impl Topology {
@@ -144,18 +142,24 @@ impl Topology {
         self.cloud_of(a) == self.cloud_of(b)
     }
 
-    /// Distance `D[a][b]` between two nodes (latency units).
+    /// Distance `D[a][b]` between two nodes (latency units): `0` on the
+    /// same node, else `d1`, `d2` or `d3` by whether the nodes share a rack,
+    /// a cloud, or neither.
     ///
-    /// `distance(a, a) == 0` for every node.
+    /// # Panics
+    /// Panics if either node is out of range.
     #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        self.distance.get(a, b)
-    }
-
-    /// The dense distance matrix.
-    #[inline]
-    pub fn distance_matrix(&self) -> &DistanceMatrix {
-        &self.distance
+        let (x, y) = (&self.nodes[a.index()], &self.nodes[b.index()]);
+        if a == b {
+            0
+        } else if x.cloud != y.cloud {
+            self.tiers.cross_cloud
+        } else if x.rack != y.rack {
+            self.tiers.cross_rack
+        } else {
+            self.tiers.same_rack
+        }
     }
 
     /// Iterator over all node ids, `0..n`.
@@ -195,31 +199,6 @@ impl Topology {
         let mut ids: Vec<NodeId> = self.node_ids().collect();
         ids.sort_by_key(|&i| (self.distance(k, i), i.0));
         ids
-    }
-
-    /// Whether the distance matrix satisfies the triangle inequality.
-    ///
-    /// Theorem 2 of the paper assumes `D[x][y] + D[y][k] > D[x][k]` for the
-    /// exchange step; a metric distance matrix guarantees the non-strict
-    /// version. Tier-derived matrices are always metric (they are in fact
-    /// ultrametric: the longest hop of any two-hop path is at least the
-    /// direct tier), so this check only matters for explicit matrices
-    /// supplied via [`TopologyBuilder::with_distance_matrix`].
-    pub fn is_metric(&self) -> bool {
-        let n = self.num_nodes();
-        for x in 0..n {
-            for y in 0..n {
-                for z in 0..n {
-                    let (x, y, z) = (NodeId(x as u32), NodeId(y as u32), NodeId(z as u32));
-                    if u64::from(self.distance(x, y)) + u64::from(self.distance(y, z))
-                        < u64::from(self.distance(x, z))
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 }
 
@@ -283,32 +262,6 @@ mod tests {
         // then same-rack nodes, then cross-rack
         assert!(order[1..3].iter().all(|&n| t.same_rack(n, NodeId(4))));
         assert!(order[3..].iter().all(|&n| !t.same_rack(n, NodeId(4))));
-    }
-
-    #[test]
-    fn tier_topologies_always_metric() {
-        assert!(small().is_metric());
-        let tiers = DistanceTiers::new(1, 10, 100).unwrap();
-        assert!(generate::multi_cloud(2, 2, 2, tiers).is_metric());
-    }
-
-    #[test]
-    fn non_metric_explicit_matrix_detected() {
-        let mut b = TopologyBuilder::new(DistanceTiers::default());
-        let c = b.add_cloud("c");
-        let r = b.add_rack(c);
-        for _ in 0..3 {
-            b.add_node(r);
-        }
-        // d(0,2) = 10 > d(0,1) + d(1,2) = 2: violates the triangle inequality.
-        b.with_distance_matrix(DistanceMatrix::from_fn(3, |i, j| {
-            if (i, j) == (0, 2) {
-                10
-            } else {
-                1
-            }
-        }));
-        assert!(!b.build().is_metric());
     }
 
     #[test]

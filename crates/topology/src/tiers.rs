@@ -1,9 +1,8 @@
 //! Latency distance tiers `0 < d1 < d2 < d3` (paper §II, matrix `D`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The three latency classes used to derive the distance matrix.
+/// The three latency classes that give every node-to-node distance.
 ///
 /// The distance between two *VMs on the same node* is always `0`; the tiers
 /// give the node-to-node distances:
@@ -15,8 +14,10 @@ use std::fmt;
 ///
 /// The paper requires `0 < d1 < d2 < d3`; [`DistanceTiers::new`] enforces
 /// this. The experiment section (§V-B) uses `d1 = 1`, `d2 = 2`, which is
-/// the [`Default`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// the [`Default`]. The fields are public because tiers quantised from
+/// measured latency may collapse (e.g. `1 / 1 / 34`); topologies accept
+/// any triple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DistanceTiers {
     /// `d1`: distance between two nodes in the same rack.
     pub same_rack: u32,

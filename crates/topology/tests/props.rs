@@ -1,7 +1,7 @@
-//! Property tests: distance-matrix invariants over random hierarchies.
+//! Property tests: tier-distance invariants over random hierarchies.
 
 use proptest::prelude::*;
-use vc_topology::{generate, DistanceMatrix, DistanceTiers, NodeId};
+use vc_topology::{generate, DistanceTiers, NodeId};
 
 fn tiers() -> impl Strategy<Value = DistanceTiers> {
     (1u32..10, 1u32..10, 1u32..10).prop_map(|(a, b, c)| {
@@ -21,23 +21,30 @@ proptest! {
         nodes in 1usize..4,
     ) {
         let topo = generate::multi_cloud(clouds, racks, nodes, t);
+        let d = |i: usize, j: usize| topo.distance(NodeId(i as u32), NodeId(j as u32));
         let n = topo.num_nodes();
+        // `multi_cloud` numbers nodes rack by rack, cloud by cloud.
+        let (rack, cloud) = (|i: usize| i / nodes, |i: usize| i / (racks * nodes));
         for i in 0..n {
-            let a = NodeId(i as u32);
-            prop_assert_eq!(topo.distance(a, a), 0);
             for j in 0..n {
-                let b = NodeId(j as u32);
-                prop_assert_eq!(topo.distance(a, b), topo.distance(b, a));
-                // Values come from the tier set.
-                if i != j {
-                    let d = topo.distance(a, b);
-                    prop_assert!(
-                        d == t.same_rack || d == t.cross_rack || d == t.cross_cloud
-                    );
+                // The exact tier separating the two nodes.
+                let want = if i == j {
+                    0
+                } else if cloud(i) != cloud(j) {
+                    t.cross_cloud
+                } else if rack(i) != rack(j) {
+                    t.cross_rack
+                } else {
+                    t.same_rack
+                };
+                prop_assert_eq!(d(i, j), want);
+                prop_assert_eq!(d(i, j), d(j, i));
+                // Triangle inequality through every intermediate node.
+                for k in 0..n {
+                    prop_assert!(d(i, k) + d(k, j) >= d(i, j));
                 }
             }
         }
-        prop_assert!(topo.is_metric());
     }
 
     #[test]
@@ -77,20 +84,5 @@ proptest! {
         for &q in &other {
             prop_assert!(!topo.same_rack(q, x));
         }
-    }
-
-    #[test]
-    fn from_fn_matrix_valid(n in 1usize..8, base in 1u32..5) {
-        let m = DistanceMatrix::from_fn(n, |i, j| base + (i + j) as u32);
-        for i in 0..n {
-            prop_assert_eq!(m.get(NodeId(i as u32), NodeId(i as u32)), 0);
-            for j in 0..n {
-                prop_assert_eq!(
-                    m.get(NodeId(i as u32), NodeId(j as u32)),
-                    m.get(NodeId(j as u32), NodeId(i as u32))
-                );
-            }
-        }
-        prop_assert!(m.max_distance() <= base + (2 * n) as u32);
     }
 }

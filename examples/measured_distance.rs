@@ -1,25 +1,22 @@
 //! Close the "distance = latency" loop (the paper's own definition, left
-//! static in §II): probe the network, derive the distance matrix, build a
-//! topology from it, and place a request — then watch a degraded
+//! static in §II): quantise the network's latencies into distance tiers,
+//! build a topology from them, and place a request — then watch a degraded
 //! aggregation layer change the placement calculus.
 //!
 //! ```sh
 //! cargo run --example measured_distance
 //! ```
 
-use affinity_vc::netsim::measure::derive_distance_matrix;
+use affinity_vc::netsim::measure::derive_tiers;
 use affinity_vc::placement::{exact, online};
 use affinity_vc::prelude::*;
 use std::sync::Arc;
 
 fn topology_from_measurement(params: &NetworkParams) -> Topology {
-    // Physical layout: 2 racks × 4 nodes.
-    let physical =
-        affinity_vc::topology::generate::uniform(2, 4, DistanceTiers::paper_experiment());
-    let matrix = derive_distance_matrix(&physical, params, SimTime::from_micros(100));
+    let measured = derive_tiers(params, SimTime::from_micros(100));
 
-    // Rebuild a topology carrying the *measured* distances.
-    let mut b = TopologyBuilder::new(DistanceTiers::new(1, 3, 100).unwrap());
+    // Physical layout: 2 racks × 4 nodes, carrying the *measured* tiers.
+    let mut b = TopologyBuilder::new(measured);
     let cloud = b.add_cloud("measured");
     for r in 0..2 {
         let rack = b.add_named_rack(cloud, format!("rack{r}"));
@@ -27,7 +24,6 @@ fn topology_from_measurement(params: &NetworkParams) -> Topology {
             b.add_node(rack);
         }
     }
-    b.with_distance_matrix(matrix);
     b.build()
 }
 

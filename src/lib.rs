@@ -7,7 +7,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`topology`] | `vc-topology` | clouds → racks → nodes, distance matrix `D` |
+//! | [`topology`] | `vc-topology` | clouds → racks → nodes, distance `D` by tiers |
 //! | [`model`] | `vc-model` | VM types (Table I), requests `R`, matrices `M`/`C`/`L` |
 //! | [`ilp`] | `vc-ilp` | from-scratch simplex + branch-and-bound MILP solver |
 //! | [`placement`] | `vc-placement` | `DC` metric, SD/GSD solvers, Algorithms 1–2, baselines |
