@@ -235,7 +235,7 @@ impl Probe for TsProbe {
         let t = s.edge_us;
         rec.counter_sample("ts.cloud.fill", t, s.fill);
         rec.counter_sample("ts.cloud.frag", t, s.frag);
-        rec.counter_sample("ts.cloud.active_vms", t, view.state.used().total() as f64);
+        rec.counter_sample("ts.cloud.active_vms", t, view.state.used_total() as f64);
         rec.counter_sample("ts.cloud.active_jobs", t, view.live.len() as f64);
         rec.counter_sample("ts.queue.depth", t, s.queue_depth);
         let (dc_sum, dc_n) = view

@@ -373,14 +373,14 @@ pub fn run_recorded(state: &ClusterState, config: SimConfig, rec: &dyn Recorder)
         // processing the event: the sampled state is exactly the state
         // as of the edge, because no event in [edge, now) exists.
         probes.close_due(&sim.view(now), rec);
-        used_integral += sim.state.used().total() as f64 * (now - last_time).as_micros() as f64;
+        used_integral += sim.state.used_total() as f64 * (now - last_time).as_micros() as f64;
         last_time = now;
         match event {
             Event::Arrival(idx) => sim.arrive(now, idx),
             Event::Departure(id) => sim.depart(now, id),
         }
         sim.serve(now);
-        let (queue_len, used) = (sim.queue.len(), sim.state.used().total());
+        let (queue_len, used) = (sim.queue.len(), sim.state.used_total());
         rec.counter_sample("cloudsim.queue_depth", now.as_micros(), queue_len as f64);
         rec.histogram_record("cloudsim.queue_depth", queue_len as u64);
         rec.counter_sample("cloudsim.used_slots", now.as_micros(), used as f64);
@@ -584,30 +584,33 @@ impl Sim<'_> {
         rec.counter_add("cloudsim.served", 1);
         rec.histogram_record("cloudsim.wait_us", (now - req.arrival).as_micros());
         rec.histogram_record("cloudsim.hold_us", hold.as_micros());
-        let attrs = [
-            ("id", AttrValue::from(req.id)),
-            ("center", AttrValue::from(u64::from(alloc.center().0))),
-            ("dc", AttrValue::from(d)),
-            ("span_nodes", AttrValue::from(alloc.span())),
-        ];
-        rec.event(
-            "cloudsim.request_admitted",
-            now.as_micros(),
-            Some(TrackId(0)),
-            &attrs,
-        );
-        let span = rec.span_begin(
-            TrackId(TRACK_STRIDE * (req.id + 1)),
-            "request",
-            now.as_micros(),
-            &attrs,
-        );
-        self.req_spans.insert(req.id, span);
+        let span_nodes = alloc.span();
+        if rec.enabled() {
+            let attrs = [
+                ("id", AttrValue::from(req.id)),
+                ("center", AttrValue::from(u64::from(alloc.center().0))),
+                ("dc", AttrValue::from(d)),
+                ("span_nodes", AttrValue::from(span_nodes)),
+            ];
+            rec.event(
+                "cloudsim.request_admitted",
+                now.as_micros(),
+                Some(TrackId(0)),
+                &attrs,
+            );
+            let span = rec.span_begin(
+                TrackId(TRACK_STRIDE * (req.id + 1)),
+                "request",
+                now.as_micros(),
+                &attrs,
+            );
+            self.req_spans.insert(req.id, span);
+        }
         let o = &mut self.outcomes[idx];
         o.distance = Some(d);
         o.initial_distance = Some(online_d.unwrap_or(d));
         o.center = Some(alloc.center().0);
-        o.span = Some(alloc.span() as u32);
+        o.span = Some(span_nodes as u32);
         o.started = Some(now);
         o.finished = Some(now + hold);
         o.job_runtime = job_runtime;

@@ -40,10 +40,9 @@ impl Solution {
     ///
     /// # Panics
     /// Panics if the stored value is further than `1e-4` from an integer
-    /// (a looser bound than the solver's branching tolerance
-    /// [`INT_TOL`](crate::INT_TOL), to absorb accumulated simplex
-    /// round-off) — calling this on a continuous variable with a
-    /// genuinely fractional value is a bug.
+    /// (a looser bound than the solver's branching tolerance, to absorb
+    /// accumulated simplex round-off) — calling this on a continuous
+    /// variable with a genuinely fractional value is a bug.
     pub fn int_value(&self, var: VarId) -> i64 {
         let v = self.values[var.index()];
         let r = v.round();

@@ -41,7 +41,7 @@ pub struct VirtualCluster {
 }
 
 impl VirtualCluster {
-    /// Instantiate the VMs of an [`Allocation`]: one [`Vm`] per allocated
+    /// Instantiate the VMs of an [`Allocation`]: one `Vm` per allocated
     /// instance, with slots and rates taken from the catalogue. The
     /// allocation's central node becomes the master (the paper's
     /// MapReduce clusters are master/slave with the master on the central

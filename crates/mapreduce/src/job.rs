@@ -34,7 +34,7 @@ impl JobConfig {
     /// Number of map tasks: one per (possibly partial) split.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid (see [`validate`](Self::validate)).
+    /// Panics if the configuration is invalid.
     pub fn num_maps(&self) -> u32 {
         self.validate();
         (self.input_mb / self.split_mb).ceil() as u32

@@ -1,24 +1,28 @@
-//! A per-request allocation: a `C` matrix plus its central node.
+//! A per-request allocation: a sparse `C` matrix plus its central node.
 
-use crate::{Request, ResourceMatrix, VmTypeId};
-use serde::{Deserialize, Serialize};
+use crate::{Request, SparseMatrix, VmTypeId};
 use vc_topology::{NodeId, Topology};
 
 /// The result of provisioning one request: which node hosts how many VMs of
 /// each type, and which node acts as the *central node* (`N_k`) — the
 /// master of the MapReduce virtual cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The matrix is sparse: its size, and the cost of committing it, follow
+/// the request's VM count rather than the cloud's node count.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
-    matrix: ResourceMatrix,
+    matrix: SparseMatrix,
     center: NodeId,
 }
 
 impl Allocation {
-    /// Bundle an allocation matrix with its central node.
+    /// Bundle an allocation matrix (sparse, or a dense
+    /// [`ResourceMatrix`](crate::ResourceMatrix)) with its central node.
     ///
     /// # Panics
     /// Panics if `center` is out of range for the matrix.
-    pub fn new(matrix: ResourceMatrix, center: NodeId) -> Self {
+    pub fn new(matrix: impl Into<SparseMatrix>, center: NodeId) -> Self {
+        let matrix = matrix.into();
         assert!(
             center.index() < matrix.num_nodes(),
             "central node out of range"
@@ -28,14 +32,14 @@ impl Allocation {
 
     /// The allocation matrix `C`.
     #[inline]
-    pub fn matrix(&self) -> &ResourceMatrix {
+    pub fn matrix(&self) -> &SparseMatrix {
         &self.matrix
     }
 
     /// Mutable access to the allocation matrix (used by the Theorem-2
     /// exchange step, which moves VMs between clusters).
     #[inline]
-    pub fn matrix_mut(&mut self) -> &mut ResourceMatrix {
+    pub fn matrix_mut(&mut self) -> &mut SparseMatrix {
         &mut self.matrix
     }
 
@@ -83,16 +87,15 @@ impl Allocation {
 
     /// Number of distinct physical nodes hosting at least one VM.
     pub fn span(&self) -> usize {
-        self.matrix.occupied_nodes().len()
+        self.matrix.node_totals().count()
     }
 
     /// Number of distinct racks hosting at least one VM.
     pub fn rack_span(&self, topo: &Topology) -> usize {
         let mut racks: Vec<_> = self
             .matrix
-            .occupied_nodes()
-            .iter()
-            .map(|&n| topo.rack_of(n))
+            .node_totals()
+            .map(|(n, _)| topo.rack_of(n))
             .collect();
         racks.sort_unstable();
         racks.dedup();
@@ -103,6 +106,7 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ResourceMatrix;
     use vc_topology::{generate, DistanceTiers};
 
     fn sample() -> Allocation {

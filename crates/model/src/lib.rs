@@ -8,7 +8,7 @@
 //! | `R` (len `m`) | requested instances per type | [`Request`] |
 //! | `A` (len `m`) | available instances per type | [`ClusterState::availability`] |
 //! | `M` (`n × m`) | max instances per node per type | [`ResourceMatrix`] (capacity) |
-//! | `C` (`n × m`) | currently allocated per node per type | [`ResourceMatrix`] (used), per-request [`Allocation`] |
+//! | `C` (`n × m`) | currently allocated per node per type | [`ResourceMatrix`] (used), per-request [`Allocation`] over a [`SparseMatrix`] |
 //! | `L = M − C` | remaining per node per type | [`ClusterState::remaining`] |
 //!
 //! A request is admissible only if `R_j ≤ A_j` for all types `j`
@@ -26,6 +26,7 @@ mod error;
 mod index;
 mod matrix;
 mod request;
+mod sparse;
 pub mod workload;
 
 pub use allocation::Allocation;
@@ -35,3 +36,4 @@ pub use error::ModelError;
 pub use index::PlacementIndex;
 pub use matrix::ResourceMatrix;
 pub use request::Request;
+pub use sparse::{NodeTotals, SparseMatrix};

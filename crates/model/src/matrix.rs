@@ -147,15 +147,6 @@ impl ResourceMatrix {
         self.data.iter().all(|&v| v == 0)
     }
 
-    /// Elementwise `self[e] ≤ other[e]` for all entries (e.g. `C ≤ M`).
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn le(&self, other: &Self) -> bool {
-        assert_eq!((self.n, self.m), (other.n, other.m), "dimension mismatch");
-        self.data.iter().zip(&other.data).all(|(a, b)| a <= b)
-    }
-
     /// Elementwise checked addition (e.g. merging an allocation into the
     /// global `C`).
     ///
@@ -172,19 +163,12 @@ impl ResourceMatrix {
     ///
     /// # Panics
     /// Panics if dimensions differ or any entry would underflow.
+    #[cfg(test)]
     pub(crate) fn checked_sub_assign(&mut self, other: &Self) {
         assert_eq!((self.n, self.m), (other.n, other.m), "dimension mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a = a.checked_sub(b).expect("VM count underflow");
         }
-    }
-
-    /// Nodes hosting at least one VM, in id order.
-    pub fn occupied_nodes(&self) -> Vec<NodeId> {
-        (0..self.n)
-            .filter(|&i| self.row(NodeId::from_index(i)).iter().any(|&v| v > 0))
-            .map(NodeId::from_index)
-            .collect()
     }
 
     /// Iterate over all non-zero entries as `(node, type, count)`.
@@ -249,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn le_comparison() {
-        let small = sample();
-        let mut big = sample();
-        big.add(NodeId(0), VmTypeId(2), 1);
-        assert!(small.le(&big));
-        assert!(!big.le(&small));
-        assert!(small.le(&small));
-    }
-
-    #[test]
     fn add_sub_assign_roundtrip() {
         let base = sample();
         let mut acc = ResourceMatrix::zeros(3, 3);
@@ -280,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn occupied_nodes() {
-        let m = sample();
-        assert_eq!(m.occupied_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-        let z = ResourceMatrix::zeros(3, 3);
-        assert!(z.occupied_nodes().is_empty());
-    }
-
-    #[test]
     fn entries_nonzero_only() {
         let m = sample();
         let e: Vec<_> = m.entries().collect();
@@ -300,14 +266,6 @@ mod tests {
     fn row_request_matches_row() {
         let m = sample();
         assert_eq!(m.row_request(NodeId(0)).counts(), m.row(NodeId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn le_dimension_mismatch_panics() {
-        let a = ResourceMatrix::zeros(2, 2);
-        let b = ResourceMatrix::zeros(2, 3);
-        let _ = a.le(&b);
     }
 
     #[test]

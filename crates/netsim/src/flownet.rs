@@ -274,7 +274,7 @@ impl FlowNet {
     /// [`for_nodes`](Self::for_nodes).
     ///
     /// # Panics
-    /// Panics if `params` fails [`NetworkParams::validate`].
+    /// Panics if `params` is invalid.
     pub fn new(topo: Arc<Topology>, params: NetworkParams) -> Self {
         Self::with_solver(topo, params, SolverMode::default())
     }
@@ -284,7 +284,7 @@ impl FlowNet {
     /// equivalence tests).
     ///
     /// # Panics
-    /// Panics if `params` fails [`NetworkParams::validate`].
+    /// Panics if `params` is invalid.
     pub fn with_solver(topo: Arc<Topology>, params: NetworkParams, mode: SolverMode) -> Self {
         let nodes: Vec<NodeId> = topo.node_ids().collect();
         Self::for_nodes(topo, params, mode, &nodes)
@@ -305,9 +305,9 @@ impl FlowNet {
     /// `nodes` may be unsorted and hold duplicates.
     ///
     /// # Panics
-    /// Panics if `params` fails [`NetworkParams::validate`] or a node is
-    /// not in `topo`. Starting a flow to or from a node outside `nodes`
-    /// panics too (see [`start_flow_classed`](Self::start_flow_classed)).
+    /// Panics if `params` is invalid or a node is not in `topo`. Starting
+    /// a flow to or from a node outside `nodes` panics too (see
+    /// [`start_flow_classed`](Self::start_flow_classed)).
     pub fn for_nodes(
         topo: Arc<Topology>,
         params: NetworkParams,

@@ -1087,7 +1087,7 @@ pub struct PairedReport {
     /// [`comparability_warnings`] of the first pair; later seeds share
     /// both configs, so they cannot disagree differently.
     pub warnings: Vec<String>,
-    /// One row per [`PAIRED_METRICS`] entry that is nonzero on some side
+    /// One row per `PAIRED_METRICS` entry that is nonzero on some side
     /// of some pair.
     pub rows: Vec<PairedRow>,
 }
@@ -1158,7 +1158,7 @@ fn median(values: &mut [f64]) -> Option<f64> {
 }
 
 /// Summarise `(A, B)` run-document pairs, one pair per common seed:
-/// per [`PAIRED_METRICS`] entry, the median B/A ratio and which side
+/// per `PAIRED_METRICS` entry, the median B/A ratio and which side
 /// wins each pair by the metric's [`diff`] direction. Refuses, like
 /// [`diff`], any pair whose manifests are missing, corrupt or
 /// incomparable.

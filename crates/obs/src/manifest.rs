@@ -6,7 +6,7 @@
 //! document, JSONL stream, or Prometheus exposition is self-describing.
 //! Two artifacts can then be checked for *comparability* (same topology
 //! and sampling cadence, differing policy) before `vc diff` aligns
-//! their metrics; see [`crate::diff`].
+//! their metrics; see the [`diff`](mod@crate::diff) module.
 //!
 //! The manifest travels embedded under the [`MANIFEST_KEY`] key of the
 //! metrics JSON document, as the first line of a streaming JSONL file
@@ -75,7 +75,7 @@ impl Fnv64 {
 /// command grows a flag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunManifest {
-    /// Manifest schema version ([`SCHEMA_VERSION`]).
+    /// The manifest schema version.
     pub schema_version: u64,
     /// Workspace crate version that produced the run.
     pub crate_version: String,

@@ -124,7 +124,7 @@ impl MetricsRegistry {
     }
 }
 
-/// Immutable point-in-time copy of a [`MetricsRegistry`], exportable as
+/// Immutable point-in-time copy of a recorder's metrics registry, exportable as
 /// JSON (schema documented in `docs/metrics-schema.md`) or CSV.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {

@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::recorder::Recorder;
 
 /// Static identity of a profiled phase: the two metric names derived
-/// from its base name. Built with [`phase!`]-style `concat!` so the
+/// from its base name. Built with `phase!`-style `concat!` so the
 /// names are `&'static str` and flow through [`Recorder`] for free.
 #[derive(Clone, Copy, Debug)]
 pub struct Phase {

@@ -272,7 +272,7 @@ impl<W: Write> Recorder for StreamingRecorder<W> {
 
 /// Intern a dynamically built name (a replayed op-log name, a per-link
 /// metric name) so it can live in the `&'static str` slots the
-/// [`Recorder`](crate::Recorder) API requires. Leaks once per distinct
+/// [`Recorder`] API requires. Leaks once per distinct
 /// string — bounded by the metric / span-name vocabulary, not the stream
 /// length.
 pub fn intern(s: &str) -> &'static str {

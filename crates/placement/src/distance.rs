@@ -12,23 +12,26 @@
 //! sum approximates the all-to-master (and, by symmetry of the tiers, the
 //! intra-cluster) traffic cost.
 
-use vc_model::ResourceMatrix;
+use vc_model::NodeTotals;
 use vc_topology::{NodeId, Topology};
 
-/// The weighted distance of allocation `matrix` measured from a *fixed*
-/// central node `center`: `Σ_i (Σ_j C_ij) · D_{i,center}`.
+/// The weighted distance of allocation `matrix` (dense or sparse)
+/// measured from a *fixed* central node `center`:
+/// `Σ_i (Σ_j C_ij) · D_{i,center}`. Costs one step per occupied node.
 ///
 /// # Panics
 /// Panics if matrix and topology node counts disagree, or if `center` is
 /// out of range.
-pub fn distance_with_center(matrix: &ResourceMatrix, topo: &Topology, center: NodeId) -> u64 {
+pub fn distance_with_center(matrix: &impl NodeTotals, topo: &Topology, center: NodeId) -> u64 {
     assert_eq!(
         matrix.num_nodes(),
         topo.num_nodes(),
         "allocation and topology node counts disagree"
     );
-    topo.node_ids()
-        .map(|i| u64::from(matrix.node_total(i)) * u64::from(topo.distance(center, i)))
+    assert!(center.index() < topo.num_nodes(), "centre out of range");
+    matrix
+        .node_totals()
+        .map(|(i, total)| u64::from(total) * u64::from(topo.distance(center, i)))
         .sum()
 }
 
@@ -55,7 +58,7 @@ pub fn distance_with_center(matrix: &ResourceMatrix, topo: &Topology, center: No
 /// # Panics
 /// Panics if matrix and topology node counts disagree or the topology is
 /// empty.
-pub fn cluster_distance(matrix: &ResourceMatrix, topo: &Topology) -> (u64, NodeId) {
+pub fn cluster_distance(matrix: &impl NodeTotals, topo: &Topology) -> (u64, NodeId) {
     assert!(topo.num_nodes() > 0, "empty topology");
     let mut best = (u64::MAX, NodeId(0));
     for k in topo.node_ids() {
@@ -69,7 +72,7 @@ pub fn cluster_distance(matrix: &ResourceMatrix, topo: &Topology) -> (u64, NodeI
 
 /// The distance of the allocation from **every** candidate centre, indexed
 /// by node id (the data behind the paper's Fig. 4).
-pub fn distance_profile(matrix: &ResourceMatrix, topo: &Topology) -> Vec<u64> {
+pub fn distance_profile(matrix: &impl NodeTotals, topo: &Topology) -> Vec<u64> {
     topo.node_ids()
         .map(|k| distance_with_center(matrix, topo, k))
         .collect()
@@ -78,6 +81,7 @@ pub fn distance_profile(matrix: &ResourceMatrix, topo: &Topology) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_model::ResourceMatrix;
     use vc_topology::{generate, DistanceTiers};
 
     /// Fig. 1 of the paper: two racks; nodes 0–1 in rack 0, nodes 2–4 in

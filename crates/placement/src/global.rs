@@ -142,7 +142,7 @@ pub fn place_queue_with(
 
 /// [`place_queue`] with observability: per-request placement events (with
 /// chosen centre and `DC(C)`), per-request scan audits and per-worker
-/// chunk events (via [`online::place_recorded`]), the `placement.dc`
+/// chunk events (see [`ScanAudit`](online::ScanAudit)), the `placement.dc`
 /// histogram, seed-scan counters including aborts, the Theorem-2
 /// exchange-pass counters, and a per-batch `placement.exchange_audit`
 /// event all land on `rec`, timestamped `t_us`. `queue` holds requests
@@ -179,16 +179,31 @@ fn place_queue_impl<R: Borrow<Request>>(
 ) -> Result<QueuePlacement, PlacementError> {
     let decision = get_requests(queue.iter().map(Borrow::borrow), state, admission);
     let mut rejected = decision.rejected;
-    let mut working = state.clone();
+    // Each request is solved against the state the earlier ones left.
+    // The last one's allocation is only checked, never committed here, so
+    // a batch of one — the usual case — solves against `state` itself and
+    // clones nothing.
+    let mut working: Option<ClusterState> = None;
     let mut served = Vec::with_capacity(decision.admitted.len());
-    for &idx in &decision.admitted {
-        match solver(queue[idx].borrow(), &working) {
+    for (pos, &idx) in decision.admitted.iter().enumerate() {
+        let last = pos + 1 == decision.admitted.len();
+        match solver(queue[idx].borrow(), working.as_ref().unwrap_or(state)) {
             // Seed-scan counters (scanned / pruned / aborted) are emitted
             // by the solver itself — see `online::place_recorded`.
             Ok((allocation, _stats)) => {
                 // A broken solver must not take the whole run down: record
                 // the failure and defer the request (it stays queued).
-                match working.allocate(&allocation) {
+                let committed = if last {
+                    working
+                        .as_ref()
+                        .unwrap_or(state)
+                        .check_allocate(&allocation)
+                } else {
+                    working
+                        .get_or_insert_with(|| state.clone())
+                        .allocate(&allocation)
+                };
+                match committed {
                     Ok(()) => served.push((idx, allocation)),
                     Err(err) => {
                         rec.counter_add("placement.commit_failed", 1);
@@ -229,14 +244,15 @@ fn place_queue_impl<R: Borrow<Request>>(
     rec.counter_add("placement.exchange_saved", exchanges.saved);
     rec.counter_add("placement.exchange_passes", exchanges.passes);
 
-    let optimized_distance: u64 = served
+    let optimized_distances: Vec<u64> = served
         .iter()
         .map(|(_, a)| {
             let d = distance_with_center(a.matrix(), topo, a.center());
             rec.histogram_record("placement.dc", d);
             d
         })
-        .sum();
+        .collect();
+    let optimized_distance = optimized_distances.iter().sum();
     if rec.enabled() && !served.is_empty() {
         rec.event(
             "placement.exchange_audit",
@@ -252,21 +268,20 @@ fn place_queue_impl<R: Borrow<Request>>(
             ],
         );
     }
-    for (idx, a) in &served {
-        rec.event(
-            "placement.request_placed",
-            t_us,
-            None,
-            &[
-                ("queue_index", AttrValue::from(*idx)),
-                ("center", AttrValue::from(u64::from(a.center().0))),
-                (
-                    "dc",
-                    AttrValue::from(distance_with_center(a.matrix(), topo, a.center())),
-                ),
-                ("span_nodes", AttrValue::from(a.span())),
-            ],
-        );
+    if rec.enabled() {
+        for ((idx, a), &d) in served.iter().zip(&optimized_distances) {
+            rec.event(
+                "placement.request_placed",
+                t_us,
+                None,
+                &[
+                    ("queue_index", AttrValue::from(*idx)),
+                    ("center", AttrValue::from(u64::from(a.center().0))),
+                    ("dc", AttrValue::from(d)),
+                    ("span_nodes", AttrValue::from(a.span())),
+                ],
+            );
+        }
     }
     rec.counter_add("placement.requests_served", served.len() as u64);
 
@@ -365,18 +380,19 @@ fn transfer_one(mover: &mut Allocation, anchor: &mut Allocation, topo: &Topology
         return (0, 0);
     }
     let m = mover.matrix().num_types();
+    let d_xy = u64::from(topo.distance(x, y));
     let (mut saved, mut swaps) = (0u64, 0u64);
     for j in 0..m {
         let ty = vc_model::VmTypeId::from_index(j);
         // While the mover holds a type-j VM on the anchor's centre…
         while mover.matrix().get(y, ty) > 0 {
             // …find the anchor's type-j VM whose node gives the best
-            // improvement for the mover.
-            let d_xy = u64::from(topo.distance(x, y));
-            let candidate = topo
-                .node_ids()
-                .filter(|&k| k != y && anchor.matrix().get(k, ty) > 0)
-                .map(|k| {
+            // improvement for the mover: ties go to the lowest node id.
+            let candidate = anchor
+                .matrix()
+                .entries()
+                .filter(|&(k, t, _)| t == ty && k != y)
+                .map(|(k, _, _)| {
                     let gain = (d_xy + u64::from(topo.distance(y, k)))
                         .saturating_sub(u64::from(topo.distance(x, k)));
                     (gain, k)
@@ -611,11 +627,11 @@ mod tests {
             ResourceMatrix::from_rows(&[vec![0], vec![1], vec![1], vec![0]]),
             NodeId(2),
         );
-        let mut combined_before = a.matrix().clone();
-        combined_before.checked_add_assign(b.matrix());
+        let mut combined_before = a.matrix().to_dense();
+        combined_before.checked_add_assign(&b.matrix().to_dense());
         let _ = transfer(&mut a, &mut b, &topo);
-        let mut combined_after = a.matrix().clone();
-        combined_after.checked_add_assign(b.matrix());
+        let mut combined_after = a.matrix().to_dense();
+        combined_after.checked_add_assign(&b.matrix().to_dense());
         assert_eq!(combined_before, combined_after);
     }
 

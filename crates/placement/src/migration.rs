@@ -16,7 +16,7 @@
 
 use crate::distance::{cluster_distance, distance_with_center};
 use crate::policy::PlacementError;
-use vc_model::{Allocation, ClusterState, VmTypeId};
+use vc_model::{Allocation, ClusterState, SparseMatrix, VmTypeId};
 use vc_topology::NodeId;
 
 /// One VM relocation: `count` instances of `vm_type` move `from → to`.
@@ -137,13 +137,13 @@ pub fn repair(
     })?;
 
     // Commit: add the replacement VMs to both the allocation and the state.
-    let mut delta = vc_model::ResourceMatrix::zeros(
+    let delta = SparseMatrix::from_entries(
         allocation.matrix().num_nodes(),
         allocation.matrix().num_types(),
+        moves.iter().map(|m| (m.to, m.vm_type, m.count)),
     );
     for m in &moves {
         allocation.matrix_mut().add(m.to, m.vm_type, m.count);
-        delta.add(m.to, m.vm_type, m.count);
     }
     state
         .allocate(&Allocation::new(delta, center))
@@ -202,16 +202,11 @@ pub fn rebalance(
         // Apply to the state: free `from`, occupy `to`.
         let n = allocation.matrix().num_nodes();
         let m = allocation.matrix().num_types();
-        let mut release = vc_model::ResourceMatrix::zeros(n, m);
-        release.add(from, ty, 1);
+        let one = |node| Allocation::new(SparseMatrix::from_entries(n, m, [(node, ty, 1)]), center);
         state
-            .release(&Allocation::new(release, center))
+            .release(&one(from))
             .expect("migrating VM exists in the state");
-        let mut acquire = vc_model::ResourceMatrix::zeros(n, m);
-        acquire.add(to, ty, 1);
-        state
-            .allocate(&Allocation::new(acquire, center))
-            .expect("destination slot was free");
+        state.allocate(&one(to)).expect("destination slot was free");
         allocation.matrix_mut().sub(from, ty, 1);
         allocation.matrix_mut().add(to, ty, 1);
         moves.push(Move {

@@ -9,33 +9,52 @@
 //! cluster's central node; equal distances break toward the lowest seed id.
 //!
 //! The naïve scan is `O(n² m)` plus `O(n² log n)` sort work per request.
-//! This module keeps that loop structure but makes it scale:
+//! This module keeps that loop structure but makes its cost follow the
+//! request and the number of racks, not the number of nodes, on the
+//! tier topology (every distance is `0`, `d1`, `d2` or `d3`):
 //!
 //! * **cached aggregates** — candidate sort keys read the
-//!   [`PlacementIndex`](vc_model::PlacementIndex) maintained by
-//!   [`ClusterState`] instead of recomputing `row_request().com()` inside
-//!   every comparator;
-//! * **seed pruning** — each seed has an admissible lower bound on the
-//!   distance it could possibly achieve (outstanding VMs at the cheapest
-//!   same-rack hop while rack capacity lasts, the cheapest cross-rack hop
-//!   after), so seeds that cannot beat the incumbent are skipped and the
-//!   scan exits early once the incumbent meets the global bound;
-//! * **parallel scan** — seeds are split into contiguous chunks evaluated
-//!   on scoped threads (see [`Parallelism`]), sharing the incumbent
-//!   distance through an atomic so all chunks prune against the best
-//!   found anywhere.
+//!   [`PlacementIndex`] maintained by [`ClusterState`] instead of
+//!   recomputing `row_request().com()` inside every comparator;
+//! * **rack-level fast path** — a node can cover the whole request only
+//!   if its rack's per-type maxima do, so only those racks' members are
+//!   checked for the lowest covering id: `O(racks · m)` when none can;
+//! * **rack-level pruning** — each seed has an admissible lower bound on
+//!   the distance it could possibly achieve (outstanding VMs at the
+//!   cheapest same-rack hop while rack capacity lasts, the cheapest
+//!   cross-rack hop after). The bound never increases as the seed's free
+//!   row grows, so the bound at a rack's per-type maximum row holds for
+//!   every member. Racks are visited by ascending bound, and a rack that
+//!   cannot beat the incumbent on `(distance, id)` is skipped whole; its
+//!   seeds count as pruned. Visited racks prune seed by seed on their own
+//!   bound, and fills abort once they have lost;
+//! * **tier walk** — the far list (`nRackList`) is the other racks of the
+//!   seed's cloud at `d2`, then the other clouds at `d3`, each tier
+//!   sorted on its own when the fill reaches it (so a fill that leaves
+//!   its rack still costs `O(t log t)` for a tier of `t` nodes);
+//! * **parallel scan** — seeds, in visiting order, are split into
+//!   contiguous chunks evaluated on scoped threads (see [`Parallelism`]),
+//!   sharing the incumbent distance through an atomic so all chunks prune
+//!   against the best found anywhere.
+//!
+//! A request's scan thus costs `O(racks · m + racks log racks)` plus the
+//! members of the racks it visits and the fills it evaluates; committing
+//! the sparse result touches only its entries.
 //!
 //! Every configuration returns **bit-identical** allocations: pruning
-//! rules are strict enough to never discard a potential winner, and the
-//! final reduce picks the lexicographically smallest `(distance, seed)`
-//! exactly like the sequential loop.
+//! rules are strict enough to never discard a potential winner, and every
+//! comparison — inside a chunk and in the final reduce — picks the
+//! lexicographically smallest `(distance, seed)`, exactly like the
+//! unpruned sequential loop.
 
 use crate::policy::{check_admissible, PlacementError, PlacementPolicy};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vc_model::{Allocation, ClusterState, PlacementIndex, Request, ResourceMatrix, VmTypeId};
+use vc_model::{
+    Allocation, ClusterState, PlacementIndex, Request, ResourceMatrix, SparseMatrix, VmTypeId,
+};
 use vc_obs::{AttrValue, NoopRecorder, Recorder};
-use vc_topology::{NodeId, Topology};
+use vc_topology::{NodeId, RackId, Topology};
 
 /// Worker-count knob for the seed scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,16 +146,21 @@ impl ScanConfig {
 /// What one scan did — fuels the `placement.seeds_*` observability
 /// counters and the pruning-efficacy test.
 ///
+/// Every node is a seed: `scanned + pruned + aborted == total`. A pruned
+/// scan visits racks in ascending order of their admissible bound, and a
+/// rack whose bound cannot beat the incumbent is skipped whole — its
+/// seeds all count as pruned, so `pruned / total` keeps its meaning.
 /// In parallel runs the split between `seeds_pruned` and `seeds_aborted`
 /// depends on cross-thread timing; only the allocation itself and the
-/// invariant `scanned + pruned + aborted == total` are deterministic.
+/// invariant are deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Candidate seeds overall (`n`, or what was left after the fast path).
+    /// Candidate seeds overall (`n`).
     pub seeds_total: u64,
     /// Seeds evaluated to a complete allocation.
     pub seeds_scanned: u64,
-    /// Seeds skipped outright by the lower bound.
+    /// Seeds skipped outright by a lower bound: their own, or their
+    /// rack's.
     pub seeds_pruned: u64,
     /// Seeds whose fill was cut off once it could no longer win.
     pub seeds_aborted: u64,
@@ -161,7 +185,7 @@ impl ScanStats {
 /// Everything worth knowing about one placement decision — the
 /// [`ScanStats`] plus the outcome (chosen central node, its seed-centred
 /// distance) and the pruning context (global lower bound, worker count).
-/// Emitted as a `placement.scan_audit` event by [`place_recorded`] and
+/// Emitted as a `placement.scan_audit` event by every recorded scan and
 /// surfaced by `vc report`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanAudit {
@@ -172,7 +196,9 @@ pub struct ScanAudit {
     /// Seed-centred distance of the winning allocation.
     pub distance: u64,
     /// `min` over all seeds of the admissible lower bound (0 when pruning
-    /// was off or the fast path fired).
+    /// was off or the fast path fired). Taken over the seeds of the racks
+    /// the scan visited: a skipped rack's bound is at least the winner's
+    /// distance, so none of its seeds can hold a smaller one.
     pub lower_bound: u64,
     /// Scan workers actually used (1 = sequential or fast path).
     pub workers: u64,
@@ -277,41 +303,31 @@ pub(crate) fn place_recorded(
 
     // Fast path (Algorithm 1, first loop): a single node covers the whole
     // request — distance 0, that node is the centre.
-    for i in topo.node_ids() {
-        if covers(remaining.row(i), request.counts()) {
-            let mut matrix = ResourceMatrix::zeros(n, m);
-            for (ty, count) in request.nonzero() {
-                matrix.set(i, ty, count);
-            }
-            let stats = ScanStats {
-                seeds_total: n as u64,
-                fast_path: true,
-                ..ScanStats::default()
-            };
-            let audit = ScanAudit {
-                stats,
-                center: i,
-                distance: 0,
-                lower_bound: 0,
-                workers: 1,
-            };
-            audit.emit(rec, t_us);
-            return Ok((Allocation::new(matrix, i), audit));
-        }
+    if let Some(node) = lowest_covering_node(topo, index, remaining, request.counts()) {
+        let entries = request.nonzero().map(|(ty, count)| (node, ty, count));
+        let stats = ScanStats {
+            seeds_total: n as u64,
+            fast_path: true,
+            ..ScanStats::default()
+        };
+        let audit = ScanAudit {
+            stats,
+            center: node,
+            distance: 0,
+            lower_bound: 0,
+            workers: 1,
+        };
+        audit.emit(rec, t_us);
+        return Ok((
+            Allocation::new(SparseMatrix::from_entries(n, m, entries), node),
+            audit,
+        ));
     }
 
-    let (lower_bounds, global_min_lb) = if config.prune {
+    let visits = {
         let _t = vc_obs::PhaseTimer::start(rec, vc_obs::prof::BOUND_PRECOMPUTE);
-        let lbs: Vec<u64> = topo
-            .node_ids()
-            .map(|seed| seed_lower_bound(topo, index, remaining, request.counts(), seed))
-            .collect();
-        let min = lbs.iter().copied().min().unwrap_or(0);
-        (lbs, min)
-    } else {
-        (Vec::new(), 0)
+        rack_visits(topo, index, request.counts(), config.prune)
     };
-
     let ctx = ScanCtx {
         topo,
         remaining,
@@ -319,10 +335,9 @@ pub(crate) fn place_recorded(
         request: request.counts(),
         req_total: request.total_vms(),
         prune: config.prune,
-        lower_bounds,
-        global_min_lb,
     };
 
+    // Workers split the seeds in visiting order into contiguous ranges.
     let workers = config.parallelism.workers(n);
     let chunk = n.div_ceil(workers);
     let bounds = |w: usize| ((w * chunk).min(n), ((w + 1) * chunk).min(n));
@@ -330,15 +345,15 @@ pub(crate) fn place_recorded(
     let scan_timer = vc_obs::PhaseTimer::start(rec, vc_obs::prof::SEED_SCAN);
     // Workers return plain data and never touch `rec` (`&dyn Recorder`
     // is not `Send`); the calling thread records what they hand back.
-    let results: Vec<(Option<SeedResult>, ScanStats)> = if workers <= 1 {
-        vec![scan_range(&ctx, 0, n, &shared_best)]
+    let results: Vec<ChunkResult> = if workers <= 1 {
+        vec![scan_range(&ctx, &visits, (0, n), &shared_best)]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let (ctx, shared) = (&ctx, &shared_best);
-                    let (lo, hi) = bounds(w);
-                    scope.spawn(move || scan_range(ctx, lo, hi, shared))
+                    let (visits, range) = (&visits, bounds(w));
+                    scope.spawn(move || scan_range(ctx, visits, range, shared))
                 })
                 .collect();
             handles
@@ -349,17 +364,19 @@ pub(crate) fn place_recorded(
     };
     let mut best: Option<SeedResult> = None;
     let mut stats = ScanStats::default();
-    for (w, (candidate, chunk_stats)) in results.into_iter().enumerate() {
-        emit_scan_chunk(rec, t_us, w, bounds(w), &chunk_stats);
-        stats.absorb(&chunk_stats);
-        if let Some(c) = candidate {
+    let mut lower_bound = u64::MAX;
+    for (w, chunk) in results.into_iter().enumerate() {
+        emit_scan_chunk(rec, t_us, w, bounds(w), &chunk.stats);
+        stats.absorb(&chunk.stats);
+        lower_bound = lower_bound.min(chunk.min_lower_bound);
+        if let Some(c) = chunk.best {
             // Lexicographic (distance, seed id) — identical to the
-            // sequential incumbent rule.
-            match best.as_ref() {
-                Some(b) if c.distance == b.distance => stats.seeds_tied += 1,
-                Some(b) if (c.distance, c.seed) < (b.distance, b.seed) => best = Some(c),
-                Some(_) => {}
-                None => best = Some(c),
+            // incumbent rule inside a chunk.
+            if let Some(b) = &best {
+                stats.seeds_tied += u64::from(c.distance == b.distance);
+            }
+            if best.as_ref().is_none_or(|b| c.key() < b.key()) {
+                best = Some(c);
             }
         }
     }
@@ -370,23 +387,105 @@ pub(crate) fn place_recorded(
             request: request.clone(),
         });
     };
-    let mut matrix = ResourceMatrix::zeros(n, m);
-    for &(node, ty, count) in &win.takes {
-        matrix.set(node, VmTypeId::from_index(ty as usize), count);
-    }
     let audit = ScanAudit {
         stats,
         center: win.seed,
         distance: win.distance,
-        lower_bound: global_min_lb,
+        lower_bound: if config.prune { lower_bound } else { 0 },
         workers: workers as u64,
     };
     audit.emit(rec, t_us);
+    let matrix = SparseMatrix::from_entries(n, m, win.takes);
     Ok((Allocation::new(matrix, win.seed), audit))
 }
 
+/// The lowest-id node whose free row covers `want`, visiting only racks
+/// whose per-type maxima cover it: `O(racks · m)` plus the members of
+/// those racks up to the incumbent's id.
+fn lowest_covering_node(
+    topo: &Topology,
+    index: &PlacementIndex,
+    remaining: &ResourceMatrix,
+    want: &[u32],
+) -> Option<NodeId> {
+    let mut best: Option<NodeId> = None;
+    for rack in topo.racks() {
+        if !covers(index.rack_max(rack.id), want) {
+            continue;
+        }
+        // Members are in ascending id order.
+        for &node in &rack.nodes {
+            if best.is_some_and(|b| node >= b) {
+                break;
+            }
+            if covers(remaining.row(node), want) {
+                best = Some(node);
+                break;
+            }
+        }
+    }
+    best
+}
+
+/// One rack of the seed scan: the admissible lower bound every member's
+/// distance is at least, and where its members start in the visiting
+/// order of all seeds.
+#[derive(Debug, Clone, Copy)]
+struct RackVisit {
+    rack: RackId,
+    first: NodeId,
+    bound: u64,
+    start: usize,
+}
+
+/// The racks holding a node, in the order the scan visits them. Pruned
+/// scans take each rack's bound at its per-type maximum row and visit
+/// by ascending `(bound, lowest id)`, so a tight incumbent comes early
+/// and the racks after it are skipped whole; an unpruned scan visits in
+/// rack order with zero bounds. `O(racks · m + racks log racks)`.
+fn rack_visits(
+    topo: &Topology,
+    index: &PlacementIndex,
+    want: &[u32],
+    prune: bool,
+) -> Vec<RackVisit> {
+    let mut visits: Vec<RackVisit> = topo
+        .racks()
+        .iter()
+        .filter_map(|r| {
+            let first = *r.nodes.first()?;
+            let bound = if prune {
+                lower_bound(
+                    index.rack_max(r.id),
+                    index.rack_free(r.id),
+                    index.rack_min_same_distance(r.id),
+                    index.rack_min_cross_distance(r.id),
+                    want,
+                )
+            } else {
+                0
+            };
+            Some(RackVisit {
+                rack: r.id,
+                first,
+                bound,
+                start: 0,
+            })
+        })
+        .collect();
+    if prune {
+        visits.sort_unstable_by_key(|v| (v.bound, v.first));
+    }
+    let mut start = 0;
+    for v in &mut visits {
+        v.start = start;
+        start += topo.racks()[v.rack.index()].nodes.len();
+    }
+    visits
+}
+
 /// Record one `placement.scan_chunk` event: the pruning/bound telemetry
-/// of worker `worker`'s seed range `lo..hi`.
+/// of worker `worker`'s seeds, positions `lo..hi` of the visiting order.
 fn emit_scan_chunk(
     rec: &dyn Recorder,
     t_us: u64,
@@ -421,18 +520,30 @@ struct ScanCtx<'a> {
     request: &'a [u32],
     req_total: u32,
     prune: bool,
-    /// Per-seed admissible lower bounds (empty when pruning is off).
-    lower_bounds: Vec<u64>,
-    /// `min(lower_bounds)` — an incumbent at or below this cannot be beaten.
-    global_min_lb: u64,
 }
 
 /// A completed seed evaluation: the seed-centred distance and the sparse
-/// `(node, type, count)` takes that reconstruct the allocation matrix.
+/// `(node, type, count)` takes that make up the allocation matrix.
 struct SeedResult {
     distance: u64,
     seed: NodeId,
-    takes: Vec<(NodeId, u32, u32)>,
+    takes: Vec<(NodeId, VmTypeId, u32)>,
+}
+
+impl SeedResult {
+    /// The order seeds compete in: distance, then the lower id.
+    fn key(&self) -> (u64, NodeId) {
+        (self.distance, self.seed)
+    }
+}
+
+/// What one worker's share of the seeds produced.
+struct ChunkResult {
+    best: Option<SeedResult>,
+    stats: ScanStats,
+    /// Smallest per-seed lower bound over the seeds of the racks this
+    /// chunk visited (`u64::MAX` when it visited none or did not prune).
+    min_lower_bound: u64,
 }
 
 /// `min(row, want)` summed — how much this node can provide toward `want`.
@@ -447,21 +558,38 @@ fn covers(row: &[u32], want: &[u32]) -> bool {
     row.iter().zip(want).all(|(&a, &b)| a >= b)
 }
 
+/// Whether a seed `id` whose distance is at least `bound` can no longer
+/// win: it orders after the chunk's incumbent on `(distance, id)`, or its
+/// bound exceeds the best distance any worker has found. Both are strict,
+/// so a seed that could still tie-break its way to the win is kept.
+#[inline]
+fn loses(
+    bound: u64,
+    id: NodeId,
+    incumbent: Option<(u64, NodeId)>,
+    shared_best: &AtomicU64,
+) -> bool {
+    incumbent.is_some_and(|best| (bound, id) > best) || bound > shared_best.load(Ordering::Relaxed)
+}
+
 /// Admissible lower bound on the seed-centred distance any allocation
-/// seeded at `seed` can achieve: the seed takes its elementwise best, the
-/// outstanding VMs travel at least the cheapest same-rack hop while the
-/// rack's spare (non-seed) capacity lasts, and at least the cheapest
-/// cross-rack hop after that. Never overestimates, so pruning on it is
-/// exact.
-fn seed_lower_bound(
-    topo: &Topology,
-    index: &PlacementIndex,
-    remaining: &ResourceMatrix,
+/// seeded at a node with free row `row` can achieve: the seed takes its
+/// elementwise best, the outstanding VMs travel at least the cheapest
+/// same-rack hop while the rack's spare (non-seed) capacity lasts, and
+/// at least the cheapest cross-rack hop after that. Never overestimates,
+/// so pruning on it is exact.
+///
+/// The bound never increases as `row` grows: each extra VM the seed holds
+/// takes one outstanding VM off the bill at `d1` or `d2` and shrinks the
+/// rack's spare capacity by at most one. So the bound at a rack's
+/// per-type maximum row is admissible for every member of the rack.
+fn lower_bound(
+    row: &[u32],
+    rack_free: &[u32],
+    same: Option<u32>,
+    cross: Option<u32>,
     request: &[u32],
-    seed: NodeId,
 ) -> u64 {
-    let row = remaining.row(seed);
-    let rack_free = index.rack_free(topo.rack_of(seed));
     let mut out_total: u64 = 0;
     let mut in_rack_cap: u64 = 0;
     for j in 0..request.len() {
@@ -472,10 +600,7 @@ fn seed_lower_bound(
     if out_total == 0 {
         return 0;
     }
-    match (
-        index.min_same_rack_distance(seed),
-        index.min_cross_rack_distance(seed),
-    ) {
+    match (same, cross) {
         (None, None) => 0,
         (Some(d1), None) => u64::from(d1) * out_total,
         (None, Some(d2)) => u64::from(d2) * out_total,
@@ -491,184 +616,248 @@ fn seed_lower_bound(
     }
 }
 
-/// Evaluate seeds `lo..hi` (ascending ids), returning the chunk's best
-/// completed seed and its scan statistics. `shared_best` carries the best
-/// distance found by *any* chunk; pruning against it uses strictly-greater
-/// comparisons so ties (which break by seed id in the final reduce) are
-/// never discarded.
+/// Evaluate the seeds at positions `lo..hi` of the visiting order (racks
+/// as `visits` orders them, each rack's members in ascending id order),
+/// returning the chunk's best completed seed and its statistics.
+/// `shared_best` carries the best distance found by *any* chunk; pruning
+/// against it is strict, so ties (which break by seed id in the final
+/// reduce) are never discarded.
 fn scan_range(
     ctx: &ScanCtx<'_>,
-    lo: usize,
-    hi: usize,
+    visits: &[RackVisit],
+    (lo, hi): (usize, usize),
     shared_best: &AtomicU64,
-) -> (Option<SeedResult>, ScanStats) {
-    let m = ctx.request.len();
+) -> ChunkResult {
+    let racks = ctx.topo.racks();
     let mut stats = ScanStats {
         seeds_total: (hi - lo) as u64,
         ..ScanStats::default()
     };
     let mut best: Option<SeedResult> = None;
-    // Scratch reused across seeds to keep the hot loop allocation-free.
-    let mut out = vec![0u32; m];
-    let mut takes: Vec<(NodeId, u32, u32)> = Vec::new();
-    let mut rack_buf: Vec<(Reverse<u32>, NodeId)> = Vec::new();
-    let mut far_buf: Vec<(u32, Reverse<u32>, NodeId)> = Vec::new();
+    let mut min_lower_bound = u64::MAX;
+    // Buffers reused across seeds keep the hot loop allocation-free.
+    let mut bufs = Buffers::new(ctx.request.len());
 
-    for s in lo..hi {
-        let seed = NodeId::from_index(s);
-        let local_best_d = best.as_ref().map_or(u64::MAX, |b| b.distance);
-        if ctx.prune {
-            // Incumbent already meets the best bound any seed has — no
-            // remaining seed can strictly beat it, and later ids lose ties.
-            if local_best_d <= ctx.global_min_lb {
-                stats.seeds_pruned += (hi - s) as u64;
-                break;
-            }
-            let lb = ctx.lower_bounds[s];
-            if lb >= local_best_d || lb > shared_best.load(Ordering::Relaxed) {
-                stats.seeds_pruned += 1;
-                continue;
-            }
+    for visit in visits {
+        let nodes = &racks[visit.rack.index()].nodes;
+        let (from, to) = (
+            lo.clamp(visit.start, visit.start + nodes.len()),
+            hi.clamp(visit.start, visit.start + nodes.len()),
+        );
+        let members = &nodes[from - visit.start..to - visit.start];
+        let Some(&first) = members.first() else {
+            continue;
+        };
+        let incumbent = best.as_ref().map(SeedResult::key);
+        if ctx.prune && loses(visit.bound, first, incumbent, shared_best) {
+            // No member can beat the incumbent: skip the whole rack.
+            stats.seeds_pruned += members.len() as u64;
+            continue;
         }
-        match evaluate_seed(
-            ctx,
-            seed,
-            local_best_d,
-            shared_best,
-            &mut out,
-            &mut takes,
-            &mut rack_buf,
-            &mut far_buf,
-        ) {
-            Some(distance) => {
-                stats.seeds_scanned += 1;
-                // Ascending ids within the chunk: a tie keeps the earlier
-                // incumbent, so only strictly smaller distances replace it.
-                if distance < local_best_d {
-                    shared_best.fetch_min(distance, Ordering::Relaxed);
-                    best = Some(SeedResult {
-                        distance,
-                        seed,
-                        takes: takes.clone(),
-                    });
-                } else if distance == local_best_d {
-                    stats.seeds_tied += 1;
+        let (same, cross) = (
+            ctx.index.rack_min_same_distance(visit.rack),
+            ctx.index.rack_min_cross_distance(visit.rack),
+        );
+        for &seed in members {
+            let incumbent = best.as_ref().map(SeedResult::key);
+            if ctx.prune {
+                let row = ctx.remaining.row(seed);
+                let lb = lower_bound(
+                    row,
+                    ctx.index.rack_free(visit.rack),
+                    same,
+                    cross,
+                    ctx.request,
+                );
+                min_lower_bound = min_lower_bound.min(lb);
+                if loses(lb, seed, incumbent, shared_best) {
+                    stats.seeds_pruned += 1;
+                    continue;
                 }
             }
-            None => stats.seeds_aborted += 1,
+            let Some(distance) = evaluate_seed(ctx, seed, incumbent, shared_best, &mut bufs) else {
+                stats.seeds_aborted += 1;
+                continue;
+            };
+            stats.seeds_scanned += 1;
+            stats.seeds_tied += u64::from(incumbent.is_some_and(|b| distance == b.0));
+            if incumbent.is_none_or(|b| (distance, seed) < b) {
+                shared_best.fetch_min(distance, Ordering::Relaxed);
+                best = Some(SeedResult {
+                    distance,
+                    seed,
+                    takes: bufs.takes.clone(),
+                });
+            }
         }
     }
-    (best, stats)
+    ChunkResult {
+        best,
+        stats,
+        min_lower_bound,
+    }
+}
+
+/// Buffers one worker reuses across seeds.
+struct Buffers {
+    /// Outstanding demand of the fill in progress.
+    out: Vec<u32>,
+    /// The demand when the far pass began: its nodes' sort keys.
+    far_out: Vec<u32>,
+    takes: Vec<(NodeId, VmTypeId, u32)>,
+    /// `(providable, id)` candidates of a pass that sorts.
+    sorted: Vec<(Reverse<u32>, NodeId)>,
+}
+
+impl Buffers {
+    fn new(m: usize) -> Self {
+        Self {
+            out: vec![0; m],
+            far_out: vec![0; m],
+            takes: Vec::new(),
+            sorted: Vec::new(),
+        }
+    }
+}
+
+/// One seed's fill in progress: the remainder, the takes and the
+/// distance so far.
+struct Fill<'s> {
+    seed: NodeId,
+    out: &'s mut [u32],
+    takes: &'s mut Vec<(NodeId, VmTypeId, u32)>,
+    out_total: u32,
+    distance: u64,
+}
+
+impl Fill<'_> {
+    /// Take what `node` can give toward the remainder, each VM `hop` away
+    /// from the seed. Returns how many VMs it gave.
+    fn take(&mut self, remaining: &ResourceMatrix, node: NodeId, hop: u32) -> u32 {
+        let row = remaining.row(node);
+        let mut got = 0u32;
+        for (j, o) in self.out.iter_mut().enumerate() {
+            let t = row[j].min(*o);
+            if t > 0 {
+                *o -= t;
+                got += t;
+                self.takes.push((node, VmTypeId::from_index(j), t));
+            }
+        }
+        self.out_total -= got;
+        self.distance += u64::from(got) * u64::from(hop);
+        got
+    }
 }
 
 /// Run one seed's greedy fill: seed first, then rack peers keyed on what
 /// they provide toward the *post-seed* outstanding remainder, then
 /// non-rack nodes keyed on `(distance, providable-toward-remainder, id)`.
 ///
+/// The non-rack pass walks the far tiers — the other racks of the seed's
+/// cloud at `d2`, then the other clouds at `d3` (nearer tier first; equal
+/// tiers form one) — and sorts each tier's nodes on what they provide
+/// toward the post-rack remainder, so a fill that completes in the nearer
+/// tier never sorts the farther one.
+///
 /// Returns the seed-centred distance, or `None` if the fill was aborted
 /// because it could no longer win (pruning only) or could not complete.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_seed(
     ctx: &ScanCtx<'_>,
     seed: NodeId,
-    local_best_d: u64,
+    incumbent: Option<(u64, NodeId)>,
     shared_best: &AtomicU64,
-    out: &mut [u32],
-    takes: &mut Vec<(NodeId, u32, u32)>,
-    rack_buf: &mut Vec<(Reverse<u32>, NodeId)>,
-    far_buf: &mut Vec<(u32, Reverse<u32>, NodeId)>,
+    bufs: &mut Buffers,
 ) -> Option<u64> {
-    out.copy_from_slice(ctx.request);
-    takes.clear();
-    let mut out_total = ctx.req_total;
-    let mut distance: u64 = 0;
-
-    let take = |node: NodeId, out: &mut [u32], takes: &mut Vec<(NodeId, u32, u32)>| -> u32 {
-        let row = ctx.remaining.row(node);
-        let mut got = 0u32;
-        for (j, o) in out.iter_mut().enumerate() {
-            let t = row[j].min(*o);
-            if t > 0 {
-                *o -= t;
-                got += t;
-                takes.push((node, j as u32, t));
-            }
-        }
-        got
+    bufs.out.copy_from_slice(ctx.request);
+    bufs.takes.clear();
+    let mut fill = Fill {
+        seed,
+        out: &mut bufs.out,
+        takes: &mut bufs.takes,
+        out_total: ctx.req_total,
+        distance: 0,
     };
+    let lost =
+        |fill: &Fill<'_>| ctx.prune && loses(fill.distance, fill.seed, incumbent, shared_best);
+    fill.take(ctx.remaining, seed, 0);
 
-    out_total -= take(seed, out, takes);
-
-    if out_total > 0 {
+    let topo = ctx.topo;
+    let rack = topo.rack_of(seed);
+    if fill.out_total > 0 {
         // rackList: same-rack peers, most-providing-toward-the-remainder
         // first. When the remainder dominates the rack's free counts the
         // index's (free-total, id) order is already exactly that, so the
         // sort is skipped.
-        let rack = ctx.topo.rack_of(seed);
+        let d1 = topo.tiers().same_rack;
         let members = ctx.index.rack_candidates(rack);
-        let dominated = covers(out, ctx.index.rack_free(rack));
-        rack_buf.clear();
-        if dominated {
-            // Remainder dominates the rack: providable(i) = free-total(i),
-            // so the index order is already the sorted order.
-            rack_buf.extend(
-                members
-                    .iter()
-                    .filter(|&&n| n != seed)
-                    .map(|&n| (Reverse(0), n)),
-            );
-        } else {
-            rack_buf.extend(
-                members
-                    .iter()
-                    .filter(|&&n| n != seed)
-                    .map(|&n| (Reverse(capped_total(ctx.remaining.row(n), out)), n)),
-            );
-            rack_buf.sort_unstable();
-        }
-        for &(_, node) in rack_buf.iter() {
-            if out_total == 0 {
-                break;
+        if covers(fill.out, ctx.index.rack_free(rack)) {
+            for &node in members.iter().filter(|&&n| n != seed) {
+                if fill.out_total == 0 || ctx.index.node_free(node) == 0 {
+                    break;
+                }
+                if fill.take(ctx.remaining, node, d1) > 0 && lost(&fill) {
+                    return None;
+                }
             }
-            let got = take(node, out, takes);
-            if got > 0 {
-                out_total -= got;
-                distance += u64::from(got) * u64::from(ctx.topo.distance(seed, node));
-                if ctx.prune
-                    && (distance >= local_best_d || distance > shared_best.load(Ordering::Relaxed))
-                {
+        } else {
+            let sorted = &mut bufs.sorted;
+            sorted.clear();
+            sorted.extend(members.iter().filter(|&&n| n != seed).filter_map(|&n| {
+                let key = capped_total(ctx.remaining.row(n), fill.out);
+                (key > 0).then_some((Reverse(key), n))
+            }));
+            sorted.sort_unstable();
+            for &(_, node) in sorted.iter() {
+                if fill.out_total == 0 {
+                    break;
+                }
+                if fill.take(ctx.remaining, node, d1) > 0 && lost(&fill) {
                     return None;
                 }
             }
         }
     }
 
-    if out_total > 0 {
+    if fill.out_total > 0 {
         // nRackList: remaining nodes, nearest tier first, most-providing
         // toward the post-rack remainder within a tier.
-        let rack = ctx.topo.rack_of(seed);
-        far_buf.clear();
-        for node in ctx.topo.node_ids() {
-            if ctx.topo.rack_of(node) != rack {
-                far_buf.push((
-                    ctx.topo.distance(seed, node),
-                    Reverse(capped_total(ctx.remaining.row(node), out)),
-                    node,
-                ));
-            }
-        }
-        far_buf.sort_unstable();
-        for &(d_hop, _, node) in far_buf.iter() {
-            if out_total == 0 {
+        bufs.far_out.copy_from_slice(fill.out);
+        let key_out = &bufs.far_out;
+        let tiers = topo.tiers();
+        let cloud = topo.racks()[rack.index()].cloud;
+        let (near, away) = (tiers.cross_rack, tiers.cross_cloud);
+        // (hop, whether the tier is the seed's own cloud — `None` when the
+        // two tiers cost the same and form one)
+        let far_tiers: &[(u32, Option<bool>)] = if near == away {
+            &[(near, None)]
+        } else if near < away {
+            &[(near, Some(true)), (away, Some(false))]
+        } else {
+            &[(away, Some(false)), (near, Some(true))]
+        };
+        for &(hop, own_cloud) in far_tiers {
+            if fill.out_total == 0 {
                 break;
             }
-            let got = take(node, out, takes);
-            if got > 0 {
-                out_total -= got;
-                distance += u64::from(got) * u64::from(d_hop);
-                if ctx.prune
-                    && (distance >= local_best_d || distance > shared_best.load(Ordering::Relaxed))
-                {
+            let sorted = &mut bufs.sorted;
+            sorted.clear();
+            for r in topo
+                .racks()
+                .iter()
+                .filter(|r| r.id != rack && own_cloud.is_none_or(|own| (r.cloud == cloud) == own))
+            {
+                sorted.extend(r.nodes.iter().filter_map(|&n| {
+                    let key = capped_total(ctx.remaining.row(n), key_out);
+                    (key > 0).then_some((Reverse(key), n))
+                }));
+            }
+            sorted.sort_unstable();
+            for &(_, node) in sorted.iter() {
+                if fill.out_total == 0 {
+                    break;
+                }
+                if fill.take(ctx.remaining, node, hop) > 0 && lost(&fill) {
                     return None;
                 }
             }
@@ -678,7 +867,7 @@ fn evaluate_seed(
     // `can_satisfy` passed, and a full sweep visits every node, so the
     // fill always completes; guard anyway so an incomplete fill can never
     // masquerade as a (wrong) winner.
-    (out_total == 0).then_some(distance)
+    (fill.out_total == 0).then_some(fill.distance)
 }
 
 /// [`PlacementPolicy`] wrapper around [`place`] (default scan).

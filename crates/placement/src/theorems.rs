@@ -5,7 +5,7 @@
 //! topologies and allocations, rather than trusting the proofs.
 
 use crate::distance::distance_with_center;
-use vc_model::{ResourceMatrix, VmTypeId};
+use vc_model::{SparseMatrix, VmTypeId};
 use vc_topology::{NodeId, Topology};
 
 /// **Theorem 1** (paper §IV-A): with a fixed centre `N_x`, moving one VM
@@ -18,7 +18,7 @@ use vc_topology::{NodeId, Topology};
 /// # Panics
 /// Panics if the matrix holds no type-`r` VM on `from` to move.
 pub fn theorem1_move(
-    matrix: &ResourceMatrix,
+    matrix: &SparseMatrix,
     topo: &Topology,
     center: NodeId,
     from: NodeId,
@@ -63,9 +63,9 @@ mod tests {
     #[test]
     fn theorem1_exact_delta() {
         let t = topo();
-        let mut m = ResourceMatrix::zeros(4, 1);
-        m.set(NodeId(3), VmTypeId(0), 1);
-        m.set(NodeId(0), VmTypeId(0), 2);
+        let mut m = SparseMatrix::zeros(4, 1);
+        m.add(NodeId(3), VmTypeId(0), 1);
+        m.add(NodeId(0), VmTypeId(0), 2);
         // move the stray VM from node 3 (cross rack, d=2) to node 1 (same rack, d=1)
         let (before, after) = theorem1_move(&m, &t, NodeId(0), NodeId(3), NodeId(1), VmTypeId(0));
         assert_eq!(after as i64 - before as i64, -1);
@@ -78,8 +78,8 @@ mod tests {
     #[test]
     fn theorem1_moving_away_increases() {
         let t = topo();
-        let mut m = ResourceMatrix::zeros(4, 1);
-        m.set(NodeId(1), VmTypeId(0), 1);
+        let mut m = SparseMatrix::zeros(4, 1);
+        m.add(NodeId(1), VmTypeId(0), 1);
         let (before, after) = theorem1_move(&m, &t, NodeId(0), NodeId(1), NodeId(2), VmTypeId(0));
         assert!(after > before);
     }
@@ -103,7 +103,7 @@ mod tests {
     #[should_panic(expected = "no VM")]
     fn theorem1_requires_a_vm_to_move() {
         let t = topo();
-        let m = ResourceMatrix::zeros(4, 1);
+        let m = SparseMatrix::zeros(4, 1);
         let _ = theorem1_move(&m, &t, NodeId(0), NodeId(1), NodeId(2), VmTypeId(0));
     }
 }

@@ -4,13 +4,14 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::sync::Arc;
 use vc_model::workload::{random_capacity, RequestProfile};
-use vc_model::{ClusterState, Request, VmCatalog};
+use vc_model::{ClusterState, Request, SparseMatrix, VmCatalog, VmTypeId};
 use vc_placement::distance::{cluster_distance, distance_with_center};
 use vc_placement::online::ScanConfig;
 use vc_placement::{baselines, exact, global, migration, online, PlacementPolicy};
-use vc_topology::{generate, DistanceTiers};
+use vc_topology::{generate, DistanceTiers, NodeId, TopologyBuilder};
 
 fn paper_state(seed: u64) -> ClusterState {
     let topo = Arc::new(generate::paper_simulation());
@@ -38,8 +39,130 @@ fn random_state(rack_sizes: &[usize], cap_seed: u64) -> ClusterState {
     ClusterState::new(topo, catalog, capacity)
 }
 
+/// A cloud over a random multi-cloud tier topology: racks land in random
+/// clouds and nodes in random racks in random order, so rack id ranges
+/// interleave, some racks are empty or hold one node, and the tiers are
+/// any triple — collapsed (`d1 = d2`, `d2 = d3`) or out of order. Part of
+/// the capacity is then taken by earlier tenants.
+fn tier_state(
+    rack_clouds: &[usize],
+    node_racks: &[usize],
+    (d1, d2, d3): (u32, u32, u32),
+    cap_seed: u64,
+) -> ClusterState {
+    let tiers = DistanceTiers {
+        same_rack: d1,
+        cross_rack: d2,
+        cross_cloud: d3,
+    };
+    let mut b = TopologyBuilder::new(tiers);
+    let clouds: Vec<_> = (0..3).map(|c| b.add_cloud(format!("c{c}"))).collect();
+    let racks: Vec<_> = rack_clouds.iter().map(|&c| b.add_rack(clouds[c])).collect();
+    for &r in node_racks {
+        b.add_node(racks[r % racks.len()]);
+    }
+    let topo = Arc::new(b.build());
+    let catalog = Arc::new(VmCatalog::ec2_table1());
+    let mut rng = StdRng::seed_from_u64(cap_seed);
+    let capacity = random_capacity(&topo, &catalog, 3, &mut rng);
+    let mut state = ClusterState::new(topo, catalog, capacity);
+    for _ in 0..cap_seed % 4 {
+        let r = RequestProfile::standard().sample(3, &mut rng);
+        if let Ok(a) = online::place(&r, &state) {
+            state.allocate(&a).unwrap();
+        }
+    }
+    state
+}
+
+/// Algorithm 1 as the paper states it, with no index, bound, rack order
+/// or tier walk: for every seed in id order, fill from the seed, then its
+/// rack peers by what they give toward the remainder (then id), then
+/// every other node by (distance, what it gives, id); the smallest
+/// (distance, seed) complete fill wins.
+fn reference_place(req: &Request, state: &ClusterState) -> Option<(u64, NodeId, SparseMatrix)> {
+    let (topo, rem) = (state.topology(), state.remaining());
+    let give = |node: NodeId, out: &[u32]| -> u32 {
+        rem.row(node).iter().zip(out).map(|(&a, &b)| a.min(b)).sum()
+    };
+    let mut best: Option<(u64, NodeId, SparseMatrix)> = None;
+    for seed in topo.node_ids() {
+        let mut out = req.counts().to_vec();
+        let mut takes = Vec::new();
+        let mut distance = 0u64;
+        let mut take = |node: NodeId, out: &mut Vec<u32>| {
+            for (j, o) in out.iter_mut().enumerate() {
+                let t = rem.row(node)[j].min(*o);
+                if t > 0 {
+                    *o -= t;
+                    takes.push((node, VmTypeId::from_index(j), t));
+                    distance += u64::from(t) * u64::from(topo.distance(seed, node));
+                }
+            }
+        };
+        take(seed, &mut out);
+        let mut peers: Vec<NodeId> = topo.rack_peers(seed);
+        peers.sort_by_key(|&n| (Reverse(give(n, &out)), n));
+        for n in peers {
+            take(n, &mut out);
+        }
+        let mut far = topo.non_rack_peers(seed);
+        far.sort_by_key(|&n| (topo.distance(seed, n), Reverse(give(n, &out)), n));
+        for n in far {
+            take(n, &mut out);
+        }
+        if out.iter().any(|&o| o > 0) {
+            continue;
+        }
+        let matrix = SparseMatrix::from_entries(state.num_nodes(), 3, takes);
+        if best.as_ref().is_none_or(|b| (distance, seed) < (b.0, b.1)) {
+            best = Some((distance, seed, matrix));
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The tier-aware scan is Algorithm 1: on random multi-cloud tier
+    /// topologies, the pruned scan — sequential and at two threads — and
+    /// the unpruned baseline return the reference's allocation, centre
+    /// and distance, and every scan accounts for each seed exactly once.
+    #[test]
+    fn tier_scan_matches_reference(
+        rack_clouds in proptest::collection::vec(0usize..3, 1..7),
+        node_racks in proptest::collection::vec(0usize..8, 1..20),
+        tiers in (1u32..5, 1u32..5, 1u32..5),
+        cap_seed in 0u64..1000,
+        req in request(),
+    ) {
+        prop_assume!(!req.is_zero());
+        let state = tier_state(&rack_clouds, &node_racks, tiers, cap_seed);
+        prop_assume!(state.can_satisfy(&req));
+        let (want_d, want_center, want_matrix) = reference_place(&req, &state).unwrap();
+        for scan in [
+            ScanConfig::sequential_baseline(),
+            ScanConfig::pruned(),
+            ScanConfig::pruned_parallel(2),
+        ] {
+            let (a, stats) = online::place_with(&req, &state, scan).unwrap();
+            prop_assert_eq!(a.center(), want_center, "centre differs under {:?}", scan);
+            prop_assert!(a.matrix() == &want_matrix, "matrix differs under {:?}", scan);
+            prop_assert_eq!(
+                distance_with_center(a.matrix(), state.topology(), a.center()),
+                want_d,
+            );
+            prop_assert_eq!(stats.seeds_total, state.num_nodes() as u64);
+            if !stats.fast_path {
+                prop_assert_eq!(
+                    stats.seeds_scanned + stats.seeds_pruned + stats.seeds_aborted,
+                    stats.seeds_total,
+                    "{:?}: {:?}", scan, stats
+                );
+            }
+        }
+    }
 
     /// At paper scale: heuristic ≥ exact, all baselines ≥ exact, and every
     /// produced allocation is feasible and complete.
