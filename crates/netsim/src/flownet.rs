@@ -15,21 +15,23 @@ pub struct FlowId(u64);
 
 /// Which fair-share solver drives rate recomputations.
 ///
-/// Both produce bit-identical rates, bindings, completion times, and
-/// link telemetry (asserted by the equality proptests); they differ
-/// only in effort. [`SolverStats`] working-set counters
-/// (`flows_total`, `links_touched_total`, `iterations_total`, peaks)
-/// count what each solver actually re-solved, so the two modes report
-/// different — honest — effort numbers.
+/// Both settle the same staged changes at the same points, and produce
+/// bit-identical rates, bindings, completion times, and link telemetry
+/// (asserted by the equality proptests); they differ only in effort.
+/// [`SolverStats`] working-set counters (`flows_total`,
+/// `links_touched_total`, `iterations_total`, peaks) count what each
+/// solver actually re-solved, so the two modes report different —
+/// honest — effort numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMode {
-    /// Re-solve the entire flow set from scratch on every flow start
-    /// and completion batch. O(rounds × flows × path) per event plus
-    /// allocation churn; kept as the reference oracle.
+    /// Re-solve the entire flow set from scratch at every settle.
+    /// O(rounds × flows × path) per settle plus allocation churn; kept
+    /// as the reference oracle.
     Batch,
-    /// Delta-update: re-solve only the connected component of links
-    /// whose flow membership changed, with persistent per-link flow
-    /// sets and reusable scratch (the crate's `incremental` module).
+    /// Delta-update: re-solve only the connected components of links
+    /// whose flow membership changed since the last settle, with
+    /// persistent per-link flow sets and reusable scratch (the crate's
+    /// `incremental` module).
     #[default]
     Incremental,
 }
@@ -134,6 +136,19 @@ const BYTE_EPS: f64 = 1e-6;
 /// 3. on wake-up, [`take_completed`](Self::take_completed) returns the
 ///    transfers that have finished by then.
 ///
+/// Starts and completions are *staged*: rates are recomputed lazily, at
+/// most once per batch of changes, when the net [settles](Self::settle).
+/// Every read that depends on rates or link state settles first —
+/// [`advance`](Self::advance) when time moves,
+/// [`next_event_time`](Self::next_event_time),
+/// [`starved_flows`](Self::starved_flows),
+/// [`active_flow_snapshot`](Self::active_flow_snapshot),
+/// [`link_stats`](Self::link_stats) and
+/// [`drain_link_samples`](Self::drain_link_samples) — so a handler that
+/// starts eight flows at one instant pays one solve, and no state that
+/// lasts 0 µs is ever solved. Rates are bit-identical to settling after
+/// every change: a solve is a pure function of the final flow set.
+///
 /// ```
 /// use std::sync::Arc;
 /// use vc_des::SimTime;
@@ -179,6 +194,11 @@ pub struct FlowNet {
     mode: SolverMode,
     /// Incremental solver state (only maintained in incremental mode).
     inc: IncrementalFairShare,
+    /// A start or completion is staged and not yet settled.
+    pending: bool,
+    /// Debug builds: a completion batch left the net to be checked for
+    /// going idle with starved flows once it settles.
+    idle_check: bool,
     /// Links currently binding ≥ 1 flow, ascending (incremental mode:
     /// lets every solve bump `binding_events` for *unchanged* binding
     /// links without scanning all flows, matching batch accounting).
@@ -234,15 +254,14 @@ impl WindowRollup {
     }
 }
 
-/// Always-on effort counters for the max-min fair-share solver — the
-/// measured baseline ROADMAP item 5 (incremental fair share) must beat.
-/// The deterministic counters (everything except `wall_us`) depend only
-/// on the simulated workload, so they are stable across hosts and usable
-/// as CI regression-gate inputs.
+/// Always-on effort counters for the max-min fair-share solver. The
+/// deterministic counters (everything except `wall_us`) depend only on
+/// the simulated workload and on where the caller reads the net, so
+/// they are stable across hosts and usable as CI regression-gate inputs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverStats {
-    /// Rate recomputations (one per flow start and per non-empty
-    /// completion batch).
+    /// Rate recomputations: one per settle that found staged starts or
+    /// completions (see [`FlowNet::settle`]).
     pub solves: u64,
     /// Σ flows in the solved set, over all solves.
     pub flows_total: u64,
@@ -259,10 +278,10 @@ pub struct SolverStats {
     /// Σ flows completed across those batches (batch size integral).
     pub completion_batch_flows: u64,
     /// Σ active flows a solve did *not* have to re-solve (outside the
-    /// changed connected component) — the incremental solver's saved
+    /// changed connected components) — the incremental solver's saved
     /// work. Always 0 in [`SolverMode::Batch`].
     pub flows_skipped_total: u64,
-    /// Host wall-clock µs spent in the solver, accumulated only while
+    /// Host wall-clock µs spent settling, accumulated only while
     /// sampling is on (i.e. under an enabled recorder) so unprofiled
     /// runs never read the clock. Non-deterministic; never gate CI on it.
     pub wall_us: u64,
@@ -354,6 +373,8 @@ impl FlowNet {
             racks,
             clouds,
             inc: IncrementalFairShare::new(capacities.clone()),
+            pending: false,
+            idle_check: false,
             capacities,
             flows: BTreeMap::new(),
             next_id: 0,
@@ -387,11 +408,14 @@ impl FlowNet {
     }
 
     /// The always-on accumulators, parallel to [`links`](Self::links).
-    pub fn link_stats(&self) -> &[LinkStats] {
+    /// Settles first.
+    pub fn link_stats(&mut self) -> &[LinkStats] {
+        self.settle();
         &self.stats
     }
 
     /// Fair-share solver effort accumulated so far (see [`SolverStats`]).
+    /// Changes staged since the last settle are not counted yet.
     pub fn solver_stats(&self) -> &SolverStats {
         &self.solver_stats
     }
@@ -405,7 +429,11 @@ impl FlowNet {
 
     /// Take the buffered utilization samples accumulated since the last
     /// drain (empty unless [`set_sampling`](Self::set_sampling) is on).
+    /// Settles first. A link is sampled once per settle that changes its
+    /// state, so states that last 0 µs between two changes staged at the
+    /// same instant are never sampled.
     pub fn drain_link_samples(&mut self) -> Vec<LinkSample> {
+        self.settle();
         std::mem::take(&mut self.samples)
     }
 
@@ -515,7 +543,8 @@ impl FlowNet {
 
     /// [`start_flow`](Self::start_flow) with an explicit traffic class:
     /// every link on the flow's path accrues the flow's exact byte count
-    /// under `class` when the flow completes.
+    /// under `class` when the flow completes. The start is staged: rates
+    /// change at the next [`settle`](Self::settle).
     ///
     /// # Panics
     /// Panics if `now` precedes the net's clock, or if `src` or `dst` is
@@ -534,13 +563,10 @@ impl FlowNet {
         let (resources, latency_us, rate_cap) = self.path(src, dst);
         let id = self.next_id;
         self.next_id += 1;
-        let report = match self.mode {
-            SolverMode::Incremental => {
-                let t0 = self.sampling.then(std::time::Instant::now);
-                Some((self.inc.insert(id, &resources, rate_cap), t0))
-            }
-            SolverMode::Batch => None,
-        };
+        if self.mode == SolverMode::Incremental {
+            self.inc.stage_insert(id, &resources, rate_cap);
+        }
+        self.pending = true;
         self.flows.insert(
             id,
             Flow {
@@ -558,25 +584,46 @@ impl FlowNet {
                 bottleneck: Bottleneck::Unconstrained,
             },
         );
-        match report {
-            Some((report, t0)) => self.finish_incremental_solve(report, t0),
-            None => self.recompute_rates_batch(),
-        }
         FlowId(id)
     }
 
+    /// Recompute rates for every start and completion staged since the
+    /// last settle, in one solve, and fold the new link state into the
+    /// telemetry. A no-op when nothing is staged. The reads that depend
+    /// on rates call it themselves; call it directly to pin the point at
+    /// which a solve happens (for example, to settle after every change).
+    pub fn settle(&mut self) {
+        if !std::mem::take(&mut self.pending) {
+            return;
+        }
+        match self.mode {
+            SolverMode::Incremental => {
+                // Wall timing reads the host clock only while sampling
+                // (enabled recorder); it never feeds back into state.
+                let t0 = self.sampling.then(std::time::Instant::now);
+                let report = self.inc.settle().expect("staged changes");
+                self.finish_incremental_solve(report, t0);
+            }
+            SolverMode::Batch => self.recompute_rates_batch(),
+        }
+        if std::mem::take(&mut self.idle_check) {
+            self.assert_not_idle();
+        }
+    }
+
     /// Advance the fluid model to `now`, draining latency then bytes at
-    /// the current rates.
+    /// the current rates. Settles first when time moves.
     ///
     /// # Panics
     /// Panics if `now` precedes the net's clock.
     pub fn advance(&mut self, now: SimTime) {
         assert!(now >= self.clock, "FlowNet clock moving backwards");
-        let elapsed = (now - self.clock).as_micros() as f64;
-        self.clock = now;
-        if elapsed == 0.0 {
+        if now == self.clock {
             return;
         }
+        self.settle();
+        let elapsed = (now - self.clock).as_micros() as f64;
+        self.clock = now;
         // Per-link (start, end) active-transfer windows within this
         // interval, collected into reusable per-link scratch buffers and
         // merged into exact busy time below. Flows iterate in ascending
@@ -641,22 +688,33 @@ impl FlowNet {
     /// Earliest predicted completion across all active flows at current
     /// rates, or `None` when idle. Rounded *up* to the next microsecond so
     /// a wake-up scheduled at this time is guaranteed to observe the
-    /// completion.
-    pub fn next_event_time(&self) -> Option<SimTime> {
+    /// completion. Settles first. Starved flows (see
+    /// [`starved_flows`](Self::starved_flows)) contribute no time.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.settle();
         self.flows
             .values()
-            .filter_map(|f| {
-                let transfer_us = if f.remaining_bytes <= BYTE_EPS {
-                    0.0
-                } else if f.rate > 0.0 {
-                    f.remaining_bytes / f.rate
-                } else {
-                    return None; // starved flow: wait for a rate change
-                };
-                let us = (f.remaining_latency_us + transfer_us).ceil() as u64;
-                Some(self.clock + SimTime::from_micros(us))
-            })
+            .filter_map(|f| self.completes_at(f))
             .min()
+    }
+
+    /// When `f` finishes at its current rate, or `None` if it never
+    /// does: no rate with bytes remaining, or a completion past
+    /// [`SimTime::MAX`].
+    fn completes_at(&self, f: &Flow) -> Option<SimTime> {
+        let transfer_us = if f.remaining_bytes <= BYTE_EPS {
+            0.0
+        } else if f.rate > 0.0 {
+            f.remaining_bytes / f.rate
+        } else {
+            return None; // starved flow: wait for a rate change
+        };
+        // `as` saturates, so a span too long for `u64` fails the add.
+        let us = (f.remaining_latency_us + transfer_us).ceil() as u64;
+        self.clock
+            .as_micros()
+            .checked_add(us)
+            .map(SimTime::from_micros)
     }
 
     /// Advance to `now` and remove every flow that has finished, returning
@@ -665,8 +723,12 @@ impl FlowNet {
     /// Completion is also when byte attribution happens: every link on a
     /// finished flow's path accrues the flow's *exact* requested byte
     /// count under its [`FlowClass`] (same-node flows traverse no links,
-    /// so they accrue nowhere).
+    /// so they accrue nowhere). Settles first, so every finished flow
+    /// reports the bottleneck of a solved rate; the removals are staged,
+    /// and the survivors' rates change at the next
+    /// [`settle`](Self::settle).
     pub fn take_completed(&mut self, now: SimTime) -> Vec<CompletedFlow> {
+        self.settle();
         self.advance(now);
         let done: Vec<u64> = self
             .flows
@@ -677,6 +739,9 @@ impl FlowNet {
         let mut out = Vec::with_capacity(done.len());
         for &id in &done {
             let flow = self.flows.remove(&id).expect("flow disappeared");
+            if self.mode == SolverMode::Incremental {
+                self.inc.stage_remove(id);
+            }
             for &r in &flow.resources {
                 let s = &mut self.stats[r];
                 match flow.class {
@@ -700,34 +765,43 @@ impl FlowNet {
         if !out.is_empty() {
             self.solver_stats.completion_batches += 1;
             self.solver_stats.completion_batch_flows += out.len() as u64;
-            match self.mode {
-                SolverMode::Incremental => {
-                    let t0 = self.sampling.then(std::time::Instant::now);
-                    let report = self.inc.remove_batch(&done);
-                    self.finish_incremental_solve(report, t0);
-                }
-                SolverMode::Batch => self.recompute_rates_batch(),
-            }
+            self.pending = true;
         }
         // A standard drive loop (`while let Some(t) = net.next_event_time()`)
         // exits as soon as no completion can ever fire; starved flows
         // (rate 0 with bytes remaining, e.g. routed over a zero-capacity
         // failed link) would be silently lost at that point. Fail loudly
-        // in debug builds; release callers can poll `starved_flows()`.
+        // in debug builds, checking the rates this drain leads to: now if
+        // nothing finished, else at the next settle (which also sees the
+        // flows the caller starts at this instant). Release callers can
+        // poll `starved_flows()`.
+        if cfg!(debug_assertions) {
+            if self.pending {
+                self.idle_check = true;
+            } else {
+                self.assert_not_idle();
+            }
+        }
+        out
+    }
+
+    /// Debug builds: panic if active flows remain but none can ever
+    /// complete. Reads settled state only.
+    fn assert_not_idle(&self) {
         debug_assert!(
-            self.flows.is_empty() || self.next_event_time().is_some(),
+            self.flows.is_empty() || self.flows.values().any(|f| self.completes_at(f).is_some()),
             "FlowNet went idle with {} active flow(s) starved at rate 0 — no completion can \
              ever fire; inspect FlowNet::starved_flows() ({:?}) and treat their links as failed",
             self.flows.len(),
-            self.starved_flows(),
+            self.starved(),
         );
-        out
     }
 
     /// Point-in-time view of every active flow, in flow-creation order —
     /// the equality tests' window into solver state (rates compared
-    /// bit-for-bit via [`f64::to_bits`]).
-    pub fn active_flow_snapshot(&self) -> Vec<FlowSnapshot> {
+    /// bit-for-bit via [`f64::to_bits`]). Settles first.
+    pub fn active_flow_snapshot(&mut self) -> Vec<FlowSnapshot> {
+        self.settle();
         self.flows
             .iter()
             .map(|(&id, f)| FlowSnapshot {
@@ -747,14 +821,22 @@ impl FlowNet {
 
     /// Flows that can never finish at current rates: bytes remaining
     /// but a max-min rate of zero (every path crosses a saturated-by-
-    /// zero or zero-capacity link). They are *not* returned by
-    /// [`take_completed`](Self::take_completed) and produce no
-    /// [`next_event_time`](Self::next_event_time) entry; callers that
+    /// zero or zero-capacity link), or a rate so small that the
+    /// predicted completion lies past [`SimTime::MAX`]. They are *not*
+    /// returned by [`take_completed`](Self::take_completed) and produce
+    /// no [`next_event_time`](Self::next_event_time) entry; callers that
     /// model link failures must check for them when the net goes idle.
-    pub fn starved_flows(&self) -> Vec<FlowId> {
+    /// Settles first.
+    pub fn starved_flows(&mut self) -> Vec<FlowId> {
+        self.settle();
+        self.starved()
+    }
+
+    /// [`starved_flows`](Self::starved_flows) over the current rates.
+    fn starved(&self) -> Vec<FlowId> {
         self.flows
             .iter()
-            .filter(|(_, f)| f.remaining_bytes > BYTE_EPS && f.rate <= 0.0)
+            .filter(|(_, f)| self.completes_at(f).is_none())
             .map(|(&id, _)| FlowId(id))
             .collect()
     }
@@ -790,10 +872,10 @@ impl FlowNet {
         }
     }
 
-    /// Apply one incremental solve's results: copy the re-solved
-    /// component's rates/bindings into the flow table, fold touched-link
+    /// Apply one incremental settle's results: copy the re-solved
+    /// components' rates/bindings into the flow table, fold touched-link
     /// telemetry, and account effort (including the flows the solver
-    /// *skipped* — everything outside the changed component).
+    /// *skipped* — everything outside the changed components).
     fn finish_incremental_solve(&mut self, report: SolveReport, t0: Option<std::time::Instant>) {
         {
             // `changed()` is ascending by key, as is the flow table:
@@ -894,8 +976,6 @@ impl FlowNet {
     }
 
     fn recompute_rates_batch(&mut self) {
-        // Wall timing reads the host clock only while sampling (enabled
-        // recorder); it never feeds back into simulated state.
         let t0 = self.sampling.then(std::time::Instant::now);
         // Model each finite per-flow ceiling as a dedicated single-flow
         // resource *inside* the max-min computation, so bandwidth a
@@ -1050,29 +1130,50 @@ mod tests {
         // sender TX + receiver RX).
         n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 119_000_000, 1);
         n.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), 119_000_000, 2);
+        // Both starts are staged: nothing is solved until a settle.
+        assert_eq!(*n.solver_stats(), SolverStats::default());
+        n.settle();
         let s = n.solver_stats().clone();
-        assert_eq!(s.solves, 2);
-        assert_eq!(s.flows_total, 1 + 2);
-        // Solve 1 touches {node0.tx, node1.rx}; solve 2 adds node2.rx.
-        assert_eq!(s.links_touched_total, 2 + 3);
-        // Each solve froze everything through the shared TX in one round.
-        assert_eq!(s.iterations_total, 2);
+        assert_eq!(s.solves, 1);
+        assert_eq!(s.flows_total, 2);
+        // The one solve touches {node0.tx, node1.rx, node2.rx}.
+        assert_eq!(s.links_touched_total, 3);
+        // It froze everything through the shared TX in one round.
+        assert_eq!(s.iterations_total, 1);
         assert_eq!(s.peak_flows, 2);
         assert_eq!(s.peak_iterations, 1);
         assert_eq!(s.completion_batches, 0);
         // Sampling is off → the solver never read the host clock.
         assert_eq!(s.wall_us, 0);
+        // A settle with nothing staged solves nothing.
+        n.settle();
+        assert_eq!(*n.solver_stats(), s);
 
         // Symmetric flows finish together: one batch of two, plus one
         // final (empty-set) recomputation.
         let done = run_to_completion(&mut n);
         assert_eq!(done.len(), 2);
         let s = n.solver_stats().clone();
-        assert_eq!(s.solves, 3);
+        assert_eq!(s.solves, 2);
         assert_eq!(s.completion_batches, 1);
         assert_eq!(s.completion_batch_flows, 2);
-        assert_eq!(s.flows_total, 3);
-        assert_eq!(s.links_touched_total, 5);
+        assert_eq!(s.flows_total, 2);
+        assert_eq!(s.links_touched_total, 3);
+        assert_eq!(s.iterations_total, 1);
+
+        // Settling after each start pays one solve per start instead:
+        // solve 1 touches {node0.tx, node1.rx}, solve 2 adds node2.rx.
+        let mut per_op = net();
+        per_op.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 119_000_000, 1);
+        per_op.settle();
+        per_op.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), 119_000_000, 2);
+        per_op.settle();
+        let s = per_op.solver_stats().clone();
+        assert_eq!(s.solves, 2);
+        assert_eq!(s.flows_total, 1 + 2);
+        assert_eq!(s.links_touched_total, 2 + 3);
+        assert_eq!(s.iterations_total, 2);
+        assert_eq!(run_to_completion(&mut per_op), done);
     }
 
     #[test]
@@ -1294,8 +1395,8 @@ mod tests {
             FlowClass::Shuffle,
         );
         run_to_completion(&mut n);
-        let rx_shuffle: u64 = n
-            .link_stats()
+        let stats = n.link_stats().to_vec();
+        let rx_shuffle: u64 = stats
             .iter()
             .zip(n.links())
             .filter(|(_, l)| l.class == LinkClass::NodeRx)
@@ -1303,10 +1404,9 @@ mod tests {
             .sum();
         assert_eq!(rx_shuffle, 5_000_000, "same-node shuffle must not count");
         let rack_up = n.links().iter().position(|l| l.name == "rack0.up").unwrap();
-        assert_eq!(n.link_stats()[rack_up].shuffle_bytes, 5_000_000);
-        assert_eq!(n.link_stats()[rack_up].map_read_bytes, 0);
-        let rx_map: u64 = n
-            .link_stats()
+        assert_eq!(stats[rack_up].shuffle_bytes, 5_000_000);
+        assert_eq!(stats[rack_up].map_read_bytes, 0);
+        let rx_map: u64 = stats
             .iter()
             .zip(n.links())
             .filter(|(_, l)| l.class == LinkClass::NodeRx)
@@ -1516,6 +1616,53 @@ mod tests {
     }
 
     #[test]
+    fn completion_past_simtime_max_is_starved_not_an_overflow() {
+        // A valid but absurdly slow NIC: 1 MB at 1e-15 MB/s takes about
+        // 1e21 µs, past `SimTime::MAX` (~1.8e19 µs).
+        let topo = Arc::new(generate::uniform(2, 3, DistanceTiers::default()));
+        let params = NetworkParams {
+            nic_mbps: 1e-15,
+            ..NetworkParams::default()
+        };
+        let mut n = FlowNet::new(topo, params);
+        let t = SimTime::from_micros(5);
+        let slow = n.start_flow(t, NodeId(0), NodeId(1), 1_000_000, 0);
+        assert_eq!(n.next_event_time(), None, "no wake-up, no panic");
+        assert_eq!(n.starved_flows(), vec![slow]);
+        // A same-node copy (4000 MB/s, no NIC) still wakes the loop.
+        n.start_flow(t, NodeId(2), NodeId(2), 1_000, 1);
+        assert_eq!(n.next_event_time(), Some(SimTime::from_micros(6)));
+        assert_eq!(n.starved_flows(), vec![slow]);
+    }
+
+    #[test]
+    fn going_idle_check_waits_for_the_settle() {
+        // The drained flow leaves only a starved one behind, but the
+        // caller starts a healthy flow at the same instant before the
+        // net settles, so the net is not idle.
+        let mut n = net_dead_uplink();
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1_000, 0);
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(3), 1_000_000, 1);
+        let t = n.next_event_time().unwrap();
+        assert_eq!(n.take_completed(t).len(), 1);
+        n.start_flow(t, NodeId(1), NodeId(2), 1_000, 2);
+        assert!(n.next_event_time().is_some());
+        assert_eq!(n.starved_flows().len(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "starved at rate 0")]
+    fn going_idle_after_a_drain_panics_in_debug_at_the_settle() {
+        let mut n = net_dead_uplink();
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1_000, 0);
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(3), 1_000_000, 1);
+        let t = n.next_event_time().unwrap();
+        assert_eq!(n.take_completed(t).len(), 1);
+        n.next_event_time();
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "starved at rate 0")]
     fn going_idle_with_starved_flows_panics_in_debug() {
@@ -1624,10 +1771,11 @@ mod tests {
         // node1 (rack 0, cloud 0) → node6 (rack 3, cloud 1).
         n.start_flow(SimTime::ZERO, NodeId(1), NodeId(6), 1_000_000, 0);
         run_to_completion(&mut n);
+        let stats = n.link_stats().to_vec();
         let busy: Vec<&str> = n
             .links()
             .iter()
-            .zip(n.link_stats())
+            .zip(&stats)
             .filter(|(_, s)| s.completed_bytes() > 0)
             .map(|(l, _)| l.name.as_str())
             .collect();

@@ -8,16 +8,25 @@
 //!
 //! * per-link flow sets (`link_flows`) maintained on every start and
 //!   completion, so membership changes are O(path);
-//! * a **component-restricted re-solve**: a flow start or a batch of
-//!   completions only re-runs progressive filling over the connected
-//!   component of the flow↔link bipartite graph whose membership
-//!   changed — flows in untouched components provably keep their exact
-//!   rates (max-min fair share decomposes over components);
+//! * **staged changes, one settle**: [`stage_insert`] and
+//!   [`stage_remove`] only update that membership and record the links
+//!   whose flow sets changed; [`settle`] then solves the union of every
+//!   staged component once. A MapReduce event that starts eight fetches
+//!   at one instant pays one solve, not eight;
+//! * a **component-restricted re-solve**: a settle only re-runs
+//!   progressive filling over the connected components of the
+//!   flow↔link bipartite graph whose membership changed — flows in
+//!   untouched components provably keep their exact rates (max-min fair
+//!   share decomposes over components);
 //! * per-flow rate ceilings handled natively inside the filling loop
 //!   (no synthetic one-flow resource materialized per flow per solve),
 //!   with the same tie-breaking as the synthetic-resource formulation;
 //! * all scratch buffers reused across solves — a solve allocates
 //!   nothing on the steady-state path.
+//!
+//! [`stage_insert`]: IncrementalFairShare::stage_insert
+//! [`stage_remove`]: IncrementalFairShare::stage_remove
+//! [`settle`]: IncrementalFairShare::settle
 //!
 //! Flow state lives in a slab (`Vec<SolvedFlow>` addressed by `u32`
 //! slot); the key→slot `BTreeMap` is consulted only on the cold paths
@@ -50,6 +59,13 @@
 //! is the solo-component solve. The equality proptests in this module
 //! and `tests/batch_equiv.rs` assert bit-identical rates and bindings
 //! against the batch solver on random instances and interleavings.
+//!
+//! The same argument makes coalescing exact. A component solve is a
+//! pure function of the component's final flow set, so one settle after
+//! several staged changes gives the rates that a solve after each
+//! change would have reached after the last one; and a settle over the
+//! union of several changed components solves each of them exactly as
+//! it would be solved alone.
 
 use crate::link::Bottleneck;
 use std::collections::BTreeMap;
@@ -80,7 +96,12 @@ struct SolvedFlow {
 }
 
 /// Max-min fair-share state that survives across flow starts and
-/// completions, re-solving only the affected connected component.
+/// completions, re-solving only the affected connected components.
+///
+/// Changes are staged ([`stage_insert`](Self::stage_insert),
+/// [`stage_remove`](Self::stage_remove)) and take effect at the next
+/// [`settle`](Self::settle); rates read before it are those of the last
+/// settle.
 ///
 /// Keys are caller-chosen `u64`s; all ordering-sensitive steps (freeze
 /// order inside a round, ceiling tie-breaks) use ascending key order,
@@ -97,10 +118,17 @@ pub struct IncrementalFairShare {
     /// ascending by key.
     link_flows: Vec<Vec<(u64, u32)>>,
     epoch: u64,
-    // ---- last-solve outputs ----
+    /// Has a change been staged since the last settle?
+    staged: bool,
+    /// Staged inserts with an empty path: no link leads a settle to
+    /// them, so they seed its component directly.
+    pathless: Vec<u32>,
+    // ---- last-settle outputs ----
     /// Slots of the last component, ascending by key after the solve.
     comp_flows: Vec<u32>,
     comp_links: Vec<usize>,
+    /// Staged links (paths of inserted and removed flows) until a
+    /// settle; after it, those plus the solved component's links.
     touched_links: Vec<usize>,
     // ---- scratch, reused across solves ----
     in_comp_link: Vec<bool>,
@@ -131,6 +159,8 @@ impl IncrementalFairShare {
             free_slots: Vec::new(),
             link_flows: vec![Vec::new(); nr],
             epoch: 0,
+            staged: false,
+            pathless: Vec::new(),
             comp_flows: Vec::new(),
             comp_links: Vec::new(),
             touched_links: Vec::new(),
@@ -155,7 +185,7 @@ impl IncrementalFairShare {
         self.index.get(&key).map(|&s| self.slab[s as usize].binding)
     }
 
-    /// The flows whose rates the last solve recomputed, with their new
+    /// The flows whose rates the last settle recomputed, with their new
     /// rate and binding, in ascending key order — callers can apply the
     /// updates with a single sorted merge over their own flow table.
     pub fn changed(&self) -> impl Iterator<Item = (u64, f64, Bottleneck)> + '_ {
@@ -165,9 +195,9 @@ impl IncrementalFairShare {
         })
     }
 
-    /// Links whose state (flow set or member rates) the last operation
-    /// may have changed: the re-solved component's links plus the links
-    /// of removed flows. Ascending; deduplicated.
+    /// Links whose state (flow set or member rates) the last settle may
+    /// have changed: the re-solved components' links plus the links of
+    /// removed flows. Ascending; deduplicated.
     pub fn touched_links(&self) -> &[usize] {
         &self.touched_links
     }
@@ -185,15 +215,16 @@ impl IncrementalFairShare {
         (rate_sum, self.link_flows[r].len() as u32, binding)
     }
 
-    /// Add flow `key` over `path` with per-flow ceiling `rate_cap`
-    /// (`f64::INFINITY` for none) and re-solve its component.
+    /// Stage flow `key` over `path` with per-flow ceiling `rate_cap`
+    /// (`f64::INFINITY` for none). Its rate is 0 until the next
+    /// [`settle`](Self::settle).
     ///
     /// # Panics
     /// Panics if `key` is already active, a path entry is out of range
     /// or duplicated (the batch solver weights duplicates by
     /// multiplicity; this solver rejects them instead), or `rate_cap`
     /// is NaN/non-positive.
-    pub fn insert(&mut self, key: u64, path: &[usize], rate_cap: f64) -> SolveReport {
+    pub fn stage_insert(&mut self, key: u64, path: &[usize], rate_cap: f64) {
         assert!(
             !rate_cap.is_nan() && rate_cap > 0.0,
             "invalid rate cap {rate_cap}"
@@ -202,14 +233,14 @@ impl IncrementalFairShare {
             assert!(r < self.capacities.len(), "resource index {r} out of range");
             assert!(!path[..i].contains(&r), "duplicate resource {r} in path");
         }
-        self.begin_op();
+        self.begin_staging();
         let flow = SolvedFlow {
             key,
             path: path.to_vec(),
             cap: rate_cap,
             rate: 0.0,
             binding: Bottleneck::Unconstrained,
-            visited: self.epoch,
+            visited: 0,
             frozen: 0,
         };
         let slot = match self.free_slots.pop() {
@@ -224,73 +255,99 @@ impl IncrementalFairShare {
         };
         let inserted = self.index.insert(key, slot).is_none();
         assert!(inserted, "flow key {key} already active");
-        self.comp_flows.push(slot);
         if rate_cap.is_finite() {
             let entry = (rate_cap.to_bits(), key, slot);
             let pos = self.capped.binary_search(&entry).unwrap_err();
             self.capped.insert(pos, entry);
         }
+        if path.is_empty() {
+            self.pathless.push(slot);
+        }
         for &r in path {
             let lf = &mut self.link_flows[r];
             let pos = lf.binary_search_by_key(&key, |e| e.0).unwrap_err();
             lf.insert(pos, (key, slot));
-            if !self.in_comp_link[r] {
-                self.in_comp_link[r] = true;
-                self.comp_links.push(r);
-            }
+            self.touch(r);
         }
-        self.expand_component();
-        self.solve_component()
     }
 
-    /// Remove every flow in `keys` (one batch, one re-solve of the
-    /// union of their components among the remaining flows).
+    /// Stage the removal of flow `key`.
     ///
     /// # Panics
-    /// Panics if any key is not an active flow.
-    pub fn remove_batch(&mut self, keys: &[u64]) -> SolveReport {
-        self.begin_op();
-        for &key in keys {
-            let slot = self.index.remove(&key).expect("removing unknown flow key");
-            let f = &mut self.slab[slot as usize];
-            let cap = f.cap;
-            let path = std::mem::take(&mut f.path);
-            if cap.is_finite() {
-                let pos = self
-                    .capped
-                    .binary_search(&(cap.to_bits(), key, slot))
-                    .expect("capped entry missing");
-                self.capped.remove(pos);
-            }
-            for &r in &path {
-                let lf = &mut self.link_flows[r];
-                let pos = lf
-                    .binary_search_by_key(&key, |e| e.0)
-                    .expect("flow missing from link set");
-                lf.remove(pos);
-                if !self.in_touched[r] {
-                    self.in_touched[r] = true;
-                    self.touched_links.push(r);
-                }
-            }
-            self.free_slots.push(slot);
+    /// Panics if `key` is not an active flow.
+    pub fn stage_remove(&mut self, key: u64) {
+        self.begin_staging();
+        let slot = self.index.remove(&key).expect("removing unknown flow key");
+        let f = &mut self.slab[slot as usize];
+        let cap = f.cap;
+        let path = std::mem::take(&mut f.path);
+        if cap.is_finite() {
+            let pos = self
+                .capped
+                .binary_search(&(cap.to_bits(), key, slot))
+                .expect("capped entry missing");
+            self.capped.remove(pos);
         }
-        // Seed the component from the removed flows' links that still
-        // carry flows; links emptied by the removal only need observing.
+        if path.is_empty() {
+            // Only an insert staged since the last settle is listed.
+            if let Some(pos) = self.pathless.iter().position(|&s| s == slot) {
+                self.pathless.swap_remove(pos);
+            }
+        }
+        for &r in &path {
+            let lf = &mut self.link_flows[r];
+            let pos = lf
+                .binary_search_by_key(&key, |e| e.0)
+                .expect("flow missing from link set");
+            lf.remove(pos);
+            self.touch(r);
+        }
+        self.free_slots.push(slot);
+    }
+
+    /// Solve every component a change was staged in since the last
+    /// settle, once, and publish the result through
+    /// [`changed`](Self::changed) and
+    /// [`touched_links`](Self::touched_links). Returns `None`, and
+    /// leaves the last settle's outputs in place, when nothing is
+    /// staged.
+    pub fn settle(&mut self) -> Option<SolveReport> {
+        if !std::mem::take(&mut self.staged) {
+            return None;
+        }
+        self.epoch += 1;
+        // Seed the component from the staged links that still carry
+        // flows; links emptied by a removal only need observing.
         for i in 0..self.touched_links.len() {
             let r = self.touched_links[i];
-            if !self.link_flows[r].is_empty() && !self.in_comp_link[r] {
+            if !self.link_flows[r].is_empty() {
                 self.in_comp_link[r] = true;
                 self.comp_links.push(r);
             }
         }
+        for &slot in &self.pathless {
+            self.slab[slot as usize].visited = self.epoch;
+            self.comp_flows.push(slot);
+        }
+        self.pathless.clear();
         self.expand_component();
-        self.solve_component()
+        Some(self.solve_component())
     }
 
-    /// Clear the previous operation's component/touched marks.
-    fn begin_op(&mut self) {
-        self.epoch += 1;
+    /// Mark `r` as a link whose flow set a staged change altered.
+    fn touch(&mut self, r: usize) {
+        if !self.in_touched[r] {
+            self.in_touched[r] = true;
+            self.touched_links.push(r);
+        }
+    }
+
+    /// On the first change staged after a settle, clear that settle's
+    /// component and touched marks.
+    fn begin_staging(&mut self) {
+        if std::mem::replace(&mut self.staged, true) {
+            return;
+        }
         for &r in &self.comp_links {
             self.in_comp_link[r] = false;
         }
@@ -399,13 +456,10 @@ impl IncrementalFairShare {
                 flow.binding = Bottleneck::Unconstrained;
             }
         }
-        // Touched ⊇ component (plus removed flows' links, added in
-        // remove_batch); ascending for deterministic observation order.
-        for &r in &self.comp_links {
-            if !self.in_touched[r] {
-                self.in_touched[r] = true;
-                self.touched_links.push(r);
-            }
+        // Touched ⊇ component (plus removed flows' links, staged);
+        // ascending for deterministic observation order.
+        for i in 0..self.comp_links.len() {
+            self.touch(self.comp_links[i]);
         }
         self.touched_links.sort_unstable();
         let report = SolveReport {
@@ -456,6 +510,23 @@ impl IncrementalFairShare {
             self.residual[l] -= cap;
             self.users[l] -= 1;
         }
+    }
+}
+
+/// Per-operation drivers: stage one change and settle it at once, the
+/// cadence the coalesced settle is measured against.
+#[cfg(test)]
+impl IncrementalFairShare {
+    fn insert(&mut self, key: u64, path: &[usize], rate_cap: f64) -> SolveReport {
+        self.stage_insert(key, path, rate_cap);
+        self.settle().expect("a change was staged")
+    }
+
+    fn remove_batch(&mut self, keys: &[u64]) -> SolveReport {
+        for &key in keys {
+            self.stage_remove(key);
+        }
+        self.settle().expect("a change was staged")
     }
 }
 
@@ -655,6 +726,55 @@ mod tests {
     }
 
     #[test]
+    fn staged_changes_settle_once() {
+        let caps = vec![10.0, 30.0, 50.0];
+        let mut s = IncrementalFairShare::new(caps.clone());
+        assert_eq!(s.settle(), None, "nothing staged");
+        s.stage_insert(0, &[0], f64::INFINITY);
+        s.stage_insert(1, &[0, 1], f64::INFINITY);
+        s.stage_insert(2, &[2], f64::INFINITY);
+        assert_eq!(s.rate(1), Some(0.0), "unsettled");
+        let report = s.settle().unwrap();
+        // One solve over both components: {0, 1} on links 0–1, {2} on 2.
+        assert_eq!(report.flows_solved, 3);
+        assert_eq!(report.links_solved, 3);
+        assert_eq!(s.touched_links(), &[0, 1, 2]);
+        assert_matches_batch(&s, &caps);
+        assert_eq!(s.settle(), None, "already settled");
+        assert_eq!(s.touched_links(), &[0, 1, 2], "outputs kept");
+        // Removals and inserts staged together settle as one batch.
+        s.stage_remove(0);
+        s.stage_insert(3, &[1], 5.0);
+        let report = s.settle().unwrap();
+        assert_eq!(report.flows_solved, 2);
+        assert_eq!(s.touched_links(), &[0, 1]);
+        assert_matches_batch(&s, &caps);
+        assert_eq!(s.rate(3), Some(5.0));
+    }
+
+    #[test]
+    fn removing_an_unsettled_flow_leaves_no_trace() {
+        let caps = vec![10.0, 30.0];
+        let mut s = IncrementalFairShare::new(caps.clone());
+        s.insert(0, &[0], f64::INFINITY);
+        // Staged and removed before any settle: pathless and on links.
+        s.stage_insert(1, &[], 7.0);
+        s.stage_insert(2, &[0, 1], 3.0);
+        s.stage_remove(1);
+        s.stage_remove(2);
+        // A recycled slot must not resurrect the removed pathless flow.
+        s.stage_insert(3, &[1], f64::INFINITY);
+        let report = s.settle().unwrap();
+        assert_eq!(report.flows_solved, 2, "flows 0 and 3");
+        assert_eq!(s.touched_links(), &[0, 1]);
+        assert_eq!(s.rate(1), None);
+        assert_eq!(s.rate(2), None);
+        assert!(s.capped.is_empty());
+        assert_matches_batch(&s, &caps);
+        assert_eq!(s.changed().map(|(k, ..)| k).collect::<Vec<_>>(), [0, 3]);
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate resource")]
     fn duplicate_path_entry_rejected() {
         let mut s = IncrementalFairShare::new(vec![10.0]);
@@ -761,6 +881,36 @@ mod proptests {
             assert_matches_batch(&s, &caps);
             // One more arrival after the removal batch.
             s.insert(flows.len() as u64, &[], 7.0);
+            assert_matches_batch(&s, &caps);
+        }
+
+        /// Random groups of inserts and removals, each group staged and
+        /// settled once, leave the state bit-identical to a batch solve
+        /// of the surviving flows after every settle.
+        #[test]
+        fn coalesced_groups_match_batch(
+            (caps, flows) in instances(),
+            plan in proptest::collection::vec((any::<bool>(), 0usize..10, 0usize..3), 0..30),
+        ) {
+            let mut s = IncrementalFairShare::new(caps.clone());
+            let mut live: Vec<u64> = Vec::new();
+            let mut next = 0u64;
+            for (remove, pick, group_end) in plan {
+                if remove && !live.is_empty() {
+                    let key = live.remove(pick % live.len());
+                    s.stage_remove(key);
+                } else if !flows.is_empty() {
+                    let (path, cap) = &flows[pick % flows.len()];
+                    s.stage_insert(next, path, *cap);
+                    live.push(next);
+                    next += 1;
+                }
+                if group_end == 0 {
+                    s.settle();
+                    assert_matches_batch(&s, &caps);
+                }
+            }
+            s.settle();
             assert_matches_batch(&s, &caps);
         }
 

@@ -3,8 +3,11 @@
 //! Models the network the paper's experiments run over — NICs, shared
 //! top-of-rack uplinks, and (optionally) inter-cloud links — at *flow*
 //! granularity: each transfer is a fluid flow whose rate is the **max-min
-//! fair share** across every resource on its path, recomputed whenever a
-//! flow starts or finishes. This captures exactly the effect the paper
+//! fair share** across every resource on its path. Flow starts and
+//! finishes are staged and the rates recomputed once for all of them
+//! before anything reads a rate or time moves on, so several flows
+//! started at one instant cost one solve. This captures exactly the
+//! effect the paper
 //! measures: a virtual cluster that spans racks pushes its shuffle traffic
 //! through oversubscribed uplinks and slows down, while a compact cluster
 //! stays on fast intra-rack paths.
@@ -24,7 +27,9 @@
 //! Every link resource additionally carries always-on telemetry
 //! ([`LinkStats`]: byte integrals, exact per-class byte counters, busy
 //! time, peaks, binding counts) and can emit utilization time-series
-//! samples ([`LinkSample`]) at each rate recomputation; completed flows
+//! samples ([`LinkSample`]) at each rate recomputation (a state that
+//! lasts 0 µs between two changes at the same instant is never
+//! solved, so it is neither sampled nor counted); completed flows
 //! report which link (or per-connection ceiling) bound their rate
 //! ([`Bottleneck`]).
 

@@ -1,15 +1,18 @@
 //! Batch-vs-incremental solver equivalence under random interleavings.
 //!
 //! Drives two [`FlowNet`]s — one per [`SolverMode`] — through identical
-//! random sequences of `start_flow` / `advance` / `take_completed` and
-//! asserts they are observably indistinguishable at every step:
+//! random sequences of `start_flow` / `advance` / `take_completed`,
+//! settled after every step, and asserts they are observably
+//! indistinguishable at every step:
 //! bit-identical rates, bindings, completion times, link telemetry
 //! (byte integrals, busy time, peaks, binding events), and utilization
 //! samples. Also asserts the incremental solver's effort counters are
 //! deterministic across reruns of the same sequence (they feed the
 //! `prof.solver.*` CI regression gate), and that a net over a node
 //! subset ([`FlowNet::for_nodes`]) is indistinguishable from the
-//! whole-cloud net for flows among that subset.
+//! whole-cloud net for flows among that subset, and that a net which
+//! coalesces the starts and completions of one instant into one settle
+//! matches a net settled after every step.
 //!
 //! Links are compared by name, not by index: a subset net numbers its
 //! links locally, while names carry the global ids.
@@ -109,7 +112,7 @@ fn bottleneck_name(net: &FlowNet, b: Bottleneck) -> String {
 /// all-zero initial state, so nets over different node sets compare
 /// equal exactly when their shared links agree and every other link is
 /// idle.
-fn observe(net: &FlowNet) -> impl std::fmt::Debug + PartialEq {
+fn observe(net: &mut FlowNet) -> impl std::fmt::Debug + PartialEq {
     let flows: Vec<_> = net
         .active_flow_snapshot()
         .into_iter()
@@ -123,10 +126,11 @@ fn observe(net: &FlowNet) -> impl std::fmt::Debug + PartialEq {
             )
         })
         .collect();
+    let stats = net.link_stats().to_vec();
     let links: Vec<_> = net
         .links()
         .iter()
-        .zip(net.link_stats())
+        .zip(&stats)
         .filter(|(_, s)| **s != LinkStats::default())
         .map(|(l, s)| {
             (
@@ -154,12 +158,18 @@ const STARVATION_PANIC: u64 = u64::MAX;
 /// One completed flow: token, bytes, class and bottleneck label.
 type Done = (u64, u64, FlowClass, String);
 
-/// `take_completed` with the starvation debug assertion folded into the
-/// observable outcome: the assertion runs *after* all state mutation,
-/// so the net stays consistent and the panic becomes a comparable
-/// marker. Any other panic is re-raised.
+/// `take_completed` and a settle, with the starvation debug assertion
+/// (which fires at the settle after a drain) folded into the observable
+/// outcome: the assertion runs *after* all state mutation, so the net
+/// stays consistent and the panic becomes a comparable marker. Any
+/// other panic is re-raised.
 fn take(net: &mut FlowNet, now: SimTime) -> Vec<Done> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.take_completed(now))) {
+    let drain = || {
+        let done = net.take_completed(now);
+        net.settle();
+        done
+    };
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(drain)) {
         Ok(done) => done
             .into_iter()
             .map(|c| {
@@ -417,11 +427,13 @@ proptest! {
                 part.links().len(),
                 2 * (subset.len() + racks.len() + clouds.len())
             );
-            for (link, stats) in whole.links().iter().zip(whole.link_stats()) {
+            let part_stats = part.link_stats().to_vec();
+            let whole_stats = whole.link_stats().to_vec();
+            for (link, stats) in whole.links().iter().zip(whole_stats) {
                 let pos = part.links().iter().position(|l| l.name == link.name);
                 match pos {
-                    Some(i) => prop_assert_eq!(stats, &part.link_stats()[i]),
-                    None => prop_assert_eq!(stats, &LinkStats::default(), "{} not idle", link.name),
+                    Some(i) => prop_assert_eq!(&stats, &part_stats[i]),
+                    None => prop_assert_eq!(&stats, &LinkStats::default(), "{} not idle", link.name),
                 }
             }
         }
@@ -465,4 +477,208 @@ fn many_concurrent_flows_drain_identically() {
     let (done, steps) = drain(1024, SolverMode::Incremental);
     assert_eq!(done.len(), 1024, "every flow must complete");
     assert!(steps <= 1024, "{steps} drain steps for 1024 flows");
+}
+
+/// A change staged at one instant of a coalescing script.
+#[derive(Debug, Clone)]
+enum Step {
+    Start {
+        src: u32,
+        dst: u32,
+        kilobytes: u64,
+        class_sel: u8,
+    },
+    /// Drain whatever has finished by the instant.
+    Take,
+}
+
+/// One instant of a coalescing script: the clock moves to the per-step
+/// net's next event (`to_next`) or by `dt_us`, the steps are staged, and
+/// the instant ends with a read of both nets (`read`) or leaves its
+/// changes for the next advance to settle.
+#[derive(Debug, Clone)]
+struct Instant {
+    to_next: bool,
+    dt_us: u64,
+    steps: Vec<Step>,
+    read: bool,
+}
+
+fn instants() -> impl Strategy<Value = Vec<Instant>> {
+    let step = (0u8..4, 0u32..64, 0u32..64, 0u8..8, 1u64..3_000, 0u8..4).prop_map(
+        |(kind, src, dst, zero, kilobytes, class_sel)| match kind {
+            0 => Step::Take,
+            _ => Step::Start {
+                src,
+                dst,
+                // Zero-byte flows finish on their latency alone; same-node
+                // ones finish at the instant they start.
+                kilobytes: if zero == 0 { 0 } else { kilobytes },
+                class_sel,
+            },
+        },
+    );
+    let instant = (
+        any::<bool>(),
+        0u64..300_000,
+        proptest::collection::vec(step, 0..8),
+        0u8..4,
+    )
+        .prop_map(|(to_next, dt_us, steps, read)| Instant {
+            to_next,
+            dt_us,
+            steps,
+            read: read > 0,
+        });
+    proptest::collection::vec(instant, 1..25)
+}
+
+/// What must agree bit for bit between a coalesced and a per-step net:
+/// every active flow's rate, remaining bytes and bottleneck, each link's
+/// byte integral, busy time and class bytes by name, the next event and
+/// starvation. Peaks and binding events are compared separately.
+fn exact_state(net: &mut FlowNet) -> impl std::fmt::Debug + PartialEq {
+    let flows: Vec<_> = net
+        .active_flow_snapshot()
+        .into_iter()
+        .map(|f| {
+            (
+                f.token,
+                f.rate.to_bits(),
+                f.remaining_bytes.to_bits(),
+                bottleneck_name(net, f.bottleneck),
+            )
+        })
+        .collect();
+    let stats = net.link_stats().to_vec();
+    let links: Vec<_> = net
+        .links()
+        .iter()
+        .zip(&stats)
+        .map(|(l, s)| {
+            (
+                l.name.clone(),
+                s.bytes_total.to_bits(),
+                s.busy_us.to_bits(),
+                s.map_read_bytes,
+                s.shuffle_bytes,
+                s.output_bytes,
+                s.other_bytes,
+            )
+        })
+        .collect();
+    (flows, links, net.next_event_time(), net.starved_flows())
+}
+
+/// Peaks and binding events of the coalesced net never exceed the
+/// per-step net's: it observes a subsequence of the same link states.
+fn assert_peaks_bounded(coalesced: &mut FlowNet, per_step: &mut FlowNet) {
+    let per = per_step.link_stats().to_vec();
+    for (c, p) in coalesced.link_stats().iter().zip(&per) {
+        assert!(c.peak_utilization <= p.peak_utilization, "{c:?} vs {p:?}");
+        assert!(c.peak_active_flows <= p.peak_active_flows, "{c:?} vs {p:?}");
+        assert!(c.binding_events <= p.binding_events, "{c:?} vs {p:?}");
+    }
+}
+
+proptest! {
+    /// A net that stages every start and drain of an instant and settles
+    /// them together is indistinguishable from a net settled after every
+    /// step, in both solver modes and on random topologies: the same
+    /// completions (token, time, bytes, class, bottleneck), bit-identical
+    /// rates and link byte and busy integrals at every read, and peaks,
+    /// binding events, samples and solver effort that never exceed the
+    /// per-step net's.
+    #[test]
+    fn coalesced_settles_match_per_step_settles(
+        topo in topologies(),
+        script in instants(),
+        slow_uplink in any::<bool>(),
+    ) {
+        let topo = Arc::new(topo);
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let node = |i: u32| nodes[i as usize % nodes.len()];
+        let params = NetworkParams {
+            rack_uplink_mbps: if slow_uplink { 60.0 } else { 476.0 },
+            ..NetworkParams::default()
+        };
+        for mode in [SolverMode::Batch, SolverMode::Incremental] {
+            let mut coal = FlowNet::with_solver(Arc::clone(&topo), params, mode);
+            let mut per = FlowNet::with_solver(Arc::clone(&topo), params, mode);
+            coal.set_sampling(true);
+            per.set_sampling(true);
+            let mut now = SimTime::ZERO;
+            let mut token = 0u64;
+            let mut done = (Vec::new(), Vec::new());
+            let mut drain = |coal: &mut FlowNet, per: &mut FlowNet, now: SimTime| {
+                let label = |net: &FlowNet, c: vc_netsim::CompletedFlow| {
+                    (now, c.token, c.bytes, c.class, bottleneck_name(net, c.bottleneck))
+                };
+                let c: Vec<_> = coal.take_completed(now);
+                done.0.extend(c.into_iter().map(|c| label(coal, c)));
+                let p: Vec<_> = per.take_completed(now);
+                per.settle();
+                done.1.extend(p.into_iter().map(|c| label(per, c)));
+            };
+            for instant in &script {
+                if !instant.to_next {
+                    now += SimTime::from_micros(instant.dt_us);
+                } else if let Some(t) = per.next_event_time() {
+                    now = t;
+                }
+                for step in &instant.steps {
+                    match *step {
+                        Step::Start { src, dst, kilobytes, class_sel } => {
+                            token += 1;
+                            for net in [&mut coal, &mut per] {
+                                net.start_flow_classed(
+                                    now,
+                                    node(src),
+                                    node(dst),
+                                    kilobytes * 1_000,
+                                    token,
+                                    classes(class_sel),
+                                );
+                            }
+                            per.settle();
+                        }
+                        Step::Take => drain(&mut coal, &mut per, now),
+                    }
+                }
+                if instant.read {
+                    prop_assert_eq!(
+                        format!("{:?}", exact_state(&mut coal)),
+                        format!("{:?}", exact_state(&mut per)),
+                        "{:?} at {}", mode, now
+                    );
+                }
+            }
+            while let Some(t) = per.next_event_time() {
+                prop_assert_eq!(coal.next_event_time(), Some(t), "{:?}: next event", mode);
+                now = t;
+                drain(&mut coal, &mut per, now);
+            }
+            prop_assert_eq!(&done.0, &done.1, "{:?}: completions", mode);
+            prop_assert_eq!(
+                format!("{:?}", exact_state(&mut coal)),
+                format!("{:?}", exact_state(&mut per)),
+                "{:?} at the end", mode
+            );
+            assert_peaks_bounded(&mut coal, &mut per);
+            prop_assert!(coal.drain_link_samples().len() <= per.drain_link_samples().len());
+            let (c, p) = (coal.solver_stats(), per.solver_stats());
+            prop_assert!(c.solves <= p.solves, "{:?}: {:?} vs {:?}", mode, c, p);
+            prop_assert!(c.flows_total <= p.flows_total, "{:?}: {:?} vs {:?}", mode, c, p);
+            prop_assert!(c.links_touched_total <= p.links_touched_total, "{:?}: {:?} vs {:?}", mode, c, p);
+            prop_assert!(c.iterations_total <= p.iterations_total, "{:?}: {:?} vs {:?}", mode, c, p);
+            if mode == SolverMode::Batch {
+                // One incremental settle may solve the union of components
+                // that separate settles solved one at a time, so only a
+                // whole-set solve's peak is bounded.
+                prop_assert!(c.peak_flows <= p.peak_flows, "{:?}: {:?} vs {:?}", mode, c, p);
+            }
+            prop_assert_eq!(c.completion_batches, p.completion_batches);
+            prop_assert_eq!(c.completion_batch_flows, p.completion_batch_flows);
+        }
+    }
 }
