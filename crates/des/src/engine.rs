@@ -46,7 +46,7 @@ impl<E> Ord for Entry<E> {
 /// ```
 /// # use vc_des::{Engine, SimTime};
 /// let mut engine: Engine<u32> = Engine::new();
-/// engine.schedule_after(SimTime::from_millis(1), 42);
+/// engine.schedule(SimTime::from_millis(1), 42);
 /// while let Some((now, event)) = engine.pop() {
 ///     // handle `event`, possibly calling engine.schedule(...)
 ///     # let _ = (now, event);
@@ -56,7 +56,6 @@ impl<E> Ord for Entry<E> {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    processed: u64,
     heap: BinaryHeap<Reverse<Entry<E>>>,
 }
 
@@ -81,7 +80,6 @@ impl<E> Engine<E> {
         Self {
             now: SimTime::ZERO,
             seq: 0,
-            processed: 0,
             heap: BinaryHeap::new(),
         }
     }
@@ -92,10 +90,32 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// Number of events handed out so far.
+    /// Timestamp of the earliest pending event, or `None` when the queue
+    /// is drained. Does not move the clock.
     #[inline]
-    pub fn events_processed(&self) -> u64 {
-        self.processed
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(entry)| entry.at)
+    }
+
+    /// Move the clock to `at` without popping an event, for a caller that
+    /// handles an event from outside the queue at `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, or later than the earliest pending
+    /// event (which would then pop behind the clock).
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "advancing into the past: {at} < now {}",
+            self.now
+        );
+        if let Some(next) = self.peek_time() {
+            assert!(
+                at <= next,
+                "advancing past the queue head: {at} > next event {next}"
+            );
+        }
+        self.now = at;
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -113,18 +133,12 @@ impl<E> Engine<E> {
         self.heap.push(Reverse(Entry { at, seq, event }));
     }
 
-    /// Schedule `event` after a delay relative to the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Remove and return the earliest pending event, advancing the clock
     /// to its timestamp. `None` when the queue is drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
-        self.processed += 1;
         Some((entry.at, entry.event))
     }
 
@@ -157,7 +171,7 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, ev)| ev).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
         assert_eq!(e.now(), SimTime::from_micros(30));
-        assert_eq!(e.events_processed(), 3);
+        assert!(e.pop().is_none());
     }
 
     #[test]
@@ -172,12 +186,50 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_time() {
+    fn peek_time_reads_the_head_without_moving_the_clock() {
         let mut e = Engine::new();
-        e.schedule(SimTime::from_micros(100), ());
+        assert_eq!(e.peek_time(), None);
+        e.schedule(SimTime::from_micros(20), "b");
+        e.schedule(SimTime::from_micros(10), "a");
+        assert_eq!(e.peek_time(), Some(SimTime::from_micros(10)));
+        assert_eq!(e.now(), SimTime::ZERO);
+        assert_eq!(e.pop(), Some((SimTime::from_micros(10), "a")));
+        assert_eq!(e.peek_time(), Some(SimTime::from_micros(20)));
         e.pop().unwrap();
-        e.schedule_after(SimTime::from_micros(50), ());
-        assert_eq!(e.pop().map(|(at, ())| at), Some(SimTime::from_micros(150)));
+        assert_eq!(e.peek_time(), None);
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_up_to_the_head() {
+        let mut e = Engine::new();
+        e.advance_to(SimTime::from_micros(7)); // an empty queue bounds nothing
+        assert_eq!(e.now(), SimTime::from_micros(7));
+        e.schedule(SimTime::from_micros(30), "queued");
+        e.advance_to(SimTime::from_micros(12));
+        assert_eq!(e.now(), SimTime::from_micros(12));
+        // The head itself is a valid target.
+        e.schedule(SimTime::from_micros(12), "now");
+        e.advance_to(SimTime::from_micros(12));
+        assert_eq!(e.pop(), Some((SimTime::from_micros(12), "now")));
+        e.advance_to(SimTime::from_micros(30));
+        assert_eq!(e.pop(), Some((SimTime::from_micros(30), "queued")));
+        assert_eq!(e.now(), SimTime::from_micros(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing into the past")]
+    fn advance_to_the_past_panics() {
+        let mut e = Engine::<()>::new();
+        e.advance_to(SimTime::from_micros(10));
+        e.advance_to(SimTime::from_micros(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing past the queue head")]
+    fn advance_to_past_the_head_panics() {
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_micros(10), ());
+        e.advance_to(SimTime::from_micros(11));
     }
 
     #[test]
@@ -242,7 +294,7 @@ mod tests {
         while let Some((t, ev)) = e.pop() {
             seen.push((t.as_micros(), ev));
             if ev < 3 {
-                e.schedule_after(SimTime::from_micros(10), ev + 1);
+                e.schedule(t + SimTime::from_micros(10), ev + 1);
             }
         }
         assert_eq!(seen, vec![(1, 0), (11, 1), (21, 2), (31, 3)]);

@@ -26,7 +26,7 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, times.len());
-        prop_assert_eq!(engine.events_processed() as usize, times.len());
+        prop_assert_eq!(engine.peek_time(), None);
     }
 
     /// Two identical schedules drain identically (determinism).
@@ -52,7 +52,7 @@ proptest! {
         while let Some((t, i)) = engine.pop() {
             order.push((t, i));
             if i < delays.len() {
-                engine.schedule_after(SimTime::from_micros(delays[i]), i + 1);
+                engine.schedule(t + SimTime::from_micros(delays[i]), i + 1);
             }
         }
         // Chain: timestamps strictly increase by the chosen delays.
@@ -64,5 +64,46 @@ proptest! {
                 expect += SimTime::from_micros(delays[k]);
             }
         }
+    }
+
+    /// A loop that merges the queue with an outside source of events
+    /// (`peek_time` to compare, `advance_to` to take the outside one)
+    /// visits every event of both in time order, queue first on ties,
+    /// with a clock that never goes backwards.
+    #[test]
+    fn merging_an_outside_source_keeps_time_order(
+        queued in proptest::collection::vec(0u64..100, 0..24),
+        mut outside in proptest::collection::vec(0u64..100, 0..24),
+    ) {
+        outside.sort_unstable();
+        let mut engine = Engine::new();
+        for (i, &t) in queued.iter().enumerate() {
+            engine.schedule(SimTime::from_micros(t), i);
+        }
+        let mut outside_iter = outside.iter().map(|&t| SimTime::from_micros(t)).peekable();
+        let mut seen = vec![];
+        loop {
+            let next_outside = outside_iter.peek().copied();
+            match (engine.peek_time(), next_outside) {
+                (None, None) => break,
+                (q, Some(o)) if q.is_none_or(|q| o < q) => {
+                    engine.advance_to(o);
+                    outside_iter.next();
+                    seen.push((o, true));
+                }
+                _ => {
+                    let (t, _) = engine.pop().expect("queue head was peeked");
+                    seen.push((t, false));
+                }
+            }
+            prop_assert_eq!(engine.now(), seen.last().unwrap().0);
+        }
+        let mut expect: Vec<(SimTime, bool)> = queued
+            .iter()
+            .map(|&t| (SimTime::from_micros(t), false))
+            .chain(outside.iter().map(|&t| (SimTime::from_micros(t), true)))
+            .collect();
+        expect.sort(); // `false` (queued) sorts first among equal times
+        prop_assert_eq!(seen, expect);
     }
 }

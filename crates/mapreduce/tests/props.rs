@@ -118,6 +118,19 @@ proptest! {
         let peak = m.gauges.get("prof.solver.peak_flows").copied().unwrap_or(0.0);
         let flows = m.counters["prof.solver.flows"];
         prop_assert!(peak as u64 <= flows, "peak {peak} exceeds total {flows}");
+        // The net settles at most once per instant, and a link is sampled
+        // at most once per settle: every link's utilization series moves
+        // strictly forward in time.
+        for (name, series) in rec.counter_series() {
+            if name.starts_with("net.link.") && name.ends_with(".util") {
+                prop_assert!(
+                    series.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{} samples an instant twice: {:?}",
+                    name,
+                    series
+                );
+            }
+        }
     }
 
     /// A faster network can reorder map completions and hence change

@@ -131,10 +131,13 @@ const BYTE_EPS: f64 = 1e-6;
 /// Drive it from a discrete-event loop:
 ///
 /// 1. [`start_flow`](Self::start_flow) when a transfer begins;
-/// 2. schedule a wake-up at [`next_event_time`](Self::next_event_time)
-///    (re-query after *every* start/completion — rates shift);
-/// 3. on wake-up, [`take_completed`](Self::take_completed) returns the
-///    transfers that have finished by then.
+/// 2. once every other event at the current instant is handled, ask
+///    [`next_event_time`](Self::next_event_time) for the next completion,
+///    and take the earlier of it and the loop's own next event (rates
+///    shift with every start and completion, so ask again each instant
+///    rather than queue a wake-up);
+/// 3. when the net's time comes first, [`take_completed`](Self::take_completed)
+///    returns the transfers that have finished by then.
 ///
 /// Starts and completions are *staged*: rates are recomputed lazily, at
 /// most once per batch of changes, when the net [settles](Self::settle).
@@ -687,7 +690,7 @@ impl FlowNet {
 
     /// Earliest predicted completion across all active flows at current
     /// rates, or `None` when idle. Rounded *up* to the next microsecond so
-    /// a wake-up scheduled at this time is guaranteed to observe the
+    /// a loop that advances to this time is guaranteed to observe the
     /// completion. Settles first. Starved flows (see
     /// [`starved_flows`](Self::starved_flows)) contribute no time.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
