@@ -4,7 +4,7 @@ use crate::args::{ArgError, Parsed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::sync::Arc;
 use vc_cloudsim::sim::{PolicyMode, ServiceModel, SimConfig};
 use vc_cloudsim::{ArrivalProcess, ServiceTime};
@@ -237,15 +237,21 @@ impl CliRecorder {
         match self {
             Self::Mem(r) => Ok(r.into_dump()),
             Self::Stream { rec, path } => {
-                let io = |e: std::io::Error| ArgError::new(format!("--stream-out {path}: {e}"));
-                rec.finish().map_err(io)?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| ArgError::new(format!("--stream-out {path}: I/O error: {e}")))?;
-                vc_obs::replay_jsonl(&text)
-                    .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))
+                rec.finish()
+                    .map_err(|e| ArgError::new(format!("--stream-out {path}: {e}")))?;
+                replay_file("stream-out", &path)
             }
         }
     }
+}
+
+/// Replay the JSONL stream at `path`, read line by line, with errors
+/// naming `--<flag> <path>`.
+fn replay_file(flag: &str, path: &str) -> Result<TraceDump, ArgError> {
+    let file =
+        File::open(path).map_err(|e| ArgError::new(format!("--{flag} {path}: I/O error: {e}")))?;
+    vc_obs::replay_jsonl_from(BufReader::new(file))
+        .map_err(|e| ArgError::new(format!("--{flag} {path}: {e}")))
 }
 
 /// Write the requested observability artefacts: a Chrome/Perfetto trace
@@ -1172,10 +1178,7 @@ pub fn report(p: &Parsed) -> Result<String, ArgError> {
                     .map_err(|e| ArgError::new(format!("--trace {path}: {e}")))?,
             )
         }
-        ("", path) => Some(
-            vc_obs::replay_jsonl(&read("stream", path)?)
-                .map_err(|e| ArgError::new(format!("--stream {path}: {e}")))?,
-        ),
+        ("", path) => Some(replay_file("stream", path)?),
         _ => {
             return Err(ArgError::new(
                 "--trace and --stream both name a trace input; pass exactly one",

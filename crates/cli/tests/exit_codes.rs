@@ -136,6 +136,22 @@ fn corrupt_stream_line_exits_nonzero_with_line_number() {
 }
 
 #[test]
+fn non_utf8_stream_line_exits_one_naming_file_and_line() {
+    // The stream is read line by line, so a byte that is not UTF-8 is
+    // an error on its own line, not a failure to read the whole file.
+    let (path, path_s) = tmp("affinity_vc_non_utf8_stream.jsonl");
+    let mut bytes = b"{\"o\":\"c\",\"n\":\"a\",\"d\":1}\n\n".to_vec();
+    bytes.extend_from_slice(b"{\"o\":\"c\",\"n\":\"\xff\",\"d\":1}\n");
+    std::fs::write(&path, bytes).unwrap();
+    let out = run(&["report", "--stream", &path_s]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains(&path_s), "error must name the file: {err}");
+    assert!(err.contains("line 3"), "error must name the line: {err}");
+}
+
+#[test]
 fn truncated_stream_exits_nonzero() {
     // Simulate a crash mid-write: record a real stream, then chop the
     // last line in half. The replay must reject it, not silently drop it.

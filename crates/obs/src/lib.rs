@@ -53,6 +53,6 @@ pub use prom::to_prometheus_windowed;
 pub use recorder::{
     AttrValue, EventRecord, MemRecorder, NoopRecorder, Recorder, SpanId, SpanRecord, TrackId,
 };
-pub use stream::{intern, replay_jsonl, StreamingRecorder};
+pub use stream::{intern, replay_jsonl, replay_jsonl_from, StreamingRecorder};
 pub use timeseries::{TimeSeriesSet, WindowSampler};
 pub use trace::{chrome_trace, TraceDump};

@@ -45,6 +45,124 @@ fn apply_ops(rec: &dyn Recorder, ops: &[RecOp]) {
     }
 }
 
+/// Floats a stream must carry bit for bit.
+const FLOATS: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.5,
+    -2.25,
+    1e15,
+    -7.5e15,
+    1e300,
+    f64::MIN_POSITIVE,
+    5e-324,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+/// Strings a stream must escape and read back.
+const TEXTS: [&str; 5] = [
+    "plain",
+    "quote\"back\\slash",
+    "ctl\u{1}\u{1f}\n\t\r",
+    "ünïcode ✓ 𝄞",
+    "",
+];
+
+/// A float from the table, or any bit pattern at all.
+fn wide_float(a: u64, b: u64) -> f64 {
+    if b.is_multiple_of(3) {
+        f64::from_bits(a)
+    } else {
+        FLOATS[(b % FLOATS.len() as u64) as usize]
+    }
+}
+
+/// An attribute of every type, at its extremes.
+fn wide_attr(a: u64, b: u64) -> AttrValue {
+    let text = TEXTS[(a % TEXTS.len() as u64) as usize];
+    match b % 9 {
+        0 => AttrValue::U64(u64::MAX),
+        1 => AttrValue::U64(a),
+        2 => AttrValue::I64(i64::MIN),
+        3 => AttrValue::I64(i64::MAX),
+        4 => AttrValue::I64(a as i64),
+        5 => AttrValue::F64(wide_float(a, b / 9)),
+        6 => AttrValue::Bool(a.is_multiple_of(2)),
+        7 => AttrValue::Str(text),
+        _ => AttrValue::Owned(format!("{text}{a}")),
+    }
+}
+
+/// Like [`apply_ops`], over values the Chrome export cannot carry but
+/// the stream must.
+fn apply_wide_ops(rec: &dyn Recorder, ops: &[RecOp]) {
+    for &(kind, a, b) in ops {
+        let track = TrackId(a % 3);
+        let name = CTR_NAMES[(a % 4) as usize];
+        match kind {
+            0 => rec.counter_add(name, b + 1),
+            1 => rec.histogram_record(name, b),
+            2 => rec.event(
+                EVT_NAMES[(a % 3) as usize],
+                b,
+                Some(track).filter(|_| !a.is_multiple_of(5)),
+                &[("x", wide_attr(a, b)), ("y", wide_attr(b, a))],
+            ),
+            3 => {
+                let id = rec.span_begin(track, "work", b, &[("v", wide_attr(a, b))]);
+                rec.span_attr(id, "extra", wide_attr(a.rotate_left(7), b + 1));
+                rec.span_end(id, b + a % 100);
+            }
+            4 => rec.track_name(track, &format!("{}{a}", TEXTS[(b % 5) as usize])),
+            5 => rec.gauge_set(name, wide_float(a, b)),
+            6 => rec.gauge_max(name, wide_float(a, b)),
+            _ => rec.counter_sample("ts.prop.series", b, wide_float(a, b)),
+        }
+    }
+}
+
+/// The dump as text with every `f64` as its bit pattern: equal text is
+/// a bitwise-equal dump, where `==` takes `-0.0` for `0.0` and NaN for
+/// unequal to itself.
+fn bitwise(dump: &TraceDump) -> String {
+    use std::fmt::Write as _;
+    let float = |x: f64| format!("{:#018x}", x.to_bits());
+    let attrs = |attrs: &[(&str, AttrValue)]| {
+        let text: Vec<String> = attrs
+            .iter()
+            .map(|(k, v)| match v {
+                AttrValue::F64(x) => format!("{k}=F64({})", float(*x)),
+                v => format!("{k}={v:?}"),
+            })
+            .collect();
+        text.join(",")
+    };
+    let mut out = format!(
+        "{:?}\n{:?}\n{:?}\nopen {}\n",
+        dump.track_names, dump.metrics.counters, dump.metrics.histograms, dump.open_spans
+    );
+    for (k, v) in &dump.metrics.gauges {
+        writeln!(out, "gauge {k} {}", float(*v)).unwrap();
+    }
+    for (k, series) in &dump.counter_series {
+        for &(t, v) in series {
+            writeln!(out, "sample {k} {t} {}", float(v)).unwrap();
+        }
+    }
+    for s in &dump.spans {
+        let (id, track, end) = (s.id, s.track, s.end_us);
+        let head = format!("span {id:?} {track:?} {} {} {end:?}", s.name, s.start_us);
+        writeln!(out, "{head} [{}]", attrs(&s.attrs)).unwrap();
+    }
+    for e in &dump.events {
+        let head = format!("event {} {} {:?}", e.name, e.t_us, e.track);
+        writeln!(out, "{head} [{}]", attrs(&e.attrs)).unwrap();
+    }
+    out
+}
+
 proptest! {
     /// Bucket assignment is monotone non-decreasing in the sample value,
     /// and every sample lands in the bucket whose range contains it.
@@ -132,24 +250,26 @@ proptest! {
 
     /// A [`StreamingRecorder`]'s JSONL, replayed, is the dump a
     /// [`MemRecorder`] finishes into for the same op sequence, whole and
-    /// bit for bit, with out-of-order timestamps.
+    /// bit for bit, with out-of-order timestamps, every kind of float
+    /// (`-0.0`, NaN and subnormals included), every attribute type at
+    /// its extremes, and names that need escaping.
     #[test]
     fn streaming_replay_matches_mem_bitwise(
         ops in proptest::collection::vec(
-            (0usize..8, any::<u64>(), 0u64..10_000),
+            (0usize..9, any::<u64>(), 0u64..10_000),
             0..100,
         )
     ) {
         let mem = MemRecorder::new();
-        apply_ops(&mem, &ops);
+        apply_wide_ops(&mem, &ops);
 
         let stream = StreamingRecorder::new(Vec::new());
-        apply_ops(&stream, &ops);
+        apply_wide_ops(&stream, &ops);
         let bytes = stream.finish().expect("Vec sink cannot fail");
         let text = String::from_utf8(bytes).expect("stream is UTF-8 JSONL");
         let replayed = replay_jsonl(&text).expect("own stream replays");
 
-        prop_assert_eq!(replayed, mem.into_dump());
+        prop_assert_eq!(bitwise(&replayed), bitwise(&mem.into_dump()));
     }
 
     /// The Chrome writer and reader are inverses: a recording read back
